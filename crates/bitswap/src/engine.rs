@@ -453,21 +453,15 @@ impl BitswapEngine {
         store: &mut S,
     ) -> Vec<EngineOutput> {
         let mut out = Vec::new();
-        // Verify before anything else: "verify that the data they were
-        // served matches the requested CID" (§3.1).
-        if !cid.hash().verify(&data) {
-            // Corrupt block: ignore it entirely (sessions keep waiting and
-            // will fail over / stall rather than accept bad data).
-            return out;
-        }
         let handles = self.session_handles();
         let owner = handles
             .iter()
             .copied()
             .find(|h| self.sessions.get(h).is_some_and(|s| s.has_want(&cid)));
         let Some(handle) = owner else {
-            // Unsolicited or duplicate block: attribute it to the session
-            // that fetched this CID, falling back to the oldest session.
+            // Unsolicited or duplicate block: it will not be stored, so it
+            // is dropped without paying for a hash. Attribute it to the
+            // session that fetched this CID, falling back to the oldest.
             let dup = handles
                 .iter()
                 .copied()
@@ -481,6 +475,14 @@ impl BitswapEngine {
             }
             return out;
         };
+        // Verify before the block can touch the session or the store:
+        // "verify that the data they were served matches the requested
+        // CID" (§3.1).
+        if !cid.hash().verify(&data) {
+            // Corrupt block: ignore it entirely (sessions keep waiting and
+            // will fail over / stall rather than accept bad data).
+            return out;
+        }
         let now = self.clock_nanos;
         let cancels =
             self.sessions.get_mut(&handle).map(|s| s.on_block(from, &cid, now)).unwrap_or_default();
@@ -721,6 +723,27 @@ mod tests {
         let st = client.session_state(handle).unwrap();
         assert_eq!(st.received, 0);
         assert_eq!(st.outstanding, 1, "want stays outstanding");
+
+        // Blocks nobody is waiting for are dropped unhashed, so forged ones
+        // must be just as inert: counted as duplicates, never stored.
+        let forged =
+            |cid: &Cid| Message::Block { cid: cid.clone(), data: Bytes::from_static(b"FORGED") };
+        let unsolicited = Cid::from_raw_data(b"nobody asked");
+        let outs = client.handle_inbound(&peer(10), forged(&unsolicited), &mut store);
+        assert_eq!(outs, vec![EngineOutput::DuplicateBlock { session: handle }]);
+        assert!(!store.has(&unsolicited));
+
+        let real = Bytes::from_static(b"the real content");
+        client.handle_inbound(
+            &peer(10),
+            Message::Block { cid: cid.clone(), data: real },
+            &mut store,
+        );
+        let outs = client.handle_inbound(&peer(10), forged(&cid), &mut store);
+        assert_eq!(outs, vec![EngineOutput::DuplicateBlock { session: handle }]);
+        assert_eq!(store.get(&cid).unwrap(), &b"the real content"[..], "stored block untouched");
+        let st = client.session_state(handle).unwrap();
+        assert_eq!((st.received, st.duplicates, st.outstanding), (1, 2, 0));
     }
 
     #[test]

@@ -719,7 +719,7 @@ impl IpfsNetwork {
             .iter()
             .enumerate()
             .filter(|(_, n)| (n.is_server || include_clients) && n.online)
-            .map(|(i, n)| (Key::from_peer(n.node.peer_id()), i))
+            .map(|(i, n)| (n.node.info().key(), i))
             .collect();
         servers.sort_by_key(|a| a.0 .0);
         if servers.is_empty() {
@@ -731,7 +731,7 @@ impl IpfsNetwork {
             self.nodes.iter().map(|n| Arc::clone(n.node.info())).collect();
 
         for id in 0..self.nodes.len() {
-            let own_key = Key::from_peer(self.nodes[id].node.peer_id());
+            let own_key = self.nodes[id].node.info().key();
             let pos = servers.partition_point(|(k, _)| k.0 < own_key.0);
             let window = 3 * near.max(1);
             let lo = pos.saturating_sub(window);
@@ -760,7 +760,7 @@ impl IpfsNetwork {
             .iter()
             .enumerate()
             .filter(|(_, n)| n.is_server)
-            .map(|(i, n)| (Key::from_peer(n.node.peer_id()), i))
+            .map(|(i, n)| (n.node.info().key(), i))
             .collect();
         all_servers.sort_by_key(|a| a.0 .0);
         self.sorted_servers = all_servers;
@@ -1232,7 +1232,7 @@ impl IpfsNetwork {
             .iter()
             .enumerate()
             .filter(|(_, n)| n.is_server)
-            .map(|(i, n)| (Key::from_peer(n.node.peer_id()).distance(&key), i))
+            .map(|(i, n)| (n.node.info().key().distance(&key), i))
             .collect();
         targets.sort_by_key(|a| a.0);
         for (_, id) in targets.into_iter().take(k) {

@@ -133,7 +133,17 @@ impl Cid {
     /// PeerIDs reside in a common 256-bit key space by using the SHA256
     /// hashes of their binary representations as indexing keys").
     pub fn dht_key(&self) -> [u8; 32] {
-        crate::sha256::digest(&self.to_bytes())
+        // Streams the fields `to_bytes` would serialize: no allocation per
+        // key.
+        let mut hasher = crate::Sha256::new();
+        if self.version == Version::V1 {
+            for field in [1, self.codec.code()] {
+                let (buf, n) = varint::encode_array(field);
+                hasher.update(&buf[..n]);
+            }
+        }
+        self.hash.hash_wire_format(&mut hasher);
+        hasher.finalize()
     }
 }
 
@@ -239,8 +249,12 @@ mod tests {
 
     #[test]
     fn dht_key_is_sha256_of_binary_cid() {
-        let cid = Cid::from_raw_data(b"dht");
-        assert_eq!(cid.dht_key(), crate::sha256::digest(&cid.to_bytes()));
+        let v1 = Cid::from_raw_data(b"dht");
+        let v0 = Cid::new_v0(Multihash::sha2_256(b"dht")).unwrap();
+        let wide = Cid::new_v1(Multicodec::from_code(u64::MAX), Multihash::sha2_512(b"dht"));
+        for cid in [v1, v0, wide] {
+            assert_eq!(cid.dht_key(), crate::sha256::digest(&cid.to_bytes()));
+        }
     }
 
     #[test]

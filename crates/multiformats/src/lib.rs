@@ -4,7 +4,8 @@
 //! in Section 2 of *Design and Evaluation of IPFS* (SIGCOMM '22):
 //!
 //! - [`sha256`] — a from-scratch FIPS 180-4 SHA-256 implementation (the
-//!   default multihash function in IPFS).
+//!   default multihash function in IPFS), hardware-accelerated where the
+//!   CPU has SHA extensions.
 //! - [`varint`] — unsigned LEB128 varints, the length/code prefix format
 //!   shared by every multiformat.
 //! - [`base`] — multibase: base16/32/36/58btc/64 codecs with the
@@ -24,7 +25,9 @@
 //! workspace builds on these primitives.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, so that exactly one module — `sha256::x86`, the
+// SHA-NI kernel — can opt back in; see the `sha256` module docs.
+#![deny(unsafe_code)]
 
 pub mod base;
 pub mod cid;

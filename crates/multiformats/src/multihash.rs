@@ -5,7 +5,7 @@
 //! hash-digest ... includes metadata indicating the hash function used
 //! (default sha2-256) and the length (default 32 bytes)".
 
-use crate::{sha256, sha512, varint, Error, Result};
+use crate::{sha256, sha512, varint, Error, Result, Sha256};
 
 /// Hash-function codes from the multicodec registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,6 +96,16 @@ impl Multihash {
         out
     }
 
+    /// Feeds the wire format into `hasher` field by field — what hashing
+    /// [`Multihash::to_bytes`] would feed it, without building the `Vec`.
+    pub(crate) fn hash_wire_format(&self, hasher: &mut Sha256) {
+        for field in [self.code, self.digest.len() as u64] {
+            let (buf, n) = varint::encode_array(field);
+            hasher.update(&buf[..n]);
+        }
+        hasher.update(&self.digest);
+    }
+
     /// Parses a multihash, requiring the input to be fully consumed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Multihash> {
         let mut slice = bytes;
@@ -129,8 +139,8 @@ impl Multihash {
     /// cannot be altered without modifying its CID".
     pub fn verify(&self, data: &[u8]) -> bool {
         match MultihashCode::from_code(self.code) {
-            Ok(MultihashCode::Sha2_256) => sha256::digest(data)[..] == self.digest[..],
-            Ok(MultihashCode::Sha2_512) => sha512::digest(data)[..] == self.digest[..],
+            Ok(MultihashCode::Sha2_256) => self.digest == sha256::digest(data),
+            Ok(MultihashCode::Sha2_512) => self.digest == sha512::digest(data),
             Ok(MultihashCode::Identity) => data == self.digest,
             Err(_) => false,
         }

@@ -158,7 +158,9 @@ impl PeerId {
     /// The 32-byte DHT indexing key: SHA256 of the PeerID bytes, putting
     /// peers and CIDs in one 256-bit keyspace (paper §2.3).
     pub fn dht_key(&self) -> [u8; 32] {
-        crate::sha256::digest(&self.to_bytes())
+        let mut hasher = Sha256::new();
+        self.0.hash_wire_format(&mut hasher);
+        hasher.finalize()
     }
 }
 
@@ -238,7 +240,7 @@ mod tests {
     fn dht_key_stable_and_distinct() {
         let a = Keypair::from_seed(1).peer_id();
         let b = Keypair::from_seed(2).peer_id();
-        assert_eq!(a.dht_key(), a.dht_key());
+        assert_eq!(a.dht_key(), crate::sha256::digest(&a.to_bytes()));
         assert_ne!(a.dht_key(), b.dht_key());
     }
 }

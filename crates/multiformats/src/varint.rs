@@ -9,20 +9,29 @@ use crate::{Error, Result};
 /// Maximum encoded length of a varint under the multiformats spec.
 pub const MAX_LEN: usize = 9;
 
-/// Appends the varint encoding of `value` to `out` and returns the number of
-/// bytes written.
-pub fn encode(mut value: u64, out: &mut Vec<u8>) -> usize {
+/// Varint-encodes `value` on the stack: the bytes and how many are used.
+/// (Ten bytes hold any `u64`; values the spec allows need at most
+/// [`MAX_LEN`].)
+pub(crate) fn encode_array(mut value: u64) -> ([u8; 10], usize) {
+    let mut buf = [0u8; 10];
     let mut n = 0;
     loop {
-        let byte = (value & 0x7f) as u8;
+        buf[n] = (value & 0x7f) as u8;
         value >>= 7;
         n += 1;
         if value == 0 {
-            out.push(byte);
-            return n;
+            return (buf, n);
         }
-        out.push(byte | 0x80);
+        buf[n - 1] |= 0x80;
     }
+}
+
+/// Appends the varint encoding of `value` to `out` and returns the number of
+/// bytes written.
+pub fn encode(value: u64, out: &mut Vec<u8>) -> usize {
+    let (buf, n) = encode_array(value);
+    out.extend_from_slice(&buf[..n]);
+    n
 }
 
 /// Encodes `value` into a fresh buffer.
@@ -100,6 +109,8 @@ mod tests {
             assert_eq!(dec, v);
             assert_eq!(used, enc.len());
         }
+        // Encoding is total even beyond the 63 bits decoders accept.
+        assert_eq!(encode_vec(u64::MAX).len(), 10);
     }
 
     #[test]
