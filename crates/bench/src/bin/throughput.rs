@@ -19,9 +19,9 @@
 //!    wall-clock rates may move.
 //! 4. **scheduler** — a microbench of the event queue itself: steady-state
 //!    schedule+pop churn at a fixed pending-set size, for both the
-//!    `BinaryHeap` reference and the timing-wheel scheduler
-//!    (`IPFS_REPRO_SCHED` selects which one the sim sections use) — plus
-//!    the sharded engine dispatching a synthetic relay workload.
+//!    `BinaryHeap` reference and the timing-wheel scheduler the sim
+//!    sections run on — plus the sharded engine dispatching a synthetic
+//!    relay workload.
 //!
 //! Full (non-smoke) runs repeat each cell three times and report the
 //! fastest repetition — min-of-N is robust to co-tenant noise — while
@@ -36,8 +36,8 @@
 //! * `--digest` — print only deterministic per-cell results (event counts,
 //!   walk counts, a metrics fingerprint) and skip everything wall-clock
 //!   derived. Two runs at the same seed must produce byte-identical
-//!   digests regardless of scheduler implementation — `scripts/check.sh`
-//!   diffs heap vs wheel this way.
+//!   digests at any shard count and with tracing on or off —
+//!   `scripts/check.sh` diffs both this way.
 //! * `--check-against <path>` — compare this run's sim events/sec against
 //!   a previously recorded JSON (same mode); exit non-zero on a >30%
 //!   regression.
@@ -172,6 +172,9 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
     let events = net.events_processed - events_before;
     let bytes_per_node = net.bytes_per_node_estimate();
     let walks = net.metrics().samples(ipfs_core::obs::names::DHT_WALK_RPCS).len() - walks_before;
+    // An FNV-1a-shaped fold, but with multiplier 0x1000_0000_01b3 rather
+    // than the FNV prime, so not `simnet::mix::fnv1a`: the recorded
+    // `metrics_fnv` digests pin this value.
     let mut metrics_fnv = 0xcbf2_9ce4_8422_2325u64;
     for (name, value) in net.metrics().counters() {
         for byte in name.bytes().chain(value.to_be_bytes()) {
@@ -255,7 +258,7 @@ fn measure_pdes(cell: &PdesCell, seed: u64, shards: usize, digest: bool) -> Stri
     }
     if digest {
         // Everything here is a pure function of (seed, cell) — identical
-        // at every shard count, worker count, and scheduler implementation.
+        // at every shard count and worker count.
         // `scripts/check.sh` byte-diffs IPFS_REPRO_SHARDS=1 vs =6 runs.
         println!(
             "digest pdes {}: events={} order_fnv={:016x} metrics_fnv={:016x} bytes_per_node={}",
@@ -514,12 +517,6 @@ fn main() {
         run_overhead_check(seed);
         return;
     }
-    if digest {
-        // To stderr: stdout must be byte-identical across scheduler
-        // implementations, and this line names the one in use.
-        eprintln!("scheduler: {}", sched_name(SchedulerKind::from_env()));
-    }
-
     let cells: Vec<Cell> = if smoke {
         vec![Cell { label: "smoke", population: 500, closest_calls: 20_000, rounds: 40 }]
     } else {
@@ -553,8 +550,8 @@ fn main() {
     };
     let shards = shards_from_env();
     if digest {
-        // Like the scheduler name: stdout must be byte-identical across
-        // IPFS_REPRO_SHARDS values, so the shard count goes to stderr.
+        // To stderr: stdout must be byte-identical across
+        // IPFS_REPRO_SHARDS values.
         eprintln!("pdes shards: {shards}");
     }
 

@@ -29,8 +29,10 @@ const COUNTER_MAX: u8 = 15;
 /// Number of independent sketch rows.
 const ROWS: usize = 4;
 
-/// Stable 64-bit key for a CID: FNV-1a over the multihash digest (unique
-/// per object, no allocation).
+/// Stable 64-bit key for a CID: an FNV-1a-shaped fold over the multihash
+/// digest (unique per object, no allocation). The multiplier is
+/// `0x1000_0000_01b3`, one hex digit longer than the FNV prime
+/// `0x100_0000_01b3`; recorded gateway digests pin the keys, so it stays.
 pub fn cid_key(cid: &Cid) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in cid.hash().digest() {
@@ -39,8 +41,10 @@ pub fn cid_key(cid: &Cid) -> u64 {
     h
 }
 
-/// splitmix64 finalizer — decorrelates the per-row indices.
-fn mix(mut x: u64) -> u64 {
+/// The splitmix64 finalizer without the golden-gamma add (so not
+/// `simnet::mix::splitmix64`): decorrelates the sketch's per-row indices
+/// and places the fleet's ring points.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

@@ -20,7 +20,7 @@
 //! requests are processed in arrival order exactly as a single gateway
 //! would, so fleet cells stay byte-identical under parallel bench runs.
 
-use crate::admission::cid_key;
+use crate::admission::{cid_key, mix};
 use crate::gateway::{Gateway, GatewayConfig};
 use crate::log::AccessLogEntry;
 use crate::workload::{CatalogObject, GatewayRequest, GatewayWorkload};
@@ -63,13 +63,6 @@ pub struct FleetLogEntry {
     pub gateway: usize,
     /// The gateway's own access-log record.
     pub entry: AccessLogEntry,
-}
-
-/// splitmix64 finalizer for ring-point placement.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// N gateways behind one deterministic load balancer.

@@ -1004,10 +1004,9 @@ impl IpfsNetwork {
     /// Sweeps every node's provider store, dropping records past the 24 h
     /// expiry (§3.1) and metering them; returns how many were removed.
     /// The periodic table-refresh tick does this automatically when
-    /// [`NetworkConfig::table_refresh_interval`] is set. Expiry inside the
-    /// store runs on per-shard timing wheels — O(expired), not
-    /// O(records) — with the original full-table scan available as a
-    /// diff-gated reference via `IPFS_REPRO_EXPIRY=scan`.
+    /// [`NetworkConfig::table_refresh_interval`] is set. Each store pops
+    /// its deadline heap, so a node with nothing due costs one peek, not
+    /// a scan of its records.
     pub fn sweep_provider_records(&mut self) -> usize {
         let now = self.now();
         let mut removed = 0;

@@ -32,9 +32,9 @@
 //!
 //! | id                      | derivation                                |
 //! |-------------------------|-------------------------------------------|
-//! | `trace_id`              | mix(origin node, op sequence), nonzero    |
+//! | `trace_id`              | splitmix64(origin node, op seq), nonzero  |
 //! | root span               | `span_id(tid, ROOT, 0)`                   |
-//! | phase span              | `span_id(tid, PHASE, fnv(label))`         |
+//! | phase span              | `span_id(tid, PHASE, fnv1a(label))`       |
 //! | requester RPC span      | `span_id(tid, RPC, nth RpcSent of op)`    |
 //! | requester dial span     | `span_id(tid, DIAL, nth DialStarted)`     |
 //! | remote fragment         | `span_id(tid, FRAGMENT, node«32 | seq)`   |
@@ -46,6 +46,7 @@
 use super::span::{Span, SpanTree};
 use super::{OpTrace, TraceEventKind};
 use crate::ops::OpId;
+use simnet::mix::{fnv1a, splitmix64, FNV_BASIS};
 use simnet::{SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -55,24 +56,6 @@ pub const NO_PEER: u32 = u32::MAX;
 // ---------------------------------------------------------------------------
 // Deterministic ids
 // ---------------------------------------------------------------------------
-
-/// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a label, for phase-span derivation.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
 
 /// Span-id domains, so ids from different derivations can never collide
 /// structurally.
@@ -92,13 +75,13 @@ pub mod domain {
 /// The op's deterministic trace id: mixed from `(origin node, op
 /// sequence)`, never zero (zero means "no trace").
 pub fn trace_id(node: usize, op: OpId) -> u64 {
-    mix(((node as u64 + 1) << 32) ^ op.0.wrapping_add(1)) | 1
+    splitmix64(((node as u64 + 1) << 32) ^ op.0.wrapping_add(1)) | 1
 }
 
 /// Derives a span id inside `tid` from a domain and a qualifier. Never
 /// zero.
 pub fn span_id(tid: u64, domain: u64, q: u64) -> u64 {
-    mix(tid ^ domain.rotate_left(56) ^ mix(q)) | 1
+    splitmix64(tid ^ domain.rotate_left(56) ^ splitmix64(q)) | 1
 }
 
 /// The root span id of a trace.
@@ -108,7 +91,7 @@ pub fn root_span(tid: u64) -> u64 {
 
 /// The span id of the phase named `label` within a trace.
 pub fn phase_span(tid: u64, label: &str) -> u64 {
-    span_id(tid, domain::PHASE, fnv(label))
+    span_id(tid, domain::PHASE, fnv1a(FNV_BASIS, label.as_bytes()))
 }
 
 /// The span id of the requester's `seq`-th `RpcSent` (0-based, counted

@@ -36,6 +36,7 @@ use faultsim::{FaultEvent, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::latency::{LatencyModel, Region};
+use simnet::mix::{fnv1a, splitmix64, FNV_BASIS};
 use simnet::{LeanPopulation, RegionEvent, ShardCtx, ShardedEngine, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -66,24 +67,9 @@ const NONE32: u32 = u32::MAX;
 /// Flight-recorder ring capacity per region (walk-completion fragments).
 const FLIGHT_CAP: usize = 64;
 
-/// FNV-1a offset basis / prime (64-bit).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Folds one u64 into an FNV-1a chain, byte by byte.
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: the key/cid derivation mix.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn fnv_u64(h: u64, v: u64) -> u64 {
+    fnv1a(h, &v.to_le_bytes())
 }
 
 /// Content key of the `i`-th op of region `region`'s tick `round` —

@@ -5,40 +5,29 @@
 //! soft state: provider records expire after 24 h and are republished every
 //! 12 h "to prevent the system from storing and providing stale records".
 //!
-//! The provider table is sharded by key prefix (top nibble of the DHT key)
-//! and each shard owns a small single-level timing wheel of expiry
-//! deadlines, so [`RecordStore::expire`] costs O(slots advanced + expired)
-//! instead of O(stored records) — the difference between a node holding a
-//! dozen bench CIDs and one pinning hundreds of thousands. Wheel entries
-//! are validated lazily on pop: a record refreshed by the 12 h republish
-//! leaves its stale entry behind, and the pop simply skips any entry whose
-//! recorded deadline no longer matches the live record's. Set
-//! `IPFS_REPRO_EXPIRY=scan` to fall back to the full-scan reference path
-//! (diff-gated in `scripts/check.sh`); both paths remove exactly the same
-//! records.
+//! The provider table is one map from DHT key to that key's records plus
+//! one min-heap of expiry deadlines, so [`RecordStore::expire`] costs
+//! O(due deadlines · log pending) instead of O(stored records). Deadlines
+//! are validated lazily on pop: every add or refresh queues one deadline,
+//! so a record refreshed by the 12 h republish leaves its old deadline
+//! behind, and the pop skips any deadline whose live record was refreshed
+//! or already removed. A heap rather than a timing wheel because expiry
+//! only ever asks for "earliest first" — no horizon, so back-dated and
+//! far-future `received_at` are ordinary entries — and because the typical
+//! DHT server holds a handful of records: an idle store must cost nothing,
+//! and an empty map and an empty heap allocate nothing.
 
 use crate::key::Key;
 use multiformats::{Multiaddr, PeerId};
 use simnet::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Default provider-record expiry interval (paper §3.1: 24 h).
 pub const PROVIDER_EXPIRY: SimDuration = SimDuration::from_hours(24);
 
 /// Default provider-record republish interval (paper §3.1: 12 h).
 pub const PROVIDER_REPUBLISH: SimDuration = SimDuration::from_hours(12);
-
-/// Provider-table shards (indexed by the key's top nibble).
-const PROVIDER_SHARDS: usize = 16;
-
-/// Slots per shard expiry wheel.
-const WHEEL_SLOTS: usize = 256;
-
-/// Nanoseconds per wheel slot (2^39 ns ≈ 550 s). 256 slots cover ≈ 39 h —
-/// comfortably past the 24 h expiry horizon, so a freshly stored record's
-/// deadline always lands inside the wheel; anything further (records
-/// back-dated by tests, clock skew) parks in the overflow list.
-const WHEEL_SLOT_NS: u64 = 1 << 39;
 
 /// A provider record: "this peer can serve this CID".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,144 +71,15 @@ pub struct ValueRecord {
     pub received_at: SimTime,
 }
 
-/// How [`RecordStore::expire`] finds dead records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExpiryMode {
-    /// Per-shard timing wheels, O(expired) (default).
-    Wheel,
-    /// Full-table scan reference (`IPFS_REPRO_EXPIRY=scan`).
-    Scan,
-}
-
-impl ExpiryMode {
-    fn from_env() -> ExpiryMode {
-        match std::env::var("IPFS_REPRO_EXPIRY").as_deref() {
-            Ok("scan") => ExpiryMode::Scan,
-            _ => ExpiryMode::Wheel,
-        }
-    }
-}
-
-/// A pending expiry deadline for one `(key, provider)` record.
-#[derive(Debug, Clone)]
-struct ExpiryEntry {
-    deadline: SimTime,
-    key: Key,
-    provider: PeerId,
-}
-
-/// Single-level timing wheel of expiry deadlines (the PR 5 scheduler-wheel
-/// shape, shrunk to one level: deadlines span at most 24 h, so 256 slots
-/// of ~550 s suffice). `cursor` is the absolute slot index of the oldest
-/// not-yet-drained slot; entries whose slot lies beyond the horizon wait
-/// in `overflow` and migrate in as the cursor advances.
-#[derive(Debug, Clone)]
-struct ExpiryWheel {
-    slots: Vec<Vec<ExpiryEntry>>,
-    cursor: u64,
-    overflow: Vec<ExpiryEntry>,
-}
-
-impl ExpiryWheel {
-    fn new() -> ExpiryWheel {
-        ExpiryWheel { slots: vec![Vec::new(); WHEEL_SLOTS], cursor: 0, overflow: Vec::new() }
-    }
-
-    fn slot_of(deadline: SimTime) -> u64 {
-        deadline.as_nanos() / WHEEL_SLOT_NS
-    }
-
-    fn insert(&mut self, entry: ExpiryEntry) {
-        let abs = Self::slot_of(entry.deadline);
-        if abs >= self.cursor + WHEEL_SLOTS as u64 {
-            self.overflow.push(entry);
-        } else {
-            // Already-due entries land in the cursor slot and drain on the
-            // next advance.
-            let abs = abs.max(self.cursor);
-            self.slots[(abs % WHEEL_SLOTS as u64) as usize].push(entry);
-        }
-    }
-
-    /// Drains every entry with `deadline <= now`, calling `f` on each.
-    /// Entries sharing the `now` slot but not yet due go back in place.
-    fn advance(&mut self, now: SimTime, mut f: impl FnMut(&ExpiryEntry)) {
-        let target = Self::slot_of(now);
-        // Sweep fully-past slots. A jump larger than the wheel visits each
-        // slot once; any entry swept up early (it was parked beyond the
-        // old horizon clamp) is requeued below rather than dropped.
-        let mut requeue = Vec::new();
-        let steps = target.saturating_sub(self.cursor).min(WHEEL_SLOTS as u64);
-        for _ in 0..steps {
-            let idx = (self.cursor % WHEEL_SLOTS as u64) as usize;
-            for entry in self.slots[idx].drain(..) {
-                if entry.deadline <= now {
-                    f(&entry);
-                } else {
-                    requeue.push(entry);
-                }
-            }
-            self.cursor += 1;
-        }
-        self.cursor = target;
-        // The current slot may mix due and future deadlines: drain the due
-        // ones, keep the rest for a later advance.
-        let idx = (self.cursor % WHEEL_SLOTS as u64) as usize;
-        if self.slots[idx].iter().any(|e| e.deadline <= now) {
-            let mut keep = Vec::new();
-            for entry in self.slots[idx].drain(..) {
-                if entry.deadline <= now {
-                    f(&entry);
-                } else {
-                    keep.push(entry);
-                }
-            }
-            self.slots[idx] = keep;
-        }
-        // With the cursor settled, migrate overflow entries that are due
-        // or now fit the horizon, and reinsert anything swept up early.
-        if !self.overflow.is_empty() {
-            let mut keep = Vec::new();
-            for entry in std::mem::take(&mut self.overflow) {
-                if entry.deadline <= now {
-                    f(&entry);
-                } else if Self::slot_of(entry.deadline) < self.cursor + WHEEL_SLOTS as u64 {
-                    requeue.push(entry);
-                } else {
-                    keep.push(entry);
-                }
-            }
-            self.overflow = keep;
-        }
-        for entry in requeue {
-            self.insert(entry);
-        }
-    }
-
-    fn entry_count(&self) -> usize {
-        self.overflow.len() + self.slots.iter().map(|s| s.len()).sum::<usize>()
-    }
-}
-
-/// One prefix shard of the provider table: its records plus the expiry
-/// wheel tracking their deadlines.
-#[derive(Debug, Clone)]
-struct ProviderShard {
-    records: HashMap<Key, Vec<ProviderRecord>>,
-    wheel: ExpiryWheel,
-}
-
-impl ProviderShard {
-    fn new() -> ProviderShard {
-        ProviderShard { records: HashMap::new(), wheel: ExpiryWheel::new() }
-    }
-}
+/// A queued expiry deadline for one `(key, provider)` record; `Reverse`
+/// turns the max-heap into earliest-deadline-first.
+type Deadline = Reverse<(SimTime, Key, PeerId)>;
 
 /// Storage for provider, peer, and value records held by one DHT server.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
-    shards: Vec<ProviderShard>,
-    expiry_mode: ExpiryMode,
+    providers: HashMap<Key, Vec<ProviderRecord>>,
+    deadlines: BinaryHeap<Deadline>,
     expiry: SimDuration,
     peers: HashMap<PeerId, PeerRecord>,
     values: HashMap<Key, ValueRecord>,
@@ -237,15 +97,8 @@ impl Default for RecordStore {
     }
 }
 
-/// Shard index for a key: its top nibble.
-fn shard_of(key: &Key) -> usize {
-    (key.0[0] >> 4) as usize
-}
-
 impl RecordStore {
     /// Creates an empty store with the paper's 24 h provider expiry.
-    /// Expiry strategy comes from `IPFS_REPRO_EXPIRY` (`scan` for the
-    /// full-scan reference; the wheel path is the default).
     pub fn new() -> RecordStore {
         RecordStore::with_expiry(PROVIDER_EXPIRY)
     }
@@ -255,8 +108,8 @@ impl RecordStore {
     /// length).
     pub fn with_expiry(expiry: SimDuration) -> RecordStore {
         RecordStore {
-            shards: (0..PROVIDER_SHARDS).map(|_| ProviderShard::new()).collect(),
-            expiry_mode: ExpiryMode::from_env(),
+            providers: HashMap::new(),
+            deadlines: BinaryHeap::new(),
             expiry,
             peers: HashMap::new(),
             values: HashMap::new(),
@@ -269,15 +122,12 @@ impl RecordStore {
     /// Stores (or refreshes) a provider record. Refreshing resets the
     /// expiry clock — this is what the 12 h republish achieves.
     pub fn add_provider(&mut self, record: ProviderRecord) {
-        let shard = &mut self.shards[shard_of(&record.key)];
-        if self.expiry_mode == ExpiryMode::Wheel {
-            shard.wheel.insert(ExpiryEntry {
-                deadline: record.received_at.saturating_add(self.expiry),
-                key: record.key,
-                provider: record.provider.clone(),
-            });
-        }
-        let entry = shard.records.entry(record.key).or_default();
+        self.deadlines.push(Reverse((
+            record.received_at.saturating_add(self.expiry),
+            record.key,
+            record.provider.clone(),
+        )));
+        let entry = self.providers.entry(record.key).or_default();
         if let Some(existing) = entry.iter_mut().find(|r| r.provider == record.provider) {
             *existing = record;
         } else {
@@ -288,8 +138,7 @@ impl RecordStore {
 
     /// Returns unexpired provider records for `key` at time `now`.
     pub fn providers(&self, key: &Key, now: SimTime) -> Vec<ProviderRecord> {
-        self.shards[shard_of(key)]
-            .records
+        self.providers
             .get(key)
             .map(|rs| {
                 rs.iter().filter(|r| now.since(r.received_at) < self.expiry).cloned().collect()
@@ -313,75 +162,65 @@ impl RecordStore {
     /// Peer records persist (they are refreshed on every connection in
     /// practice).
     ///
-    /// On the wheel path this only touches slots the cursor passes plus the
-    /// records actually due; the scan reference walks every record. Both
-    /// remove exactly the records whose *live* `received_at` is ≥ 24 h old,
-    /// so the returned count (and all downstream metrics) are identical.
+    /// Pops every deadline that is due and removes the records whose
+    /// *live* `received_at` is at least the expiry old — exactly the
+    /// records a full scan of the table would remove.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        match self.expiry_mode {
-            ExpiryMode::Scan => self.expire_scan(now),
-            ExpiryMode::Wheel => self.expire_wheel(now),
-        }
-    }
-
-    fn expire_scan(&mut self, now: SimTime) -> usize {
-        let expiry = self.expiry;
         let mut removed = 0;
-        for shard in &mut self.shards {
-            shard.records.retain(|_, rs| {
-                let before = rs.len();
-                rs.retain(|r| now.since(r.received_at) < expiry);
-                removed += before - rs.len();
-                !rs.is_empty()
-            });
+        while self.deadlines.peek().is_some_and(|Reverse((deadline, ..))| *deadline <= now) {
+            let Reverse((_, key, provider)) = self.deadlines.pop().expect("peeked a deadline");
+            // Lazy validation: the deadline is stale if the record was
+            // refreshed (the refresh queued its own deadline) or already
+            // removed.
+            let Some(rs) = self.providers.get_mut(&key) else { continue };
+            let Some(pos) = rs.iter().position(|r| r.provider == provider) else { continue };
+            if now.since(rs[pos].received_at) < self.expiry {
+                continue;
+            }
+            rs.remove(pos);
+            removed += 1;
+            if rs.is_empty() {
+                self.providers.remove(&key);
+            }
         }
         removed
     }
 
-    fn expire_wheel(&mut self, now: SimTime) -> usize {
+    /// Full-scan expiry: the oracle the deadline heap is property-tested
+    /// against.
+    #[cfg(test)]
+    fn expire_scan(&mut self, now: SimTime) -> usize {
         let expiry = self.expiry;
         let mut removed = 0;
-        for shard in &mut self.shards {
-            let records = &mut shard.records;
-            shard.wheel.advance(now, |entry| {
-                // Lazy validation: the entry is stale if the record was
-                // refreshed (live deadline moved past `now` — the refresh
-                // queued its own entry) or already removed.
-                let Some(rs) = records.get_mut(&entry.key) else { return };
-                let Some(pos) = rs.iter().position(|r| r.provider == entry.provider) else {
-                    return;
-                };
-                if now.since(rs[pos].received_at) < expiry {
-                    return; // refreshed since this deadline was queued
-                }
-                rs.remove(pos);
-                removed += 1;
-                if rs.is_empty() {
-                    records.remove(&entry.key);
-                }
-            });
-        }
+        self.providers.retain(|_, rs| {
+            let before = rs.len();
+            rs.retain(|r| now.since(r.received_at) < expiry);
+            removed += before - rs.len();
+            !rs.is_empty()
+        });
         removed
     }
 
     /// Number of live provider-record entries (across all keys).
     pub fn provider_entry_count(&self) -> usize {
-        self.shards.iter().map(|s| s.records.values().map(|v| v.len()).sum::<usize>()).sum()
+        self.providers.values().map(|v| v.len()).sum()
     }
 
     /// Estimated resident bytes of the provider table (records plus
-    /// pending wheel entries), for memory-per-node accounting.
+    /// pending deadlines), for memory-per-node accounting.
     pub fn bytes_estimate(&self) -> u64 {
         /// Estimated heap bytes per stored [`Multiaddr`].
         const ADDR_BYTES: usize = 48;
-        let mut total = std::mem::size_of::<RecordStore>();
-        for shard in &self.shards {
-            total += shard.wheel.entry_count() * std::mem::size_of::<ExpiryEntry>();
-            for (key, rs) in &shard.records {
-                total += std::mem::size_of_val(key);
-                for r in rs {
-                    total += std::mem::size_of::<ProviderRecord>() + r.addrs.len() * ADDR_BYTES;
-                }
+        /// Fixed charge for the store itself. A constant rather than
+        /// `size_of::<RecordStore>()`: the estimate is logical (it must
+        /// not move with field layout), and recorded `bytes_per_node`
+        /// digests include it.
+        const STORE_BYTES: usize = 160;
+        let mut total = STORE_BYTES + self.deadlines.len() * std::mem::size_of::<Deadline>();
+        for (key, rs) in &self.providers {
+            total += std::mem::size_of_val(key);
+            for r in rs {
+                total += std::mem::size_of::<ProviderRecord>() + r.addrs.len() * ADDR_BYTES;
             }
         }
         total as u64
@@ -434,21 +273,6 @@ mod tests {
             addrs: vec![],
             received_at: at,
         }
-    }
-
-    /// A store pinned to the scan reference path regardless of the
-    /// environment.
-    fn scan_store() -> RecordStore {
-        let mut s = RecordStore::new();
-        s.expiry_mode = ExpiryMode::Scan;
-        s
-    }
-
-    /// A store pinned to the wheel path regardless of the environment.
-    fn wheel_store() -> RecordStore {
-        let mut s = RecordStore::new();
-        s.expiry_mode = ExpiryMode::Wheel;
-        s
     }
 
     #[test]
@@ -522,8 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn wheel_expiry_skips_refreshed_records() {
-        let mut store = wheel_store();
+    fn expiry_skips_refreshed_records() {
+        let mut store = RecordStore::new();
         let k = key(1);
         store.add_provider(record(k, 1, SimTime::ZERO));
         // Refresh at 12 h: the t=0 deadline (24 h) becomes stale.
@@ -538,40 +362,44 @@ mod tests {
     }
 
     #[test]
-    fn wheel_and_scan_paths_agree() {
-        // Same operation sequence on both paths: identical removal counts
-        // and surviving state at every step (mixed key prefixes hit
-        // different shards; staggered times hit different wheel slots).
-        let mut wheel = wheel_store();
-        let mut scan = scan_store();
-        for n in 0..200u64 {
-            let at = SimTime::ZERO + SimDuration::from_secs(n * 700); // spans slots
-            let r = record(key(n), n % 7, at);
-            wheel.add_provider(r.clone());
-            scan.add_provider(r);
-        }
-        // Refresh a third of them near the end of the window.
-        for n in (0..200u64).step_by(3) {
-            let at = SimTime::ZERO + SimDuration::from_hours(11);
-            let r = record(key(n), n % 7, at);
-            wheel.add_provider(r.clone());
-            scan.add_provider(r);
-        }
-        for hours in [12u64, 24, 25, 30, 36, 48, 70] {
-            let now = SimTime::ZERO + SimDuration::from_hours(hours);
-            assert_eq!(wheel.expire(now), scan.expire(now), "removed at {hours}h");
-            assert_eq!(
-                wheel.provider_entry_count(),
-                scan.provider_entry_count(),
-                "live at {hours}h"
-            );
-        }
-        assert_eq!(wheel.provider_entry_count(), 0);
+    fn proptest_expire_matches_scan_oracle() {
+        use proptest::prelude::*;
+        // One step: (op, key, provider, hour, minute); op 4 expires, the
+        // rest add, and every step reads each key back. Few keys and
+        // providers so refreshes and several providers per key are common;
+        // times are unordered across steps, so `received_at` is back-dated
+        // as often as it is days ahead of the last `expire`.
+        proptest!(ProptestConfig::with_cases(64), |(
+            expiry_hours in 1u64..48,
+            steps in proptest::collection::vec(
+                (0u8..5, 0u64..12, 1u64..5, 0u64..120, 0u64..60),
+                1..200,
+            ),
+        )| {
+            let expiry = SimDuration::from_hours(expiry_hours);
+            let mut store = RecordStore::with_expiry(expiry);
+            let mut oracle = RecordStore::with_expiry(expiry);
+            for (op, k, provider, hour, minute) in steps {
+                let t = SimTime::ZERO + SimDuration::from_secs(hour * 3600 + minute * 60);
+                if op == 4 {
+                    prop_assert_eq!(store.expire(t), oracle.expire_scan(t));
+                } else {
+                    let r = record(key(k), provider, t);
+                    store.add_provider(r.clone());
+                    oracle.add_provider(r);
+                }
+                prop_assert_eq!(store.provider_entry_count(), oracle.provider_entry_count());
+                prop_assert_eq!(store.stored_provider_records, oracle.stored_provider_records);
+                for k in 0..12 {
+                    prop_assert_eq!(store.providers(&key(k), t), oracle.providers(&key(k), t));
+                }
+            }
+        });
     }
 
     #[test]
-    fn wheel_expire_is_idempotent_and_monotonic() {
-        let mut store = wheel_store();
+    fn expire_is_idempotent_and_monotonic() {
+        let mut store = RecordStore::new();
         for n in 0..50u64 {
             store.add_provider(record(key(n), n, SimTime::ZERO));
         }
@@ -582,11 +410,10 @@ mod tests {
     }
 
     #[test]
-    fn overflow_entries_expire_eventually() {
-        let mut store = wheel_store();
-        // Received far in the future relative to the wheel cursor (still
-        // at t=0): the deadline overshoots the 39 h horizon and parks in
-        // the overflow list, then must still expire on time.
+    fn far_future_records_expire_on_time() {
+        let mut store = RecordStore::new();
+        // Received 100 h ahead of anything the store has seen: the deadline
+        // heap has no horizon, so it is an entry like any other.
         let at = SimTime::ZERO + SimDuration::from_hours(100);
         store.add_provider(record(key(1), 1, at));
         assert_eq!(store.expire(at + SimDuration::from_hours(23)), 0);

@@ -8,7 +8,8 @@
 //!
 //! Two scheduler implementations sit behind [`EventQueue`]:
 //!
-//! * [`SchedulerKind::Wheel`] (default) — a hierarchical timing wheel
+//! * [`SchedulerKind::Wheel`] — what [`EventQueue::new`] and every
+//!   simulation run on: a hierarchical timing wheel
 //!   (hashed-and-hierarchical, calendar-queue style): [`LEVELS`] levels of
 //!   [`SLOTS`] slots each, ~1.05 ms granularity at level 0, each level 256×
 //!   coarser (level 0 spans ~0.27 s, level 1 ~69 s, level 2 ~4.9 h, level 3
@@ -18,10 +19,12 @@
 //!   a drained level-0 slot is sorted before it reaches the ready buffer,
 //!   and coarser slots cascade down before anything inside them can fire.
 //! * [`SchedulerKind::Heap`] — the original binary-heap scheduler, kept as
-//!   the reference implementation and selectable with `IPFS_REPRO_SCHED=heap`.
+//!   the reference the wheel is property-tested and microbenchmarked
+//!   against. It is reachable only through an explicit
+//!   [`EventQueue::with_scheduler`]; nothing selects it at run time.
 //!
 //! Both implementations produce identical pop sequences (property-tested
-//! below), so every simulation artifact is byte-invariant under the switch.
+//! below).
 //!
 //! [`EventQueue::schedule_cancellable`] returns a [`TimerId`] that can be
 //! O(1)-cancelled later: the entry is tombstoned and physically removed
@@ -77,17 +80,6 @@ pub enum SchedulerKind {
     Heap,
     /// Hierarchical timing wheel (O(1) schedule, amortized pop).
     Wheel,
-}
-
-impl SchedulerKind {
-    /// Reads `IPFS_REPRO_SCHED` (`heap` | `wheel`); defaults to the wheel.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("IPFS_REPRO_SCHED").as_deref() {
-            Ok("heap") => SchedulerKind::Heap,
-            Ok("wheel") | Err(_) => SchedulerKind::Wheel,
-            Ok(other) => panic!("IPFS_REPRO_SCHED must be 'heap' or 'wheel', got {other:?}"),
-        }
-    }
 }
 
 /// log2 of the slot count per wheel level.
@@ -330,10 +322,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero, with the scheduler selected by
-    /// `IPFS_REPRO_SCHED` (wheel unless overridden — see [`SchedulerKind`]).
+    /// Creates an empty queue at time zero on the timing wheel.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::from_env())
+        Self::with_scheduler(SchedulerKind::Wheel)
     }
 
     /// Creates an empty queue at time zero on an explicit scheduler.
@@ -559,6 +550,11 @@ mod tests {
         let mut engine: Engine<u32> = Engine::new(seed);
         engine.queue = EventQueue::with_scheduler(kind);
         engine
+    }
+
+    #[test]
+    fn default_queue_is_the_wheel() {
+        assert_eq!(EventQueue::<u8>::new().scheduler_kind(), SchedulerKind::Wheel);
     }
 
     #[test]

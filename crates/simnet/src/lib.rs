@@ -22,6 +22,8 @@
 //! - [`shard`] — region-sharded deterministic parallel event execution
 //!   (conservative lookahead from the latency floor; byte-identical to the
 //!   serial path at any shard count).
+//! - [`mix`] — the SplitMix64 and FNV-1a mixers behind every derived id,
+//!   per-event seed and digest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,6 +32,7 @@ pub mod churn;
 pub mod engine;
 pub mod geodb;
 pub mod latency;
+pub mod mix;
 pub mod population;
 pub mod shard;
 pub mod time;

@@ -38,6 +38,7 @@
 //! never depend on how shards interleave.
 
 use crate::engine::EventQueue;
+use crate::mix::splitmix64;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,14 +61,6 @@ const COUNTER_MASK: u64 = (1 << COUNTER_BITS) - 1;
 fn pack_key(origin: usize, counter: u64) -> u64 {
     debug_assert!(counter <= COUNTER_MASK, "per-region event counter overflow");
     ((origin as u64) << COUNTER_BITS) | counter
-}
-
-/// SplitMix64 finalizer — one bijective mixing round.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-event RNG seed: a function of the base seed and the event's
@@ -132,10 +125,7 @@ impl<E: RegionEvent> ShardCtx<'_, E> {
     /// counts like [`ShardCtx::event_key`], but usable directly as a
     /// trace/span identifier (high bits populated, never zero).
     pub fn trace_key(&self) -> u64 {
-        let mut x = self.key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (x ^ (x >> 31)) | 1
+        splitmix64(self.key) | 1
     }
 
     /// Region of the event being handled.
