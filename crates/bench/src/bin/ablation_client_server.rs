@@ -8,14 +8,15 @@
 //! With the split disabled, NAT'ed clients sit in routing tables like any
 //! other peer; every walk wastes transport timeouts dialing them.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::Summary;
+use bench::{RunConfig, ScaleConfig};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment, NetworkConfig};
 
 fn main() {
-    banner("Ablation", "DHT client/server split on vs off (pre-v0.5 behaviour)");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run =
+        RunConfig::start("Ablation", "DHT client/server split on vs off (pre-v0.5 behaviour)");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
 
     let mut rows = Vec::new();
     for split_disabled in [false, true] {

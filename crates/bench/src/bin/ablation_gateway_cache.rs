@@ -6,8 +6,8 @@
 //! tier's capacity — including effectively disabling it — and reports the
 //! latency users would see.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{fraction_below, markdown_table, percentile};
+use bench::{RunConfig, ScaleConfig};
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
 use gateway::{Gateway, GatewayConfig, ServedBy};
 use ipfs_core::{IpfsNetwork, NetworkConfig, NodeId};
@@ -15,9 +15,9 @@ use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn main() {
-    banner("Ablation", "gateway nginx-cache capacity sweep");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run = RunConfig::start("Ablation", "gateway nginx-cache capacity sweep");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
     let base = GatewayConfig::default().nginx_capacity_bytes;
 
     let mut rows = Vec::new();

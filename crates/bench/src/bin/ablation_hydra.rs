@@ -6,23 +6,25 @@
 //! heads to a churny network and measures what they buy: fewer stale
 //! dials during walks, faster publications and retrievals.
 
-use bench::runner::{banner, run_cells, seed_from_env, ScaleConfig};
+use bench::runner::run_cells_with_jobs;
 use bench::stats::Summary;
+use bench::{RunConfig, ScaleConfig};
 use bytes::Bytes;
 use ipfs_core::{IpfsNetwork, NetworkConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration, SimTime};
 
 fn main() {
-    banner("Ablation", "Hydra boosters: stabilizing the DHT with datacenter heads");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run =
+        RunConfig::start("Ablation", "Hydra boosters: stabilizing the DHT with datacenter heads");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
     let iterations = 25usize;
 
     // Independent cells (one per head count), parallel under
     // IPFS_REPRO_JOBS; rows print in head order after all cells finish.
     let head_counts = [0usize, 50, 200];
-    let rows: Vec<String> = run_cells(head_counts.len(), |cell| {
+    let rows: Vec<String> = run_cells_with_jobs(run.jobs, head_counts.len(), |cell| {
         let heads = head_counts[cell];
         let pop = Population::generate(
             PopulationConfig {

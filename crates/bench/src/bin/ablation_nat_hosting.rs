@@ -7,17 +7,18 @@
 //! fraction of content hosted by NAT'ed peers that becomes retrievable,
 //! and the latency cost of the relay-assisted dial.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{markdown_table, percentile};
+use bench::{RunConfig, ScaleConfig};
 use bytes::Bytes;
 use ipfs_core::{IpfsNetwork, NetworkConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration, SimTime};
 
 fn main() {
-    banner("Ablation", "NAT'ed content hosting without / with DCUtR hole punching");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run =
+        RunConfig::start("Ablation", "NAT'ed content hosting without / with DCUtR hole punching");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
     let objects = 25usize;
 
     let mut rows = Vec::new();

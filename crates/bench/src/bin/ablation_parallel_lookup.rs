@@ -5,14 +5,14 @@
 //! times" — the 1 s opportunistic timeout is a fixed floor on every
 //! DHT-resolved retrieval.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::Summary;
+use bench::{RunConfig, ScaleConfig};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment, NetworkConfig};
 
 fn main() {
-    banner("Ablation", "serial (1 s Bitswap first) vs parallel DHT+Bitswap");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run = RunConfig::start("Ablation", "serial (1 s Bitswap first) vs parallel DHT+Bitswap");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
 
     let mut results = Vec::new();
     for parallel in [false, true] {

@@ -7,24 +7,25 @@
 //! the network churn for several hours, and measures whether the records
 //! can still be found.
 
-use bench::runner::{banner, run_cells, seed_from_env, ScaleConfig};
+use bench::runner::run_cells_with_jobs;
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use bytes::Bytes;
 use ipfs_core::{IpfsNetwork, NetworkConfig, NodeConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn main() {
-    banner("Ablation", "replication factor k vs record survival under churn");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run = RunConfig::start("Ablation", "replication factor k vs record survival under churn");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
     let objects = 30usize;
     let wait_hours = [4u64, 8, 16];
 
     // Each k is an independent simulation — run them as parallel cells
     // (IPFS_REPRO_JOBS); results come back in k order regardless.
     let ks = [2usize, 5, 10, 20, 30];
-    let rows: Vec<Vec<String>> = run_cells(ks.len(), |cell| {
+    let rows: Vec<Vec<String>> = run_cells_with_jobs(run.jobs, ks.len(), |cell| {
         let k = ks[cell];
         let pop = Population::generate(
             PopulationConfig {

@@ -27,21 +27,23 @@
 //! Flags:
 //! * `--smoke` — tiny fixed-size run for the CI determinism gate.
 
-use bench::chaos::{render_json, render_report, run_all, ChaosConfig};
-use bench::runner::{banner, jobs_from_env, seed_from_env, Scale};
+use bench::chaos::{bench_doc, render_report, run_all, ChaosConfig};
+use bench::RunConfig;
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    banner("Chaos", "fault injection & recovery measurement (faultsim)");
-    let seed = seed_from_env();
-    let jobs = jobs_from_env();
-    let cfg = if smoke { ChaosConfig::smoke() } else { ChaosConfig::at_scale(Scale::from_env()) };
+    let run = RunConfig::start("Chaos", "fault injection & recovery measurement (faultsim)");
+    let cfg = if smoke { ChaosConfig::smoke() } else { ChaosConfig::at_scale(run.scale) };
 
-    let outputs = run_all(&cfg, seed, jobs);
+    let outputs = run_all(&cfg, run.seed, run.jobs);
     print!("{}", render_report(&outputs));
 
-    let json = render_json(&outputs, seed);
-    if let Some(path) = bench::write_json("BENCH_chaos", &json) {
+    if let Some(ts) = outputs.iter().find_map(|c| c.timeseries.as_ref()) {
+        if let Some(path) = bench::write_timeseries_csv(&run, "chaos_gateway_timeseries", ts) {
+            eprintln!("wrote {}", path.display());
+        }
+    }
+    if let Some(path) = bench_doc(&outputs, &run).write() {
         println!("wrote {}", path.display());
     }
 }

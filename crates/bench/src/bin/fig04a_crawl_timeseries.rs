@@ -2,27 +2,27 @@
 //! undialable (the paper crawled every 30 min from Germany; the series
 //! shows one-day periodicity driven by churn).
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use crawler::{CrawlConfig, Crawler};
 use ipfs_core::{IpfsNetwork, NetworkConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn main() {
-    banner("Figure 4a", "crawled peers over time (dialable vs undialable)");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 4a", "crawled peers over time (dialable vs undialable)");
+    let cfg = ScaleConfig::resolve(run.scale);
     let rounds = cfg.crawl_rounds;
     let horizon = SimDuration::from_mins(30) * (rounds as u64 + 2);
     let pop = Population::generate(
         PopulationConfig { size: cfg.crawl_population, horizon, ..Default::default() },
-        seed_from_env(),
+        run.seed,
     );
     let mut net = IpfsNetwork::from_population(
         &pop,
         &[VantagePoint::EuCentral1], // the paper's crawler ran from Germany
         NetworkConfig::default(),
-        seed_from_env(),
+        run.seed,
     );
     let crawler = Crawler::new(CrawlConfig::default());
 

@@ -2,7 +2,7 @@
 //! 5 minutes, shown both in the gateway's timezone (PST) and the users'
 //! local timezones.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
+use bench::{RunConfig, ScaleConfig};
 use gateway::log::RequestBins;
 use gateway::workload::{GatewayWorkload, Referrer, WorkloadConfig};
 use gateway::{AccessLogEntry, ServedBy};
@@ -28,13 +28,13 @@ fn offset(c: Country) -> f64 {
 }
 
 fn main() {
-    banner("Figure 4b", "gateway request count per 5-minute bin");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 4b", "gateway request count per 5-minute bin");
+    let cfg = ScaleConfig::resolve(run.scale);
     let workload = GatewayWorkload::generate(WorkloadConfig {
         catalog_size: cfg.gateway_catalog,
         users: cfg.gateway_users,
         requests: cfg.gateway_requests,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     });
     // For pure arrival-pattern analysis the cache tier is irrelevant:

@@ -3,22 +3,22 @@
 //! Paper: US 28.5 %, CN 24.2 %, FR 8.3 %, TW 7.2 %, KR 6.7 %; multihoming
 //! peers (~8.8 %) counted repeatedly.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use simnet::geodb::Country;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::HashMap;
 
 fn main() {
-    banner("Figure 5", "geographical distribution of peers");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 5", "geographical distribution of peers");
+    let cfg = ScaleConfig::resolve(run.scale);
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.census_population,
             horizon: SimDuration::from_hours(1),
             ..Default::default()
         },
-        seed_from_env(),
+        run.seed,
     );
 
     // Count PeerIDs per country; multihomed peers counted in both

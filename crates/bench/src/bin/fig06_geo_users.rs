@@ -4,20 +4,20 @@
 //! Paper: US 50.4 %, CN 31.9 %, HK 6.6 %, CA 4.6 %, JP 1.7 % (the sampled
 //! gateway is in the US, so its anycast catchment skews American).
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
 use simnet::geodb::Country;
 use std::collections::HashMap;
 
 fn main() {
-    banner("Figure 6", "geographical distribution of gateway users");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 6", "geographical distribution of gateway users");
+    let cfg = ScaleConfig::resolve(run.scale);
     let workload = GatewayWorkload::generate(WorkloadConfig {
         catalog_size: cfg.gateway_catalog,
         users: cfg.gateway_users,
         requests: cfg.gateway_requests,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     });
 

@@ -6,23 +6,24 @@
 //! never accessible (CN 12.5 %); 92.3 % of IPs host one PeerID while the
 //! top-10 IPs host ~66 k; top-10 ASes hold 64.9 % of IPs, top-100 90.6 %.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use crawler::{ChurnMonitor, MonitorConfig};
 use simnet::geodb::Country;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::HashMap;
 
 fn main() {
-    banner("Figure 7", "reliable/unreachable peers, PeerIDs per IP, IPs per AS");
-    let cfg = ScaleConfig::from_env();
+    let run =
+        RunConfig::start("Figure 7", "reliable/unreachable peers, PeerIDs per IP, IPs per AS");
+    let cfg = ScaleConfig::resolve(run.scale);
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.monitor_population,
             horizon: SimDuration::from_hours(48),
             ..Default::default()
         },
-        seed_from_env(),
+        run.seed,
     );
     let (_, summaries) = ChurnMonitor::new(MonitorConfig::default()).run(&pop);
     let total = summaries.len() as f64;

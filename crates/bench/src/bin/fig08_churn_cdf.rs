@@ -4,22 +4,22 @@
 //! 24.2 min, Germany more than double that. The step shape of the CDF
 //! comes from the monitor's probing quantization.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{fraction_below, markdown_table, percentile};
+use bench::{RunConfig, ScaleConfig};
 use crawler::{ChurnMonitor, MonitorConfig};
 use simnet::geodb::Country;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn main() {
-    banner("Figure 8", "session-uptime CDFs by region (churn)");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 8", "session-uptime CDFs by region (churn)");
+    let cfg = ScaleConfig::resolve(run.scale);
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.monitor_population,
             horizon: SimDuration::from_hours(48),
             ..Default::default()
         },
-        seed_from_env(),
+        run.seed,
     );
     let (observations, _) = ChurnMonitor::new(MonitorConfig::default()).run(&pop);
 

@@ -5,18 +5,18 @@
 //! RPC batch; (d) overall retrieval; (e) both retrieval DHT walks;
 //! (f) content fetch.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{ascii_series, cdf_points, Summary};
+use bench::{RunConfig, ScaleConfig};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment};
 use simnet::latency::VantagePoint;
 
 fn main() {
-    banner("Figure 9", "publication & retrieval delay CDFs per region");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 9", "publication & retrieval delay CDFs per region");
+    let cfg = ScaleConfig::resolve(run.scale);
     let results = DhtPerfExperiment::new(DhtPerfConfig {
         population: cfg.population,
         iterations_per_region: cfg.iterations_per_region,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     })
     .run();
@@ -77,7 +77,7 @@ fn main() {
         ("fig09e_ret_walks", &ret_walks),
         ("fig09f_ret_fetch", &ret_fetch),
     ] {
-        bench::export::write_series_csv(csv_name, "seconds", "cdf", &cdf_points(data, 100));
+        bench::export::write_series_csv(&run, csv_name, "seconds", "cdf", &cdf_points(data, 100));
     }
 
     println!();

@@ -5,18 +5,18 @@
 //! Paper: median stretch ≈ 4.3; without the 1 s Bitswap delay,
 //! eu_central_1 sees stretch < 2 for 80 % of retrievals.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{fraction_below, markdown_table, percentile};
+use bench::{RunConfig, ScaleConfig};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment};
 use simnet::latency::VantagePoint;
 
 fn main() {
-    banner("Figure 10", "retrieval stretch with/without the Bitswap timeout");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Figure 10", "retrieval stretch with/without the Bitswap timeout");
+    let cfg = ScaleConfig::resolve(run.scale);
     let results = DhtPerfExperiment::new(DhtPerfConfig {
         population: cfg.population,
         iterations_per_region: cfg.iterations_per_region,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     })
     .run();

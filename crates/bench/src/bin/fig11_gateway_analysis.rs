@@ -6,8 +6,8 @@
 //! zero latency (nginx hits), node-store hits < 24 ms, 76 % of requests
 //! served < 250 ms; latency/size Pearson r = 0.13.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{cdf_points, fraction_below, pearson, percentile};
+use bench::{RunConfig, ScaleConfig};
 use gateway::log::RequestBins;
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
 use gateway::{Gateway, GatewayConfig, ServedBy};
@@ -16,9 +16,9 @@ use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn main() {
-    banner("Figure 11", "gateway latency/size distributions and cache bins");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run = RunConfig::start("Figure 11", "gateway latency/size distributions and cache bins");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.population.min(2_000),

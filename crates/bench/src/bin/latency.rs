@@ -19,8 +19,8 @@
 //!   dump the slowest ops' stitched trees (cross-node spans + critical
 //!   path) as JSON exemplars; measured tables are unchanged.
 
-use bench::latency::{render_json, render_table, render_trace_out, run_all_traced, LatencyConfig};
-use bench::runner::{banner, jobs_from_env, seed_from_env, Scale};
+use bench::latency::{bench_doc, render_table, render_trace_out, run_all_traced, LatencyConfig};
+use bench::RunConfig;
 use std::path::Path;
 
 /// Slowest ops kept in the `--trace-out` exemplar dump.
@@ -41,16 +41,15 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(String::from);
 
-    banner("Latency", "per-phase retrieval latency attribution (span trees)");
-    let seed = seed_from_env();
-    let jobs = jobs_from_env();
-    let cfg =
-        if smoke { LatencyConfig::smoke() } else { LatencyConfig::at_scale(Scale::from_env()) };
+    let run = RunConfig::start("Latency", "per-phase retrieval latency attribution (span trees)");
+    let seed = run.seed;
+    let cfg = if smoke { LatencyConfig::smoke() } else { LatencyConfig::at_scale(run.scale) };
 
-    let results = run_all_traced(&cfg, seed, jobs, trace_out.is_some());
+    let results = run_all_traced(&cfg, seed, run.jobs, trace_out.is_some());
     let table = render_table(&results);
     print!("{table}");
-    let json = render_json(&results, seed);
+    let doc = bench_doc(&results, &run);
+    let json = doc.render();
 
     let dir = Path::new(&out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -65,7 +64,7 @@ fn main() {
         }
         println!("wrote {}", path.display());
     }
-    if let Some(path) = bench::write_json("BENCH_latency", &json) {
+    if let Some(path) = doc.write() {
         println!("wrote {}", path.display());
     }
     if let Some(path) = trace_out {

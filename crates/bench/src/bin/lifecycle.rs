@@ -15,77 +15,25 @@
 //!
 //! Flags:
 //! * `--smoke` — tiny fixed-size run for the CI determinism gate.
-//! * `--check-against <path>` — compare the headline cell's wall-clock
-//!   events/sec against a previously recorded JSON (same mode); exit
-//!   non-zero on a >30 % regression.
 
-use bench::lifecycle::{headline_label, render_json, render_report, run_all};
-use bench::runner::{banner, jobs_from_env, seed_from_env, Scale};
-
-/// Pulls `"events_per_sec": <x>` for the entry `"label": "<label>"` out of
-/// an exported JSON (scanning, no parser dependency).
-fn baseline_events_per_sec(json: &str, label: &str) -> Option<f64> {
-    let entry = json.split("\"label\"").find(|chunk| {
-        chunk.trim_start().trim_start_matches(':').trim_start().starts_with(&format!("\"{label}\""))
-    })?;
-    let after = entry.split("\"events_per_sec\"").nth(1)?;
-    let num: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
+use bench::lifecycle::{bench_doc, render_report, run_all};
+use bench::RunConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_against = args
-        .iter()
-        .position(|a| a == "--check-against")
-        .and_then(|i| args.get(i + 1))
-        .map(String::from);
+    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
 
-    banner("Content lifecycle", "reprovide sweep vs per-CID chains at scale");
-    let seed = seed_from_env();
-    let jobs = jobs_from_env();
+    let run = RunConfig::start("Content lifecycle", "reprovide sweep vs per-CID chains at scale");
 
-    let outputs = run_all(seed, smoke, Scale::from_env(), jobs);
+    let outputs = run_all(&run, smoke);
     print!("{}", render_report(&outputs));
 
-    // Wall-clock headline to stderr: stdout must stay byte-identical
-    // across job counts and machines.
-    let label = headline_label(smoke);
-    let headline = outputs.iter().find(|c| c.label == label).expect("headline cell ran");
-    eprintln!(
-        "sustained: {:.0} sim events/s over {} lifecycle cells [{}]",
-        headline.events_per_sec,
-        outputs.len(),
-        label
-    );
-
-    let json = render_json(&outputs, seed);
-    if let Some(path) = bench::write_json("BENCH_lifecycle", &json) {
-        println!("wrote {}", path.display());
+    // Wall-clock rates to stderr: stdout must stay byte-identical across
+    // job counts and machines.
+    for c in &outputs {
+        eprintln!("{}: {:.0} sim events/s", c.label, c.events as f64 / c.wall_sec);
     }
 
-    if let Some(path) = check_against {
-        let baseline = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| baseline_events_per_sec(&s, label))
-            .unwrap_or_else(|| {
-                eprintln!("lifecycle: cannot read baseline events/sec from {path}");
-                std::process::exit(2);
-            });
-        let current = headline.events_per_sec;
-        let ratio = current / baseline.max(1e-9);
-        eprintln!(
-            "regression gate [{label}]: current {current:.0} events/s vs baseline \
-{baseline:.0} events/s (ratio {ratio:.2})"
-        );
-        if ratio < 0.7 {
-            eprintln!("lifecycle: events/sec regressed >30% against {path}");
-            std::process::exit(1);
-        }
+    if let Some(path) = bench_doc(&outputs, &run).write() {
+        println!("wrote {}", path.display());
     }
 }

@@ -15,60 +15,31 @@
 //!
 //! Flags:
 //! * `--smoke` — tiny fixed-size run for the CI determinism gate.
-//! * `--check-against <path>` — compare the headline cell's wall-clock
-//!   events/sec against a previously recorded JSON (same mode); exit
-//!   non-zero on a >30 % regression.
 //! * `--trace-out <path>` — additionally collect distributed traces and
 //!   dump the slowest retrievals' stitched trees (cross-node spans +
 //!   critical path) as JSON exemplars; the report is unchanged.
 
-use bench::runner::{banner, jobs_from_env, seed_from_env, Scale};
-use bench::swarm::{
-    headline_label, render_json, render_report, render_trace_out, run_all_traced, SwarmBenchConfig,
-};
+use bench::swarm::{bench_doc, render_report, render_trace_out, run_all_traced, SwarmBenchConfig};
+use bench::RunConfig;
 
 /// Slowest retrievals kept in the `--trace-out` exemplar dump.
 const TRACE_OUT_SLOWEST: usize = 8;
 
-/// Pulls `"events_per_sec": <x>` for the entry `"label": "<label>"` out of
-/// an exported JSON (scanning, no parser dependency).
-fn baseline_events_per_sec(json: &str, label: &str) -> Option<f64> {
-    let entry = json.split("\"label\"").find(|chunk| {
-        chunk.trim_start().trim_start_matches(':').trim_start().starts_with(&format!("\"{label}\""))
-    })?;
-    let after = entry.split("\"events_per_sec\"").nth(1)?;
-    let num: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let check_against = args
-        .iter()
-        .position(|a| a == "--check-against")
-        .and_then(|i| args.get(i + 1))
-        .map(String::from);
     let trace_out = args
         .iter()
         .position(|a| a == "--trace-out")
         .and_then(|i| args.get(i + 1))
         .map(String::from);
 
-    banner("Swarm transfer", "multi-provider Bitswap sessions over chunked DAGs");
-    let seed = seed_from_env();
-    let jobs = jobs_from_env();
-    let cfg = if smoke {
-        SwarmBenchConfig::smoke()
-    } else {
-        SwarmBenchConfig::at_scale(Scale::from_env())
-    };
+    let run =
+        RunConfig::start("Swarm transfer", "multi-provider Bitswap sessions over chunked DAGs");
+    let seed = run.seed;
+    let cfg = if smoke { SwarmBenchConfig::smoke() } else { SwarmBenchConfig::at_scale(run.scale) };
 
-    let outputs = run_all_traced(&cfg, seed, smoke, jobs, trace_out.is_some());
+    let outputs = run_all_traced(&cfg, seed, smoke, run.jobs, trace_out.is_some());
     print!("{}", render_report(&outputs));
     if let Some(path) = &trace_out {
         let doc = render_trace_out(&outputs, seed, TRACE_OUT_SLOWEST);
@@ -79,39 +50,13 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // Wall-clock headline to stderr: stdout must stay byte-identical
-    // across job counts and machines.
-    let label = headline_label(smoke);
-    let headline = outputs.iter().find(|c| c.label == label).expect("headline cell ran");
-    eprintln!(
-        "sustained: {:.0} sim events/s over {} swarm cells [{}]",
-        headline.events_per_sec,
-        outputs.len(),
-        label
-    );
-
-    let json = render_json(&outputs, seed);
-    if let Some(path) = bench::write_json("BENCH_swarm", &json) {
-        println!("wrote {}", path.display());
+    // Wall-clock rates to stderr: stdout must stay byte-identical across
+    // job counts and machines.
+    for c in &outputs {
+        eprintln!("{}: {:.0} sim events/s", c.label, c.events as f64 / c.wall_sec);
     }
 
-    if let Some(path) = check_against {
-        let baseline = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| baseline_events_per_sec(&s, label))
-            .unwrap_or_else(|| {
-                eprintln!("swarm: cannot read baseline events/sec from {path}");
-                std::process::exit(2);
-            });
-        let current = headline.events_per_sec;
-        let ratio = current / baseline.max(1e-9);
-        eprintln!(
-            "regression gate [{label}]: current {current:.0} events/s vs baseline \
-{baseline:.0} events/s (ratio {ratio:.2})"
-        );
-        if ratio < 0.7 {
-            eprintln!("swarm: events/sec regressed >30% against {path}");
-            std::process::exit(1);
-        }
+    if let Some(path) = bench_doc(&outputs, &run).write() {
+        println!("wrote {}", path.display());
     }
 }

@@ -4,18 +4,18 @@
 //! Paper: 547 publications per region (546 for sa_east_1) and 2,047–2,708
 //! retrievals per region, totalling 3,281 / 14,564.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment};
 use simnet::latency::VantagePoint;
 
 fn main() {
-    banner("Table 1", "publication and retrieval operations per region");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Table 1", "publication and retrieval operations per region");
+    let cfg = ScaleConfig::resolve(run.scale);
     let results = DhtPerfExperiment::new(DhtPerfConfig {
         population: cfg.population,
         iterations_per_region: cfg.iterations_per_region,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     })
     .run();

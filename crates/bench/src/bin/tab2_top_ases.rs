@@ -4,22 +4,22 @@
 //! (rank 160), AS4760 HKT 9.6 % (rank 2976), AS26599 Telefonica Brasil
 //! 6.9 % (rank 6797), AS3462 HINET 5.3 % (rank 340).
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use simnet::geodb::NAMED_ASES;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::{HashMap, HashSet};
 
 fn main() {
-    banner("Table 2", "top autonomous systems by IP share");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Table 2", "top autonomous systems by IP share");
+    let cfg = ScaleConfig::resolve(run.scale);
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.census_population,
             horizon: SimDuration::from_hours(1),
             ..Default::default()
         },
-        seed_from_env(),
+        run.seed,
     );
 
     // Count distinct IPs per AS (the paper counts IP addresses).

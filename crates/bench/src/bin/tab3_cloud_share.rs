@@ -3,22 +3,22 @@
 //! Paper: Contabo 0.44 %, Amazon AWS 0.39 %, Azure 0.33 %, Digital Ocean
 //! 0.18 %, Hetzner 0.13 %, ...; Non-Cloud 97.71 %.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use simnet::geodb::CLOUD_PROVIDERS;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::HashMap;
 
 fn main() {
-    banner("Table 3", "cloud-provider share of IPFS nodes");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Table 3", "cloud-provider share of IPFS nodes");
+    let cfg = ScaleConfig::resolve(run.scale);
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.census_population,
             horizon: SimDuration::from_hours(1),
             ..Default::default()
         },
-        seed_from_env(),
+        run.seed,
     );
 
     let mut per_provider: HashMap<u8, u64> = HashMap::new();

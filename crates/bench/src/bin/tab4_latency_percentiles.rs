@@ -13,8 +13,8 @@
 //! us_west_1        36.02   121.13  147.59 2.48  3.17  3.42
 //! ```
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{markdown_table, percentile};
+use bench::{RunConfig, ScaleConfig};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment};
 use simnet::latency::VantagePoint;
 
@@ -28,12 +28,12 @@ const PAPER: [(&str, [f64; 6]); 6] = [
 ];
 
 fn main() {
-    banner("Table 4", "publication & retrieval latency percentiles per region");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Table 4", "publication & retrieval latency percentiles per region");
+    let cfg = ScaleConfig::resolve(run.scale);
     let results = DhtPerfExperiment::new(DhtPerfConfig {
         population: cfg.population,
         iterations_per_region: cfg.iterations_per_region,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     })
     .run();
@@ -54,6 +54,7 @@ fn main() {
         ]);
     }
     bench::export::write_csv(
+        &run,
         "tab4_latency_percentiles",
         &["region", "pub_p50", "pub_p90", "pub_p95", "ret_p50", "ret_p90", "ret_p95"],
         &VantagePoint::ALL

@@ -8,8 +8,8 @@
 //! Requests served   46.0 %       40.2 %           13.8 %
 //! ```
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::{markdown_table, percentile};
+use bench::{RunConfig, ScaleConfig};
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
 use gateway::{Gateway, GatewayConfig, ServedBy};
 use ipfs_core::{IpfsNetwork, NetworkConfig, NodeId};
@@ -17,9 +17,9 @@ use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn main() {
-    banner("Table 5", "gateway cache-tier latency and traffic split");
-    let cfg = ScaleConfig::from_env();
-    let seed = seed_from_env();
+    let run = RunConfig::start("Table 5", "gateway cache-tier latency and traffic split");
+    let cfg = ScaleConfig::resolve(run.scale);
+    let seed = run.seed;
     let pop = Population::generate(
         PopulationConfig {
             size: cfg.population.min(2_000),

@@ -6,8 +6,8 @@
 //! of these parent sites are hosted in the US (47.3 %), Iceland (20.0 %)
 //! and Canada (12.7 %)." — the NFT/video-streaming integration story.
 
-use bench::runner::{banner, seed_from_env, ScaleConfig};
 use bench::stats::markdown_table;
+use bench::{RunConfig, ScaleConfig};
 use gateway::workload::{GatewayWorkload, Referrer, WorkloadConfig};
 use std::collections::HashMap;
 
@@ -26,13 +26,13 @@ fn site_country(site: u16) -> &'static str {
 }
 
 fn main() {
-    banner("Gateway referrals", "§6.3's referred-traffic breakdown");
-    let cfg = ScaleConfig::from_env();
+    let run = RunConfig::start("Gateway referrals", "§6.3's referred-traffic breakdown");
+    let cfg = ScaleConfig::resolve(run.scale);
     let workload = GatewayWorkload::generate(WorkloadConfig {
         catalog_size: cfg.gateway_catalog,
         users: cfg.gateway_users,
         requests: cfg.gateway_requests,
-        seed: seed_from_env(),
+        seed: run.seed,
         ..Default::default()
     });
 

@@ -29,7 +29,11 @@
 //! metrics fingerprint) are identical across repetitions.
 //!
 //! Output goes to stdout and, when `IPFS_REPRO_CSV_DIR` is set, to
-//! `BENCH_throughput.json` via [`bench::export::write_json`].
+//! `BENCH_throughput.json` via [`bench::BenchDoc`]: every section is a
+//! timed cell (`small`, `small_routing`, `paper_pdes`, `paper_pdes_build`,
+//! `sched_wheel_10000`, `sharded_relay`, …) whose `events` are what the
+//! section counts — sim events, `closest()` calls, nodes built,
+//! schedule+pop ops.
 //!
 //! Flags:
 //! * `--smoke` — tiny fixed-size run for CI regression gating.
@@ -38,9 +42,6 @@
 //!   derived. Two runs at the same seed must produce byte-identical
 //!   digests at any shard count and with tracing on or off —
 //!   `scripts/check.sh` diffs both this way.
-//! * `--check-against <path>` — compare this run's sim events/sec against
-//!   a previously recorded JSON (same mode); exit non-zero on a >30%
-//!   regression.
 //! * `--overhead-check` — run the smoke sim cell twice, distributed
 //!   tracing off then on; assert the deterministic outputs are identical
 //!   and exit non-zero if the traced run falls under 0.8× the untraced
@@ -51,7 +52,7 @@
 //! (digest lines included) must be byte-identical with the knob on or off
 //! — `scripts/check.sh` diffs both.
 
-use bench::runner::{banner, seed_from_env, shards_from_env, Scale, ScaleConfig};
+use bench::{BenchDoc, RunConfig, Scale, ScaleConfig};
 use bytes::Bytes;
 use ipfs_core::{IpfsNetwork, NetworkConfig, ShardSim, ShardSimConfig};
 use kademlia::routing::{PeerInfo, RoutingTable, K};
@@ -112,12 +113,6 @@ struct SimResult {
     elapsed: f64,
     events_per_sec: f64,
     walks_per_sec: f64,
-}
-
-/// Whether the `IPFS_REPRO_DTRACE=1` knob arms distributed tracing in the
-/// sim section.
-fn dtrace_from_env() -> bool {
-    std::env::var("IPFS_REPRO_DTRACE").map(|v| v == "1").unwrap_or(false)
 }
 
 /// Simulation section: publish/retrieve rounds on a live network. With
@@ -195,8 +190,8 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
 /// Scheduler microbench: steady-state schedule+pop churn on an
 /// [`EventQueue`] holding `pending` events. Every iteration pops the
 /// earliest event and schedules a replacement at a random future delay, so
-/// the pending-set size stays constant. Returns ops/sec (one pop plus one
-/// schedule count as two ops).
+/// the pending-set size stays constant. Returns the elapsed seconds for
+/// `2 * churn_ops` ops (one pop plus one schedule count as two).
 fn run_scheduler(kind: SchedulerKind, pending: usize, churn_ops: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed ^ (pending as u64).rotate_left(17));
     let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
@@ -210,7 +205,7 @@ fn run_scheduler(kind: SchedulerKind, pending: usize, churn_ops: usize, seed: u6
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     std::hint::black_box(&q);
-    (churn_ops * 2) as f64 / elapsed
+    elapsed
 }
 
 /// One sharded-cell configuration (the struct-of-arrays PDES section).
@@ -243,7 +238,8 @@ fn run_pdes(cell: &PdesCell, seed: u64, shards: usize) -> (ipfs_core::ShardSimRe
     (result, build, t1.elapsed().as_secs_f64().max(1e-9))
 }
 
-fn measure_pdes(cell: &PdesCell, seed: u64, shards: usize, digest: bool) -> String {
+fn measure_pdes(cell: &PdesCell, run: &RunConfig, digest: bool, doc: &mut BenchDoc) {
+    let (seed, shards) = (run.seed, run.shards);
     let (best, mut build_sec, mut run_sec) = run_pdes(cell, seed, shards);
     let reps = if digest { 1 } else { cell.reps.max(1) };
     for _ in 1..reps {
@@ -264,7 +260,7 @@ fn measure_pdes(cell: &PdesCell, seed: u64, shards: usize, digest: bool) -> Stri
             "digest pdes {}: events={} order_fnv={:016x} metrics_fnv={:016x} bytes_per_node={}",
             cell.label, best.events, best.order_fnv, best.metrics_fnv, best.bytes_per_node
         );
-        return String::new();
+        return;
     }
     let events_per_sec = best.events as f64 / run_sec;
     println!("-- pdes {} ({} nodes, {} shards) --", cell.label, cell.nodes, shards);
@@ -280,38 +276,21 @@ fn measure_pdes(cell: &PdesCell, seed: u64, shards: usize, digest: bool) -> Stri
         best.counter("rpc_timeout"),
         best.order_fnv
     );
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"label\": \"{}\",\n",
-            "      \"nodes\": {},\n",
-            "      \"shards\": {},\n",
-            "      \"events\": {},\n",
-            "      \"order_fnv\": \"{:016x}\",\n",
-            "      \"metrics_fnv\": \"{:016x}\",\n",
-            "      \"bytes_per_node\": {},\n",
-            "      \"publish_done\": {},\n",
-            "      \"retrieve_done\": {},\n",
-            "      \"retrieve_miss\": {},\n",
-            "      \"build_sec\": {:.6},\n",
-            "      \"elapsed_sec\": {:.6},\n",
-            "      \"events_per_sec\": {:.1}\n",
-            "    }}"
-        ),
-        cell.label,
+    let result = format!(
+        "{{\"nodes\": {}, \"shards\": {shards}, \"order_fnv\": \"{:016x}\", \
+         \"metrics_fnv\": \"{:016x}\", \"bytes_per_node\": {}, \"publish_done\": {}, \
+         \"retrieve_done\": {}, \"retrieve_miss\": {}}}",
         cell.nodes,
-        shards,
-        best.events,
         best.order_fnv,
         best.metrics_fnv,
         best.bytes_per_node,
         best.counter("publish_done"),
         best.counter("retrieve_done"),
         best.counter("retrieve_miss"),
-        build_sec,
-        run_sec,
-        events_per_sec
-    )
+    );
+    doc.timed_cell(cell.label, run_sec, best.events, &result);
+    let build = format!("{{\"nodes\": {}, \"shards\": {shards}}}", cell.nodes);
+    doc.timed_cell(&format!("{}_build", cell.label), build_sec, cell.nodes as u64, &build);
 }
 
 /// A token circling the region ring — the sharded-engine microbench event.
@@ -355,12 +334,12 @@ fn sched_name(kind: SchedulerKind) -> &'static str {
     }
 }
 
-fn measure(cell: &Cell, seed: u64, digest: bool, reps: usize) -> String {
+fn measure(cell: &Cell, run: &RunConfig, digest: bool, reps: usize, doc: &mut BenchDoc) {
     // Best-of-N: each section repeats and the fastest wall clock is
     // reported (the usual noisy-box benchmarking discipline). The
     // deterministic fields double as a free reproducibility check: every
     // repetition must agree on them exactly.
-    let dtrace = dtrace_from_env();
+    let (seed, dtrace) = (run.seed, run.dtrace);
     let (table_size, touched, mut r_elapsed, mut calls_per_sec) = run_routing(cell, seed);
     let mut sim = run_sim(cell, seed, dtrace);
     for _ in 1..reps.max(1) {
@@ -393,7 +372,7 @@ bytes_per_node={}",
             sim.metrics_fnv,
             sim.bytes_per_node
         );
-        return String::new();
+        return;
     }
     println!("-- {} (population {}) --", cell.label, cell.population);
     println!(
@@ -411,57 +390,18 @@ bytes_per_node={}",
         sim.walks_per_sec,
         sim.bytes_per_node
     );
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"label\": \"{}\",\n",
-            "      \"population\": {},\n",
-            "      \"routing\": {{\n",
-            "        \"table_size\": {},\n",
-            "        \"closest_calls\": {},\n",
-            "        \"elapsed_sec\": {:.6},\n",
-            "        \"closest_calls_per_sec\": {:.1}\n",
-            "      }},\n",
-            "      \"sim\": {{\n",
-            "        \"rounds\": {},\n",
-            "        \"events\": {},\n",
-            "        \"walks\": {},\n",
-            "        \"bytes_per_node\": {},\n",
-            "        \"elapsed_sec\": {:.6},\n",
-            "        \"events_per_sec\": {:.1},\n",
-            "        \"walks_per_sec\": {:.3}\n",
-            "      }}\n",
-            "    }}"
-        ),
-        cell.label,
-        cell.population,
-        table_size,
-        cell.closest_calls,
+    let routing = format!("{{\"population\": {}, \"table_size\": {table_size}}}", cell.population);
+    doc.timed_cell(
+        &format!("{}_routing", cell.label),
         r_elapsed,
-        calls_per_sec,
-        cell.rounds,
-        sim.events,
-        sim.walks,
-        sim.bytes_per_node,
-        sim.elapsed,
-        sim.events_per_sec,
-        sim.walks_per_sec
-    )
-}
-
-/// Pulls `"events_per_sec": <x>` for the entry `"label": "<label>"` out of
-/// a previously exported JSON (scanning, no parser dependency).
-fn baseline_events_per_sec(json: &str, label: &str) -> Option<f64> {
-    let entry = json.split("\"label\"").find(|chunk| {
-        chunk.trim_start().trim_start_matches(':').trim_start().starts_with(&format!("\"{label}\""))
-    })?;
-    let after = entry.split("\"events_per_sec\"").nth(1)?;
-    let num: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
+        cell.closest_calls as u64,
+        &routing,
+    );
+    let result = format!(
+        "{{\"population\": {}, \"rounds\": {}, \"walks\": {}, \"bytes_per_node\": {}}}",
+        cell.population, cell.rounds, sim.walks, sim.bytes_per_node
+    );
+    doc.timed_cell(cell.label, sim.elapsed, sim.events, &result);
 }
 
 /// Tracing overhead budget gate: the smoke sim cell with tracing + the
@@ -503,16 +443,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let digest = args.iter().any(|a| a == "--digest");
-    let check_against = args
-        .iter()
-        .position(|a| a == "--check-against")
-        .and_then(|i| args.get(i + 1))
-        .map(String::from);
-
     let overhead_check = args.iter().any(|a| a == "--overhead-check");
 
-    banner("Throughput", "simulator events/sec and DHT walks/sec (perf trajectory)");
-    let seed = seed_from_env();
+    let run =
+        RunConfig::start("Throughput", "simulator events/sec and DHT walks/sec (perf trajectory)");
+    let seed = run.seed;
     if overhead_check {
         run_overhead_check(seed);
         return;
@@ -520,13 +455,12 @@ fn main() {
     let cells: Vec<Cell> = if smoke {
         vec![Cell { label: "smoke", population: 500, closest_calls: 20_000, rounds: 40 }]
     } else {
-        let cfg = ScaleConfig::from_env();
         let mut cells =
             vec![Cell { label: "small", population: 1_500, closest_calls: 200_000, rounds: 150 }];
-        if Scale::from_env() == Scale::Paper {
+        if run.scale == Scale::Paper {
             cells.push(Cell {
                 label: "paper",
-                population: cfg.population,
+                population: ScaleConfig::resolve(run.scale).population,
                 closest_calls: 200_000,
                 rounds: 40,
             });
@@ -548,7 +482,7 @@ fn main() {
             PdesCell { label: "huge", nodes: 120_000, sim_secs: 30, ops_per_tick: 8, reps: 1 },
         ]
     };
-    let shards = shards_from_env();
+    let shards = run.shards;
     if digest {
         // To stderr: stdout must be byte-identical across
         // IPFS_REPRO_SHARDS values.
@@ -558,106 +492,57 @@ fn main() {
     // Smoke (CI gate) and digest (equivalence diff) run each cell once;
     // recorded full runs take the best of three to shed scheduler noise.
     let reps = if smoke || digest { 1 } else { 3 };
-    let entries: Vec<String> = cells.iter().map(|c| measure(c, seed, digest, reps)).collect();
-    let pdes_entries: Vec<String> =
-        pdes_cells.iter().map(|c| measure_pdes(c, seed, shards, digest)).collect();
+    let mut doc = BenchDoc::new("throughput", &run);
+    for c in &cells {
+        measure(c, &run, digest, reps, &mut doc);
+    }
+    for c in &pdes_cells {
+        measure_pdes(c, &run, digest, &mut doc);
+    }
     if digest {
-        // Digest runs exist to be byte-diffed across scheduler
-        // implementations; rates and JSON export would only add noise.
+        // Digest runs exist to be byte-diffed across shard counts and
+        // tracing on/off; rates and JSON export would only add noise.
         return;
     }
 
     // Scheduler microbench: heap vs wheel at fixed pending-set sizes.
     let sched_cells: &[(usize, usize)] =
         if smoke { &[(10_000, 50_000)] } else { &[(10_000, 200_000), (1_000_000, 200_000)] };
-    let mut sched_entries: Vec<String> = Vec::new();
     for &(pending, churn_ops) in sched_cells {
         for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let ops_per_sec = run_scheduler(kind, pending, churn_ops, seed);
+            let elapsed = run_scheduler(kind, pending, churn_ops, seed);
+            let ops = 2 * churn_ops as u64;
             println!(
                 "scheduler: {} with {} pending — {:.0} schedule+pop ops/s",
                 sched_name(kind),
                 pending,
-                ops_per_sec
+                ops as f64 / elapsed
             );
-            sched_entries.push(format!(
-                concat!(
-                    "    {{\n",
-                    "      \"impl\": \"{}\",\n",
-                    "      \"pending\": {},\n",
-                    "      \"churn_ops\": {},\n",
-                    "      \"ops_per_sec\": {:.1}\n",
-                    "    }}"
-                ),
-                sched_name(kind),
-                pending,
-                churn_ops,
-                ops_per_sec
-            ));
+            doc.timed_cell(
+                &format!("sched_{}_{pending}", sched_name(kind)),
+                elapsed,
+                ops,
+                &format!("{{\"impl\": \"{}\", \"pending\": {pending}}}", sched_name(kind)),
+            );
         }
     }
     // The sharded engine on a pure relay workload: dispatch + window
     // synchronization overhead with no model work in the handler.
     let (relay_tokens, relay_secs) = if smoke { (256, 1) } else { (1_024, 2) };
     let (relay_events, relay_elapsed) = run_sharded_relay(shards, relay_tokens, relay_secs, seed);
-    let relay_rate = relay_events as f64 / relay_elapsed;
     println!(
         "scheduler: sharded relay ({shards} shards, {} tokens) — {:.0} events/s",
         relay_tokens * 10,
-        relay_rate
+        relay_events as f64 / relay_elapsed
     );
-    sched_entries.push(format!(
-        concat!(
-            "    {{\n",
-            "      \"impl\": \"sharded_relay\",\n",
-            "      \"pending\": {},\n",
-            "      \"churn_ops\": {},\n",
-            "      \"ops_per_sec\": {:.1}\n",
-            "    }}"
-        ),
-        relay_tokens * 10,
+    doc.timed_cell(
+        "sharded_relay",
+        relay_elapsed,
         relay_events,
-        relay_rate
-    ));
-
-    let json = format!(
-        concat!(
-            "{{\n  \"harness\": \"throughput\",\n  \"seed\": {},\n",
-            "  \"entries\": [\n{}\n  ],\n",
-            "  \"pdes\": [\n{}\n  ],\n",
-            "  \"scheduler\": [\n{}\n  ]\n}}\n"
-        ),
-        seed,
-        entries.join(",\n"),
-        pdes_entries.join(",\n"),
-        sched_entries.join(",\n")
+        &format!("{{\"shards\": {shards}, \"tokens\": {}}}", relay_tokens * 10),
     );
-    if let Some(path) = bench::write_json("BENCH_throughput", &json) {
-        println!("wrote {}", path.display());
-    }
 
-    if let Some(path) = check_against {
-        // Gate both headline rates: the netsim cell and the PDES cell.
-        for label in [cells[0].label, pdes_cells[0].label] {
-            let baseline = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|s| baseline_events_per_sec(&s, label))
-                .unwrap_or_else(|| {
-                    eprintln!(
-                        "throughput: cannot read baseline events/sec for {label} from {path}"
-                    );
-                    std::process::exit(2);
-                });
-            let current = baseline_events_per_sec(&json, label).expect("own JSON parses");
-            let ratio = current / baseline.max(1e-9);
-            println!(
-                "regression gate [{label}]: current {current:.0} events/s vs baseline \
-{baseline:.0} events/s (ratio {ratio:.2})"
-            );
-            if ratio < 0.7 {
-                eprintln!("throughput: {label} events/sec regressed >30% against {path}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = doc.write() {
+        println!("wrote {}", path.display());
     }
 }

@@ -20,7 +20,8 @@
 //! RNG derived from the master seed), so [`run_all`] parallelises over
 //! `IPFS_REPRO_JOBS` workers with byte-identical output at any job count.
 
-use crate::runner::{run_cells_with_jobs, Scale};
+use crate::export::BenchDoc;
+use crate::runner::{run_cells_with_jobs, RunConfig, Scale};
 use bytes::Bytes;
 use faultsim::{FaultPlan, LinkScope};
 use ipfs_core::obs::names;
@@ -68,6 +69,9 @@ pub struct CellOutput {
     pub report: String,
     /// JSON object fragment for the exported `BENCH_chaos.json`.
     pub json: String,
+    /// A windowed series for the bin to export when `IPFS_REPRO_CSV_DIR`
+    /// is set (`gateway_dip`'s `chaos_gateway_timeseries.csv`).
+    pub timeseries: Option<TimeSeries>,
 }
 
 fn network(cfg: &ChaosConfig, seed: u64, vantages: &[VantagePoint]) -> IpfsNetwork {
@@ -228,7 +232,7 @@ fn scenario_partition(cfg: &ChaosConfig, seed: u64) -> CellOutput {
           \"staleness_during\": {staleness_during:.4}}}",
         recovery.map(|r| format!("{r:.3}")).unwrap_or_else(|| "null".into()),
     );
-    CellOutput { label: "regional_partition", report, json }
+    CellOutput { label: "regional_partition", report, json, timeseries: None }
 }
 
 /// Crash-restart wave: take half the online peers down, measure
@@ -286,7 +290,7 @@ fn scenario_crash_wave(cfg: &ChaosConfig, seed: u64) -> CellOutput {
         "{{\"crashed\": {crashed}, \"reach_during\": {reach_during:.4}, \
           \"reach_after\": {reach_after:.4}}}"
     );
-    CellOutput { label: "crash_wave", report, json }
+    CellOutput { label: "crash_wave", report, json, timeseries: None }
 }
 
 /// Network-wide dial-failure spike: publish success and walk failures
@@ -333,7 +337,7 @@ fn scenario_dial_spike(cfg: &ChaosConfig, seed: u64) -> CellOutput {
         "{{\"dials_spiked\": {spiked}, \"ok_during\": {ok_during}, \"ok_after\": {ok_after}, \
           \"walk_failures_during\": {fail_during:.2}, \"walk_failures_after\": {fail_after:.2}}}"
     );
-    CellOutput { label: "dial_fail_spike", report, json }
+    CellOutput { label: "dial_fail_spike", report, json, timeseries: None }
 }
 
 /// Degraded links: 4x latency and 5% loss on every path; retrieval slows
@@ -377,7 +381,7 @@ fn scenario_degraded_links(cfg: &ChaosConfig, seed: u64) -> CellOutput {
         "{{\"base_secs\": {base_secs:.3}, \"degraded_secs\": {deg_secs:.3}, \
           \"post_secs\": {post_secs:.3}, \"messages_lost\": {lost}}}"
     );
-    CellOutput { label: "degraded_links", report, json }
+    CellOutput { label: "degraded_links", report, json, timeseries: None }
 }
 
 /// Provider crash mid-swarm-transfer: three providers serve a chunked
@@ -494,13 +498,12 @@ fn scenario_provider_crash(cfg: &ChaosConfig, seed: u64) -> CellOutput {
         rr.success,
         rr.fetch.as_secs_f64(),
     );
-    CellOutput { label: "provider_crash_midfetch", report, json }
+    CellOutput { label: "provider_crash_midfetch", report, json, timeseries: None }
 }
 
 /// Gateway across a partition: a windowed [`TimeSeries`] of request
 /// success dips while the gateway's region is cut and recovers after
-/// heal. The series is exported as `chaos_gateway_timeseries.csv` when
-/// `IPFS_REPRO_CSV_DIR` is set.
+/// heal. The series rides along in [`CellOutput::timeseries`].
 fn scenario_gateway_dip(cfg: &ChaosConfig, seed: u64) -> CellOutput {
     use gateway::workload::{GatewayWorkload, WorkloadConfig};
     use gateway::{Gateway, GatewayConfig};
@@ -554,9 +557,6 @@ fn scenario_gateway_dip(cfg: &ChaosConfig, seed: u64) -> CellOutput {
     let before = rate_at(outage_idx - 1);
     let during = rate_at(outage_idx);
     let after = rate_at(outage_idx + 1);
-    if let Some(path) = crate::export::write_timeseries_csv("chaos_gateway_timeseries", &ts) {
-        eprintln!("wrote {}", path.display());
-    }
 
     let series_json =
         series.iter().map(|(s, r)| format!("[{s}, {r:.4}]")).collect::<Vec<_>>().join(", ");
@@ -570,7 +570,7 @@ fn scenario_gateway_dip(cfg: &ChaosConfig, seed: u64) -> CellOutput {
         "{{\"before\": {before:.4}, \"during\": {during:.4}, \"after\": {after:.4}, \
           \"hit_rate_series\": [{series_json}]}}"
     );
-    CellOutput { label: "gateway_dip", report, json }
+    CellOutput { label: "gateway_dip", report, json, timeseries: Some(ts) }
 }
 
 /// Reprovider under churn: a pinning node maintains a catalog through the
@@ -694,7 +694,7 @@ fn scenario_reprovider_churn(cfg: &ChaosConfig, seed: u64) -> CellOutput {
           \"recovery_secs\": [{recovery_json}]}}",
         cids.len(),
     );
-    CellOutput { label: "reprovider_churn", report, json }
+    CellOutput { label: "reprovider_churn", report, json, timeseries: None }
 }
 
 // ---------------------------------------------------------------------------
@@ -731,17 +731,14 @@ pub fn render_report(outputs: &[CellOutput]) -> String {
     out
 }
 
-/// Assembles the exported JSON document.
-pub fn render_json(outputs: &[CellOutput], seed: u64) -> String {
-    let entries: Vec<String> = outputs
-        .iter()
-        .map(|c| format!("    {{\"label\": \"{}\", \"result\": {}}}", c.label, c.json))
-        .collect();
-    format!(
-        "{{\n  \"harness\": \"chaos\",\n  \"seed\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        seed,
-        entries.join(",\n")
-    )
+/// Assembles the exported `BENCH_chaos.json` document (no cell is timed:
+/// every value is a pure function of the seed).
+pub fn bench_doc(outputs: &[CellOutput], run: &RunConfig) -> BenchDoc {
+    let mut doc = BenchDoc::new("chaos", run);
+    for c in outputs {
+        doc.cell(c.label, &c.json);
+    }
+    doc
 }
 
 #[cfg(test)]
@@ -753,7 +750,8 @@ mod tests {
         let cfg = ChaosConfig::smoke();
         let render = |jobs: usize| {
             let outputs = run_all(&cfg, 99, jobs);
-            (render_report(&outputs), render_json(&outputs, 99))
+            let run = RunConfig { seed: 99, ..RunConfig::default() };
+            (render_report(&outputs), bench_doc(&outputs, &run).render())
         };
         assert_eq!(render(1), render(4), "jobs=1 vs jobs=4 must be byte-identical");
     }

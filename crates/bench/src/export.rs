@@ -1,17 +1,15 @@
-//! CSV export for experiment results.
+//! CSV and `BENCH_*.json` export for experiment results.
 //!
 //! Every experiment binary prints human-readable tables; when
-//! `IPFS_REPRO_CSV_DIR` is set, they additionally write machine-readable
-//! CSV so plots can be regenerated outside this repository.
+//! `IPFS_REPRO_CSV_DIR` is set ([`RunConfig::csv_dir`]), they additionally
+//! write machine-readable CSV so plots can be regenerated outside this
+//! repository, and the harnesses write their `BENCH_<harness>.json`
+//! through the one [`BenchDoc`] writer.
 
+use crate::runner::RunConfig;
 use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
-
-/// Where CSVs go, if anywhere: the `IPFS_REPRO_CSV_DIR` directory.
-pub fn csv_dir() -> Option<PathBuf> {
-    std::env::var("IPFS_REPRO_CSV_DIR").ok().map(PathBuf::from)
-}
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 /// Escapes one CSV field (RFC 4180: quote when needed, double quotes).
 fn escape(field: &str) -> String {
@@ -34,23 +32,104 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes `<name>.csv` into the export directory, if configured. Returns
-/// the path written, or `None` when exporting is off. IO errors are
-/// reported to stderr but never fail the experiment.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-    let dir = csv_dir()?;
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("csv export: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    let csv = to_csv(headers, rows);
-    match fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
+/// Writes `file` into the export directory `dir`, if there is one.
+/// Returns the path written, or `None` when exporting is off. IO errors
+/// are reported to stderr but never fail the experiment.
+fn write_file(dir: Option<&Path>, file: &str, body: &str) -> Option<PathBuf> {
+    let dir = dir?;
+    let path = dir.join(file);
+    match fs::create_dir_all(dir).and_then(|()| fs::write(&path, body)) {
         Ok(()) => Some(path),
         Err(e) => {
-            eprintln!("csv export: cannot write {}: {e}", path.display());
+            eprintln!("export: cannot write {}: {e}", path.display());
             None
         }
+    }
+}
+
+/// Writes `<name>.csv` into the run's export directory; see
+/// [`write_file`] for the return value and error policy.
+pub fn write_csv(
+    run: &RunConfig,
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> Option<PathBuf> {
+    write_file(run.csv_dir.as_deref(), &format!("{name}.csv"), &to_csv(headers, rows))
+}
+
+/// First line a tool prints, or "unknown" when it cannot be run.
+fn tool_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .stdin(Stdio::null())
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8_lossy(&o.stdout).lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The one `BENCH_<harness>.json` shape (example in DESIGN.md §7):
+/// top-level `harness`, `seed`, `provenance` and `cells[{label, result}]`.
+/// `provenance` is a single line — commit, toolchain, core count and the
+/// parsed knobs (the export directory is where the file is) — so a
+/// byte-identity check drops it with `grep -v`. `wall_sec`, `events` and
+/// `events_per_sec` appear only on cells a harness timed; `result` holds
+/// the cell's deterministic output.
+#[derive(Debug, Clone)]
+pub struct BenchDoc {
+    harness: String,
+    run: RunConfig,
+    cells: Vec<String>,
+}
+
+impl BenchDoc {
+    /// An empty document for `harness`, produced under `run`.
+    pub fn new(harness: &str, run: &RunConfig) -> BenchDoc {
+        BenchDoc { harness: harness.to_string(), run: run.clone(), cells: Vec::new() }
+    }
+
+    /// Appends a cell that was not timed. `result` is a serialized JSON
+    /// value.
+    pub fn cell(&mut self, label: &str, result: &str) {
+        self.cells.push(format!("    {{\"label\": \"{label}\", \"result\": {result}}}"));
+    }
+
+    /// Appends a cell whose `events` took `wall_sec` of wall-clock time.
+    pub fn timed_cell(&mut self, label: &str, wall_sec: f64, events: u64, result: &str) {
+        self.cells.push(format!(
+            "    {{\"label\": \"{label}\", \"wall_sec\": {wall_sec:.6}, \"events\": {events}, \
+             \"events_per_sec\": {:.1}, \"result\": {result}}}",
+            events as f64 / wall_sec.max(1e-9)
+        ));
+    }
+
+    /// The serialized document, stamped with what produced it.
+    pub fn render(&self) -> String {
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        format!(
+            "{{\n  \"harness\": \"{}\",\n  \"seed\": {},\n  \"provenance\": {{\"git_commit\": {:?}, \
+             \"rustc\": {:?}, \"nproc\": {nproc}, \"scale\": {:?}, \"jobs\": {}, \"shards\": {}, \
+             \"dtrace\": {}}},\n  \"cells\": [\n{}\n  ]\n}}\n",
+            self.harness,
+            self.run.seed,
+            tool_line("git", &["rev-parse", "HEAD"]),
+            tool_line("rustc", &["--version"]),
+            format!("{:?}", self.run.scale).to_lowercase(),
+            self.run.jobs,
+            self.run.shards,
+            self.run.dtrace,
+            self.cells.join(",\n")
+        )
+    }
+
+    /// Writes `BENCH_<harness>.json` into the run's export directory, if
+    /// it has one; see [`write_file`] for the return value and error policy.
+    pub fn write(&self) -> Option<PathBuf> {
+        let dir = self.run.csv_dir.as_deref()?;
+        write_file(Some(dir), &format!("BENCH_{}.json", self.harness), &self.render())
     }
 }
 
@@ -95,6 +174,7 @@ pub fn render_trace_exemplars(
 
 /// Convenience: exports a series of (x, y) points.
 pub fn write_series_csv(
+    run: &RunConfig,
     name: &str,
     x_label: &str,
     y_label: &str,
@@ -102,27 +182,7 @@ pub fn write_series_csv(
 ) -> Option<PathBuf> {
     let rows: Vec<Vec<String>> =
         points.iter().map(|(x, y)| vec![format!("{x}"), format!("{y}")]).collect();
-    write_csv(name, &[x_label, y_label], &rows)
-}
-
-/// Writes `<name>.json` into the export directory, if configured. `json`
-/// must already be serialized (e.g. [`ipfs_core::MetricsRegistry::to_json`]
-/// or [`ipfs_core::OpTrace::to_json`]). Same error policy as
-/// [`write_csv`]: IO failures are reported, never fatal.
-pub fn write_json(name: &str, json: &str) -> Option<PathBuf> {
-    let dir = csv_dir()?;
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("json export: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("json export: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+    write_csv(run, name, &[x_label, y_label], &rows)
 }
 
 /// Renders a human-readable report of a metrics registry: every counter,
@@ -149,7 +209,11 @@ pub fn metrics_report(metrics: &ipfs_core::MetricsRegistry) -> String {
 /// (window, metric): counters carry `value`, histogram families carry
 /// `n/mean/p50/p90/p99`. Rows are ordered by window then kind then name,
 /// so the file is deterministic for a deterministically built series.
-pub fn write_timeseries_csv(name: &str, ts: &ipfs_core::TimeSeries) -> Option<PathBuf> {
+pub fn write_timeseries_csv(
+    run: &RunConfig,
+    name: &str,
+    ts: &ipfs_core::TimeSeries,
+) -> Option<PathBuf> {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for idx in ts.window_indices() {
         let start = ts.window_start_secs(idx);
@@ -182,6 +246,7 @@ pub fn write_timeseries_csv(name: &str, ts: &ipfs_core::TimeSeries) -> Option<Pa
         }
     }
     write_csv(
+        run,
         name,
         &["window_start_secs", "kind", "name", "value", "n", "mean", "p50", "p90", "p99"],
         &rows,
@@ -210,15 +275,6 @@ pub fn fault_report(metrics: &ipfs_core::MetricsRegistry) -> String {
     } else {
         format!("== faults ==\n{out}")
     }
-}
-
-/// Exports a metrics registry as both `<name>.json` and `<name>.csv`
-/// (counter rows), if exporting is configured.
-pub fn write_metrics(name: &str, metrics: &ipfs_core::MetricsRegistry) -> Option<PathBuf> {
-    let rows: Vec<Vec<String>> =
-        metrics.to_csv_rows().into_iter().map(|(k, v)| vec![k, v.to_string()]).collect();
-    write_csv(name, &["metric", "value"], &rows);
-    write_json(name, &metrics.to_json())
 }
 
 #[cfg(test)]
@@ -272,23 +328,43 @@ mod tests {
 
     #[test]
     fn no_dir_no_write() {
-        // With the env var unset, write_csv is a no-op returning None.
-        if std::env::var("IPFS_REPRO_CSV_DIR").is_err() {
-            assert!(write_csv("x", &["a"], &[]).is_none());
-        }
+        assert!(write_csv(&RunConfig::default(), "x", &["a"], &[]).is_none());
     }
 
     #[test]
     fn writes_into_configured_dir() {
         let dir = std::env::temp_dir().join(format!("ipfs-repro-csv-{}", std::process::id()));
-        // SAFETY-free env manipulation: tests in this module run in one
-        // process; restore afterwards.
-        std::env::set_var("IPFS_REPRO_CSV_DIR", &dir);
-        let path =
-            write_csv("unit_test", &["a", "b"], &[vec!["1".into(), "2".into()]]).expect("written");
-        let content = fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
-        std::env::remove_var("IPFS_REPRO_CSV_DIR");
+        let run = RunConfig { csv_dir: Some(dir.clone()), ..RunConfig::default() };
+        let path = write_csv(&run, "unit_test", &["a", "b"], &[vec!["1".into(), "2".into()]])
+            .expect("written");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Pins the one BENCH shape: top-level `harness`/`seed`, a single-line
+    /// `provenance`, `cells[].label`/`result`, timing keys only when timed.
+    #[test]
+    fn bench_doc_shape() {
+        let run = RunConfig { seed: 7, jobs: 3, ..RunConfig::default() };
+        let mut doc = BenchDoc::new("unit", &run);
+        doc.cell("plain", "{\"ok\": true}");
+        doc.timed_cell("timed", 0.5, 100, "{\"ok\": false}");
+        let text = doc.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[..3], ["{", "  \"harness\": \"unit\",", "  \"seed\": 7,"]);
+        assert!(lines[3].starts_with("  \"provenance\": {\"git_commit\": \""), "{}", lines[3]);
+        for key in ["rustc", "nproc", "scale", "jobs\": 3", "shards", "dtrace"] {
+            assert!(lines[3].contains(&format!("\"{key}")), "{key} missing: {}", lines[3]);
+        }
+        assert!(lines[3].ends_with("},"), "provenance is one line: {}", lines[3]);
+        assert_eq!(lines[4], "  \"cells\": [");
+        assert_eq!(lines[5], "    {\"label\": \"plain\", \"result\": {\"ok\": true}},");
+        assert_eq!(
+            lines[6],
+            "    {\"label\": \"timed\", \"wall_sec\": 0.500000, \"events\": 100, \
+             \"events_per_sec\": 200.0, \"result\": {\"ok\": false}}"
+        );
+        assert_eq!(lines[7..], ["  ]", "}"]);
+        assert_eq!(text.matches("wall_sec").count(), 1, "no timing keys on the untimed cell");
     }
 }

@@ -21,11 +21,12 @@
 //! [`run_all`] parallelises over `IPFS_REPRO_JOBS` workers with
 //! byte-identical stdout at any job count. Wall-clock sustained
 //! requests/sec is kept out of the deterministic report; it lands in the
-//! exported JSON (and stderr) for the regression gate.
+//! exported JSON (and stderr) only.
 
 use std::time::Instant;
 
-use crate::runner::{run_cells_with_jobs, Scale, ScaleConfig};
+use crate::export::BenchDoc;
+use crate::runner::{run_cells_with_jobs, RunConfig, Scale, ScaleConfig};
 use faultsim::FaultPlan;
 use gateway::workload::{GatewayWorkload, ShockConfig, WorkloadConfig};
 use gateway::{
@@ -105,7 +106,7 @@ impl FleetBenchConfig {
 
 /// One cell's rendered result.
 pub struct CellOutput {
-    /// Cell name (stable; used in JSON and the regression gate).
+    /// Cell name (stable; used in JSON).
     pub label: &'static str,
     /// Deterministic human-readable section for stdout.
     pub report: String,
@@ -113,9 +114,11 @@ pub struct CellOutput {
     pub json: String,
     /// Fleet-wide nginx request hit rate (for the ablation summary).
     pub nginx_hit_rate: f64,
-    /// Wall-clock sustained requests/sec of the serve loop (NOT part of
-    /// the deterministic report).
-    pub requests_per_sec: f64,
+    /// Wall-clock seconds the serve loop took (NOT part of the
+    /// deterministic report).
+    pub wall_sec: f64,
+    /// Requests served in those seconds.
+    pub requests: u64,
 }
 
 /// What a cell varies.
@@ -198,8 +201,7 @@ fn run_cell(spec: &CellSpec, cfg: &FleetBenchConfig, seed: u64) -> CellOutput {
 
     let wall = Instant::now();
     let log = fleet.serve_all(&mut net, &workload);
-    let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
-    let requests_per_sec = log.len() as f64 / elapsed;
+    let wall_sec = wall.elapsed().as_secs_f64().max(1e-9);
 
     let total = log.len() as f64;
     let share = |tier: ServedBy| {
@@ -286,7 +288,14 @@ fn run_cell(spec: &CellSpec, cfg: &FleetBenchConfig, seed: u64) -> CellOutput {
         nginx_hit_rate,
         ok,
     );
-    CellOutput { label: spec.label, report, json, nginx_hit_rate, requests_per_sec }
+    CellOutput {
+        label: spec.label,
+        report,
+        json,
+        nginx_hit_rate,
+        wall_sec,
+        requests: log.len() as u64,
+    }
 }
 
 /// Flash-crowd lines: how much of the trace falls in the shock window and
@@ -415,16 +424,6 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
     }
 }
 
-/// Label of the headline cell the regression gate compares (the cell that
-/// exists in both smoke and full runs under the same workload family).
-pub fn headline_label(smoke: bool) -> &'static str {
-    if smoke {
-        "smoke_fleet"
-    } else {
-        "fleet4_hash_tinylfu"
-    }
-}
-
 /// Runs every cell as an independent unit of work on `jobs` workers and
 /// returns the rendered outputs in cell order (stdout byte-identical at
 /// any job count — see [`run_cells_with_jobs`]).
@@ -470,23 +469,15 @@ pub fn render_ablation(outputs: &[CellOutput]) -> Option<String> {
     ))
 }
 
-/// Assembles the exported JSON document. `requests_per_sec` is the only
-/// wall-clock field; everything else is a pure function of the seed.
-pub fn render_json(outputs: &[CellOutput], seed: u64) -> String {
-    let entries: Vec<String> = outputs
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"label\": \"{}\", \"requests_per_sec\": {:.1}, \"result\": {}}}",
-                c.label, c.requests_per_sec, c.json
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"harness\": \"gateway_fleet\",\n  \"seed\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        seed,
-        entries.join(",\n")
-    )
+/// Assembles the exported `BENCH_gateway_fleet.json` document. A cell's
+/// events are its requests, so `events_per_sec` is sustained requests/sec;
+/// the timing keys are the only wall-clock content.
+pub fn bench_doc(outputs: &[CellOutput], run: &RunConfig) -> BenchDoc {
+    let mut doc = BenchDoc::new("gateway_fleet", run);
+    for c in outputs {
+        doc.timed_cell(c.label, c.wall_sec, c.requests, &c.json);
+    }
+    doc
 }
 
 #[cfg(test)]
@@ -499,7 +490,7 @@ mod tests {
         let render = |jobs: usize| {
             let outputs = run_all(&cfg, 99, true, jobs);
             // Deterministic surfaces only: the stdout report and the JSON
-            // fragments (requests_per_sec is wall clock and excluded).
+            // fragments (the timing fields are wall clock and excluded).
             let fragments: Vec<String> =
                 outputs.iter().map(|c| format!("{}: {}", c.label, c.json)).collect();
             (render_report(&outputs), fragments)

@@ -20,8 +20,9 @@
 //! master seed) and run on [`run_cells_with_jobs`], so output is
 //! byte-identical at any `IPFS_REPRO_JOBS` value.
 
+use crate::export::BenchDoc;
 use crate::export::TraceExemplar;
-use crate::runner::{run_cells_with_jobs, Scale};
+use crate::runner::{run_cells_with_jobs, RunConfig, Scale};
 use crate::stats::percentile;
 use bytes::Bytes;
 use faultsim::FaultPlan;
@@ -474,13 +475,21 @@ fn family_json(samples: &PhaseSamples) -> String {
     format!("{{{}}}", phases.join(", "))
 }
 
-/// Assembles the exported `BENCH_latency.json` document.
-pub fn render_json(results: &[CellResult], seed: u64) -> String {
-    let cells: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"region\": \"{}\", \"mode\": \"{}\", \"publish_ok\": {}, \
+/// Assembles the exported `BENCH_latency.json` document: a `dominant`
+/// summary cell, then one `<region>/<mode>` cell each (none is timed —
+/// every value is sim time).
+pub fn bench_doc(results: &[CellResult], run: &RunConfig) -> BenchDoc {
+    let mut doc = BenchDoc::new("latency", run);
+    let (dom, dom_mean) = dominant_component(results);
+    doc.cell(
+        "dominant",
+        &format!("{{\"dominant_component\": \"{dom}\", \"dominant_mean_secs\": {dom_mean:.6}}}"),
+    );
+    for r in results {
+        doc.cell(
+            &format!("{}/{}", r.region, r.mode()),
+            &format!(
+                "{{\"region\": \"{}\", \"mode\": \"{}\", \"publish_ok\": {}, \
                  \"retrieve_ok\": {}, \"attempts\": {}, \"sum_mismatches\": {}, \
                  \"critical_path_violations\": {}, \"publish\": {}, \"retrieve\": {}}}",
                 r.region,
@@ -492,14 +501,10 @@ pub fn render_json(results: &[CellResult], seed: u64) -> String {
                 r.critical_path_violations,
                 family_json(&r.publish),
                 family_json(&r.retrieve),
-            )
-        })
-        .collect();
-    let (dom, dom_mean) = dominant_component(results);
-    format!(
-        "{{\n  \"harness\": \"latency\",\n  \"seed\": {seed},\n  \"dominant_component\": \"{dom}\",\n  \"dominant_mean_secs\": {dom_mean:.6},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        cells.join(",\n")
-    )
+            ),
+        );
+    }
+    doc
 }
 
 #[cfg(test)]
@@ -537,7 +542,8 @@ mod tests {
         };
         let render = |jobs: usize| {
             let r = run_all(&cfg, 7, jobs);
-            (render_table(&r), render_json(&r, 7))
+            let run = RunConfig { seed: 7, ..RunConfig::default() };
+            (render_table(&r), bench_doc(&r, &run).render())
         };
         assert_eq!(render(1), render(4), "jobs=1 vs jobs=4 must be byte-identical");
     }

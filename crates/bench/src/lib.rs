@@ -26,7 +26,9 @@
 //! Scale control: set `IPFS_REPRO_SCALE=paper` for populations and
 //! iteration counts close to the paper's (slow), default is a scaled-down
 //! run that preserves every distribution. Set `IPFS_REPRO_CSV_DIR=<dir>`
-//! to additionally export machine-readable CSVs ([`export`]).
+//! to additionally export machine-readable CSVs ([`export`]). All six
+//! `IPFS_REPRO_*` knobs are parsed once per binary into a [`RunConfig`];
+//! a value that is not accepted exits 2.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,9 +42,6 @@ pub mod runner;
 pub mod stats;
 pub mod swarm;
 
-pub use export::{
-    fault_report, metrics_report, to_csv, write_csv, write_json, write_metrics,
-    write_timeseries_csv,
-};
-pub use runner::{Scale, ScaleConfig};
+pub use export::{fault_report, metrics_report, to_csv, write_csv, write_timeseries_csv, BenchDoc};
+pub use runner::{RunConfig, Scale, ScaleConfig};
 pub use stats::{cdf_points, pearson, percentile, Summary};

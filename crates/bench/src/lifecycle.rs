@@ -29,11 +29,12 @@
 //! Every cell is a pure function of the master seed: stdout is
 //! byte-identical at any `IPFS_REPRO_JOBS` and `IPFS_REPRO_SHARDS`
 //! value. Wall-clock events/sec goes to the exported JSON (and stderr)
-//! only, for the regression gate.
+//! only.
 
 use std::time::Instant;
 
-use crate::runner::{run_cells_with_jobs, shards_from_env, Scale};
+use crate::export::BenchDoc;
+use crate::runner::{run_cells_with_jobs, RunConfig, Scale};
 use faultsim::FaultPlan;
 use ipfs_core::obs::names;
 use ipfs_core::{IpfsNetwork, NetworkConfig, NodeConfig, NodeId, ShardSim, ShardSimConfig};
@@ -47,7 +48,7 @@ const CYCLES: u64 = 2;
 
 /// One cell's rendered result.
 pub struct CellOutput {
-    /// Cell name (stable; used in JSON and the regression gate).
+    /// Cell name (stable; used in JSON).
     pub label: &'static str,
     /// Deterministic human-readable section for stdout.
     pub report: String,
@@ -56,9 +57,11 @@ pub struct CellOutput {
     /// DHT messages per maintained record (deterministic; 0 for cells
     /// that do not measure maintenance traffic).
     pub msgs_per_record: f64,
-    /// Wall-clock simulator events/sec (NOT part of the deterministic
-    /// report).
-    pub events_per_sec: f64,
+    /// Wall-clock seconds the cell's simulation took (NOT part of the
+    /// deterministic report).
+    pub wall_sec: f64,
+    /// Simulator events processed in those seconds.
+    pub events: u64,
 }
 
 /// What a cell varies.
@@ -130,8 +133,8 @@ fn run_maintain(label: &'static str, catalog: usize, sweep: bool, seed: u64) -> 
     let records = net.provider_records_total();
     let records_per_node = records as f64 / 220.0;
     let bytes_per_node = net.bytes_per_node_estimate();
-    let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
-    let events_per_sec = (net.events_processed - events_before) as f64 / elapsed;
+    let wall_sec = wall.elapsed().as_secs_f64().max(1e-9);
+    let events = net.events_processed - events_before;
 
     let mode = if sweep { "keyspace sweep" } else { "per-CID chains" };
     let report = format!(
@@ -151,7 +154,7 @@ fn run_maintain(label: &'static str, catalog: usize, sweep: bool, seed: u64) -> 
           \"msgs_per_record\": {msgs_per_record:.4}, \"sweep_batches\": {sweep_batches}, \
           \"records_total\": {records}, \"bytes_per_node\": {bytes_per_node}}}"
     );
-    CellOutput { label, report, json, msgs_per_record, events_per_sec }
+    CellOutput { label, report, json, msgs_per_record, wall_sec, events }
 }
 
 /// Churn cell: record availability around a crash that spans a republish
@@ -196,8 +199,8 @@ fn run_churn(label: &'static str, catalog: usize, sweep: bool, seed: u64) -> Cel
 
     let deferred = net.metrics().get(names::PROVIDER_REPUBLISH_DEFERRED);
     let resumed = net.metrics().get(names::PROVIDER_REPUBLISH_RESUMED);
-    let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
-    let events_per_sec = (net.events_processed - events_before) as f64 / elapsed;
+    let wall_sec = wall.elapsed().as_secs_f64().max(1e-9);
+    let events = net.events_processed - events_before;
 
     let mode = if sweep { "keyspace sweep" } else { "per-CID chains" };
     let series = samples
@@ -222,7 +225,7 @@ fn run_churn(label: &'static str, catalog: usize, sweep: bool, seed: u64) -> Cel
         "{{\"catalog\": {catalog}, \"sweep\": {sweep}, {series_json}, \
           \"deferred\": {deferred}, \"resumed\": {resumed}}}"
     );
-    CellOutput { label, report, json, msgs_per_record: 0.0, events_per_sec }
+    CellOutput { label, report, json, msgs_per_record: 0.0, wall_sec, events }
 }
 
 /// PDES cell: the provider lifecycle (per-replica expiry queues,
@@ -230,10 +233,10 @@ fn run_churn(label: &'static str, catalog: usize, sweep: bool, seed: u64) -> Cel
 /// shards. The digests are shard-invariant, so this cell's output never
 /// changes with the shard count — the byte-identity gate runs it at 1
 /// and N shards and diffs.
-fn run_shard(label: &'static str, nodes: usize, seed: u64) -> CellOutput {
+fn run_shard(label: &'static str, nodes: usize, seed: u64, shards: usize) -> CellOutput {
     let cfg = ShardSimConfig {
         nodes,
-        shards: shards_from_env(),
+        shards,
         seed,
         duration: SimDuration::from_secs(20),
         churn_prob: 0.01,
@@ -243,8 +246,7 @@ fn run_shard(label: &'static str, nodes: usize, seed: u64) -> CellOutput {
     };
     let wall = Instant::now();
     let res = ShardSim::build(&cfg).run();
-    let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
-    let events_per_sec = res.events as f64 / elapsed;
+    let wall_sec = wall.elapsed().as_secs_f64().max(1e-9);
 
     let stored = res.counter("provider_store");
     let expired = res.counter("provider_expired");
@@ -264,7 +266,7 @@ fn run_shard(label: &'static str, nodes: usize, seed: u64) -> CellOutput {
           \"metrics_fnv\": \"{:016x}\"}}",
         res.events, res.order_fnv, res.metrics_fnv,
     );
-    CellOutput { label, report, json, msgs_per_record: 0.0, events_per_sec }
+    CellOutput { label, report, json, msgs_per_record: 0.0, wall_sec, events: res.events }
 }
 
 fn cell_specs(smoke: bool, scale: Scale) -> Vec<Spec> {
@@ -297,22 +299,13 @@ fn cell_specs(smoke: bool, scale: Scale) -> Vec<Spec> {
     specs
 }
 
-/// Label of the headline cell the regression gate compares (exists in
-/// both smoke and full runs under the same workload family).
-pub fn headline_label(smoke: bool) -> &'static str {
-    if smoke {
-        "smoke_2k_sweep"
-    } else {
-        "maintain_100k_sweep"
-    }
-}
-
 /// Runs every cell as an independent unit of work on `jobs` workers and
 /// returns the rendered outputs in cell order (stdout byte-identical at
 /// any job count — see [`run_cells_with_jobs`]).
-pub fn run_all(master_seed: u64, smoke: bool, scale: Scale, jobs: usize) -> Vec<CellOutput> {
-    let specs = cell_specs(smoke, scale);
-    run_cells_with_jobs(jobs, specs.len(), |i| {
+pub fn run_all(run: &RunConfig, smoke: bool) -> Vec<CellOutput> {
+    let specs = cell_specs(smoke, run.scale);
+    let master_seed = run.seed;
+    run_cells_with_jobs(run.jobs, specs.len(), |i| {
         // The per-CID and sweep variants of one catalog share a seed
         // (identical population, pinner, and catalog) so their message
         // counts differ only in maintenance mode. Cells of different
@@ -331,7 +324,7 @@ pub fn run_all(master_seed: u64, smoke: bool, scale: Scale, jobs: usize) -> Vec<
         match specs[i] {
             Spec::Maintain { label, catalog, sweep } => run_maintain(label, catalog, sweep, seed),
             Spec::Churn { label, catalog, sweep } => run_churn(label, catalog, sweep, seed),
-            Spec::Shard { label, nodes } => run_shard(label, nodes, seed),
+            Spec::Shard { label, nodes } => run_shard(label, nodes, seed, run.shards),
         }
     })
 }
@@ -375,23 +368,15 @@ pub fn render_report(outputs: &[CellOutput]) -> String {
     out
 }
 
-/// Assembles the exported JSON document. `events_per_sec` is the only
-/// wall-clock field; everything else is a pure function of the seed.
-pub fn render_json(outputs: &[CellOutput], seed: u64) -> String {
-    let entries: Vec<String> = outputs
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"label\": \"{}\", \"events_per_sec\": {:.1}, \"result\": {}}}",
-                c.label, c.events_per_sec, c.json
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"harness\": \"lifecycle\",\n  \"seed\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        seed,
-        entries.join(",\n")
-    )
+/// Assembles the exported `BENCH_lifecycle.json` document. The timing
+/// keys are the only wall-clock content; every `result` is a pure
+/// function of the seed.
+pub fn bench_doc(outputs: &[CellOutput], run: &RunConfig) -> BenchDoc {
+    let mut doc = BenchDoc::new("lifecycle", run);
+    for c in outputs {
+        doc.timed_cell(c.label, c.wall_sec, c.events, &c.json);
+    }
+    doc
 }
 
 #[cfg(test)]
@@ -401,7 +386,7 @@ mod tests {
     #[test]
     fn smoke_cells_are_deterministic_across_job_counts() {
         let render = |jobs: usize| {
-            let outputs = run_all(99, true, Scale::Small, jobs);
+            let outputs = run_all(&RunConfig { seed: 99, jobs, ..RunConfig::default() }, true);
             let fragments: Vec<String> =
                 outputs.iter().map(|c| format!("{}: {}", c.label, c.json)).collect();
             (render_report(&outputs), fragments)
@@ -411,7 +396,7 @@ mod tests {
 
     #[test]
     fn sweep_amortizes_maintenance_messages() {
-        let outputs = run_all(2022, true, Scale::Small, 2);
+        let outputs = run_all(&RunConfig { seed: 2022, jobs: 2, ..RunConfig::default() }, true);
         let cell = |label: &str| outputs.iter().find(|c| c.label == label).unwrap();
         let percid = cell("smoke_2k_percid");
         let sweep = cell("smoke_2k_sweep");
@@ -437,7 +422,7 @@ mod tests {
 
     #[test]
     fn churn_cell_dips_and_recovers() {
-        let outputs = run_all(7, true, Scale::Small, 2);
+        let outputs = run_all(&RunConfig { seed: 7, jobs: 2, ..RunConfig::default() }, true);
         let cell = outputs.iter().find(|c| c.label == "smoke_churn_sweep").unwrap();
         let field = |name: &str| -> f64 {
             cell.json

@@ -1,7 +1,7 @@
-//! Shared scaffolding for the experiment binaries: scale selection and
-//! common printing.
+//! Shared scaffolding for the experiment binaries: the parsed run
+//! configuration, scale selection and common printing.
 
-use std::env;
+use std::path::PathBuf;
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,13 +12,105 @@ pub enum Scale {
     Paper,
 }
 
-impl Scale {
-    /// Reads `IPFS_REPRO_SCALE` (`small` default, `paper` for full runs).
-    pub fn from_env() -> Scale {
-        match env::var("IPFS_REPRO_SCALE").as_deref() {
-            Ok("paper") | Ok("full") => Scale::Paper,
-            _ => Scale::Small,
-        }
+/// The six `IPFS_REPRO_*` knobs, parsed once in each binary's `main` and
+/// passed down. This is the only place the crate reads the environment,
+/// and the value [`crate::export::BenchDoc`] stamps into every
+/// `BENCH_*.json`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunConfig {
+    /// `IPFS_REPRO_SEED`: master seed (default 2022).
+    pub seed: u64,
+    /// `IPFS_REPRO_SCALE`: `small` (default) or `paper`.
+    pub scale: Scale,
+    /// `IPFS_REPRO_JOBS`: worker threads for independent experiment
+    /// cells, at least 1 (`1` forces the serial path; default: available
+    /// cores).
+    pub jobs: usize,
+    /// `IPFS_REPRO_SHARDS`: region shards for the PDES cells, clamped to
+    /// `1..=10` (`1` forces the exact serial path; default: `min(6,
+    /// available cores)`). Results are byte-identical at every value —
+    /// the knob only trades wall-clock time.
+    pub shards: usize,
+    /// `IPFS_REPRO_CSV_DIR`: where CSV/JSON artifacts are also written
+    /// (default: nowhere).
+    pub csv_dir: Option<PathBuf>,
+    /// `IPFS_REPRO_DTRACE`: `1` arms distributed tracing in `throughput`'s
+    /// sim section (default `0`).
+    pub dtrace: bool,
+}
+
+impl RunConfig {
+    /// Parses the knobs out of `lookup` (name → value, `None` when
+    /// unset). A value that is set but not accepted is an error naming
+    /// the knob, the value and what is accepted — never a silent default.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<RunConfig, String> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Ok(RunConfig {
+            seed: knob(&lookup, "IPFS_REPRO_SEED", "an unsigned integer", |v| v.parse().ok())?
+                .unwrap_or(2022),
+            scale: knob(&lookup, "IPFS_REPRO_SCALE", "`small` or `paper`", |v| match v {
+                "small" => Some(Scale::Small),
+                "paper" => Some(Scale::Paper),
+                _ => None,
+            })?
+            .unwrap_or(Scale::Small),
+            jobs: knob(&lookup, "IPFS_REPRO_JOBS", "an integer >= 1", |v| {
+                v.parse().ok().filter(|&j| j >= 1)
+            })?
+            .unwrap_or(cores),
+            shards: knob(&lookup, "IPFS_REPRO_SHARDS", "an integer (clamped to 1..=10)", |v| {
+                v.parse().ok().map(|s: usize| s.clamp(1, 10))
+            })?
+            .unwrap_or(cores.min(6)),
+            csv_dir: lookup("IPFS_REPRO_CSV_DIR").map(PathBuf::from),
+            dtrace: knob(&lookup, "IPFS_REPRO_DTRACE", "`0` or `1`", |v| match v {
+                "0" => Some(false),
+                "1" => Some(true),
+                _ => None,
+            })?
+            .unwrap_or(false),
+        })
+    }
+
+    /// What every binary's `main` starts with: [`RunConfig::parse`] over
+    /// the process environment — a rejected value is printed and exits 2 —
+    /// then the standard experiment banner.
+    pub fn start(artifact: &str, description: &str) -> RunConfig {
+        let run = RunConfig::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        println!("==================================================================");
+        println!("{artifact} — {description}");
+        println!(
+            "scale: {:?}, seed: {} (IPFS_REPRO_SCALE / IPFS_REPRO_SEED to change)",
+            run.scale, run.seed
+        );
+        println!("==================================================================");
+        run
+    }
+}
+
+impl Default for RunConfig {
+    /// What an empty environment parses to.
+    fn default() -> RunConfig {
+        RunConfig::parse(|_| None).expect("every default is an accepted value")
+    }
+}
+
+/// One knob: `Ok(None)` when unset, an error naming the knob, the value
+/// and what is `accepted` when `parse` rejects the value.
+fn knob<T>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    accepted: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match lookup(name) {
+        None => Ok(None),
+        Some(v) => parse(&v)
+            .map(Some)
+            .ok_or_else(|| format!("{name}={v:?} is not accepted: expected {accepted}")),
     }
 }
 
@@ -73,41 +165,6 @@ impl ScaleConfig {
             },
         }
     }
-
-    /// Resolves from the environment.
-    pub fn from_env() -> ScaleConfig {
-        ScaleConfig::resolve(Scale::from_env())
-    }
-}
-
-/// Master seed for experiments (override with `IPFS_REPRO_SEED`).
-pub fn seed_from_env() -> u64 {
-    env::var("IPFS_REPRO_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2022)
-}
-
-/// Worker threads for independent experiment cells (override with
-/// `IPFS_REPRO_JOBS`; `1` forces the serial path; default: available
-/// cores).
-pub fn jobs_from_env() -> usize {
-    env::var("IPFS_REPRO_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&j| j >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
-/// Region shards for the PDES cells (override with `IPFS_REPRO_SHARDS`,
-/// clamped to `1..=10`; `1` forces the exact serial path; default:
-/// `min(6, available cores)`). Results are byte-identical at every value
-/// — the knob only trades wall-clock time.
-pub fn shards_from_env() -> usize {
-    env::var("IPFS_REPRO_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(|s: usize| s.clamp(1, 10))
-        .unwrap_or_else(|| {
-            6.min(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-        })
 }
 
 /// Runs `cells` independent experiment cells through `f` on `jobs` worker
@@ -153,36 +210,68 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`run_cells_with_jobs`] with the job count from `IPFS_REPRO_JOBS`.
-pub fn run_cells<T, F>(cells: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_cells_with_jobs(jobs_from_env(), cells, f)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(artifact: &str, description: &str) {
-    println!("==================================================================");
-    println!("{artifact} — {description}");
-    println!(
-        "scale: {:?}, seed: {} (IPFS_REPRO_SCALE / IPFS_REPRO_SEED to change)",
-        Scale::from_env(),
-        seed_from_env()
-    );
-    println!("==================================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A lookup over a fixed knob list — no process environment involved.
+    fn parse(knobs: &[(&str, &str)]) -> Result<RunConfig, String> {
+        RunConfig::parse(|name| knobs.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string()))
+    }
+
     #[test]
-    fn default_scale_is_small() {
-        // Unless the environment says otherwise.
-        if env::var("IPFS_REPRO_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Small);
+    fn unset_knobs_take_the_documented_defaults() {
+        let run = parse(&[]).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!((run.seed, run.scale, run.dtrace), (2022, Scale::Small, false));
+        assert_eq!((run.jobs, run.shards, run.csv_dir), (cores, cores.min(6), None));
+    }
+
+    #[test]
+    fn each_knob_is_parsed() {
+        let run = parse(&[
+            ("IPFS_REPRO_SEED", "7"),
+            ("IPFS_REPRO_SCALE", "paper"),
+            ("IPFS_REPRO_JOBS", "3"),
+            ("IPFS_REPRO_SHARDS", "4"),
+            ("IPFS_REPRO_CSV_DIR", "out"),
+            ("IPFS_REPRO_DTRACE", "1"),
+        ])
+        .unwrap();
+        let expected = RunConfig {
+            seed: 7,
+            scale: Scale::Paper,
+            jobs: 3,
+            shards: 4,
+            csv_dir: Some(PathBuf::from("out")),
+            dtrace: true,
+        };
+        assert_eq!(run, expected);
+        assert_eq!(parse(&[("IPFS_REPRO_SCALE", "small")]).unwrap().scale, Scale::Small);
+        assert!(!parse(&[("IPFS_REPRO_DTRACE", "0")]).unwrap().dtrace);
+    }
+
+    #[test]
+    fn shards_clamp_to_one_through_ten() {
+        assert_eq!(parse(&[("IPFS_REPRO_SHARDS", "0")]).unwrap().shards, 1);
+        assert_eq!(parse(&[("IPFS_REPRO_SHARDS", "99")]).unwrap().shards, 10);
+    }
+
+    #[test]
+    fn rejected_values_name_the_knob_and_the_value() {
+        for (name, value) in [
+            ("IPFS_REPRO_SCALE", "Paper"),
+            ("IPFS_REPRO_SCALE", ""),
+            ("IPFS_REPRO_JOBS", "0"),
+            ("IPFS_REPRO_JOBS", "abc"),
+            ("IPFS_REPRO_SHARDS", "abc"),
+            ("IPFS_REPRO_SEED", "x"),
+            ("IPFS_REPRO_SEED", "-1"),
+            ("IPFS_REPRO_DTRACE", "yes"),
+        ] {
+            let err = parse(&[(name, value)]).unwrap_err();
+            assert!(err.contains(name) && err.contains(&format!("{value:?}")), "{err}");
+            assert!(err.contains("expected"), "{err}");
         }
     }
 

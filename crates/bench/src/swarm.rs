@@ -19,12 +19,12 @@
 //! [`run_all`] parallelises over `IPFS_REPRO_JOBS` workers with
 //! byte-identical stdout at any job count. Goodput is computed from *sim*
 //! time and is deterministic; wall-clock events/sec goes to the exported
-//! JSON (and stderr) only, for the regression gate.
+//! JSON (and stderr) only.
 
 use std::time::Instant;
 
-use crate::export::TraceExemplar;
-use crate::runner::{run_cells_with_jobs, Scale};
+use crate::export::{BenchDoc, TraceExemplar};
+use crate::runner::{run_cells_with_jobs, RunConfig, Scale};
 use bytes::Bytes;
 use ipfs_core::obs::dtrace::{exemplar_json, DtraceConfig};
 use ipfs_core::obs::names;
@@ -57,7 +57,7 @@ impl SwarmBenchConfig {
 
 /// One cell's rendered result.
 pub struct CellOutput {
-    /// Cell name (stable; used in JSON and the regression gate).
+    /// Cell name (stable; used in JSON).
     pub label: &'static str,
     /// Deterministic human-readable section for stdout.
     pub report: String,
@@ -67,9 +67,11 @@ pub struct CellOutput {
     pub goodput_mbps: f64,
     /// Share of received blocks that were duplicates (deterministic).
     pub dup_share: f64,
-    /// Wall-clock simulator events/sec of the cell (NOT part of the
+    /// Wall-clock seconds the measured retrieval took (NOT part of the
     /// deterministic report).
-    pub events_per_sec: f64,
+    pub wall_sec: f64,
+    /// Simulator events processed in those seconds.
+    pub events: u64,
     /// Stitched distributed trace of the cell's swarm retrieval (empty
     /// unless the cell ran with `--trace-out` collection on).
     pub exemplars: Vec<TraceExemplar>,
@@ -170,8 +172,8 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     let events_before = net.events_processed;
     let ret_op = net.retrieve(requester, cid);
     net.run_until_quiet();
-    let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
-    let events_per_sec = (net.events_processed - events_before) as f64 / elapsed;
+    let wall_sec = wall.elapsed().as_secs_f64().max(1e-9);
+    let events = net.events_processed - events_before;
     let mut exemplars = Vec::new();
     if trace {
         if let Some(tr) = net.take_trace(ret_op) {
@@ -225,7 +227,8 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
         json,
         goodput_mbps,
         dup_share,
-        events_per_sec,
+        wall_sec,
+        events,
         exemplars,
     }
 }
@@ -288,16 +291,6 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
                 duplicate_factor: 3,
             },
         ]
-    }
-}
-
-/// Label of the headline cell the regression gate compares (exists in both
-/// smoke and full runs under the same workload family).
-pub fn headline_label(smoke: bool) -> &'static str {
-    if smoke {
-        "smoke_swarm4"
-    } else {
-        "dag16m_swarm8"
     }
 }
 
@@ -401,23 +394,15 @@ pub fn render_dup_ablation(outputs: &[CellOutput]) -> Option<String> {
     ))
 }
 
-/// Assembles the exported JSON document. `events_per_sec` is the only
-/// wall-clock field; everything else is a pure function of the seed.
-pub fn render_json(outputs: &[CellOutput], seed: u64) -> String {
-    let entries: Vec<String> = outputs
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"label\": \"{}\", \"events_per_sec\": {:.1}, \"result\": {}}}",
-                c.label, c.events_per_sec, c.json
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"harness\": \"swarm\",\n  \"seed\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        seed,
-        entries.join(",\n")
-    )
+/// Assembles the exported `BENCH_swarm.json` document. The timing keys
+/// are the only wall-clock content; every `result` is a pure function of
+/// the seed.
+pub fn bench_doc(outputs: &[CellOutput], run: &RunConfig) -> BenchDoc {
+    let mut doc = BenchDoc::new("swarm", run);
+    for c in outputs {
+        doc.timed_cell(c.label, c.wall_sec, c.events, &c.json);
+    }
+    doc
 }
 
 #[cfg(test)]
@@ -430,7 +415,7 @@ mod tests {
         let render = |jobs: usize| {
             let outputs = run_all(&cfg, 99, true, jobs);
             // Deterministic surfaces only: the stdout report and the JSON
-            // fragments (events_per_sec is wall clock and excluded).
+            // fragments (the timing fields are wall clock and excluded).
             let fragments: Vec<String> =
                 outputs.iter().map(|c| format!("{}: {}", c.label, c.json)).collect();
             (render_report(&outputs), fragments)

@@ -76,18 +76,29 @@ fn parallel_runner_output_is_byte_identical_to_serial() {
 
 /// The chaos harness composes every fault path (partitions, crash waves,
 /// spikes, loss, latency inflation, gateway traffic); its rendered smoke
-/// report must be byte-identical at any job count and across reruns.
+/// report must be byte-identical at any job count and across reruns, and
+/// its `BENCH_chaos.json` may differ only in the `provenance` line — the
+/// one place the job count is stamped.
 #[test]
 fn chaos_smoke_report_is_byte_identical_across_job_counts() {
-    use bench::chaos::{render_json, render_report, run_all, ChaosConfig};
+    use bench::chaos::{bench_doc, render_report, run_all, ChaosConfig};
+    use bench::RunConfig;
     let cfg = ChaosConfig::smoke();
     let render = |jobs: usize| {
         let outputs = run_all(&cfg, 2022, jobs);
-        (render_report(&outputs), render_json(&outputs, 2022))
+        let run = RunConfig { seed: 2022, jobs, ..RunConfig::default() };
+        (render_report(&outputs), bench_doc(&outputs, &run).render())
     };
     let serial = render(1);
-    assert_eq!(serial, render(4), "jobs=1 vs jobs=4 must be byte-identical");
     assert_eq!(serial, render(1), "same seed must replay byte-identically");
+    let parallel = render(4);
+    assert_eq!(serial.0, parallel.0, "jobs=1 vs jobs=4 stdout must be byte-identical");
+    let differing: Vec<(&str, &str)> =
+        serial.1.lines().zip(parallel.1.lines()).filter(|(a, b)| a != b).collect();
+    assert_eq!(serial.1.lines().count(), parallel.1.lines().count());
+    assert_eq!(differing.len(), 1, "only the provenance line may differ: {differing:?}");
+    assert!(differing[0].0.starts_with("  \"provenance\": {"), "{differing:?}");
+    assert!(differing[0].0.contains("\"jobs\": 1") && differing[0].1.contains("\"jobs\": 4"));
 }
 
 /// Per-cell time series merged in cell-index order must render

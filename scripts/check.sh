@@ -1,5 +1,9 @@
 #!/usr/bin/env sh
-# Repo health gate: formatting, lints (warnings are errors), full tests.
+# Repo health gate: formatting, lints (warnings are errors), full tests,
+# budgets, and every byte-identity / digest gate. Every verdict here is
+# host-independent; "did this change make anything slower" is answered by
+# `ipfs-benchmark suite` + `compare` (DESIGN.md §7), never by a number
+# recorded on another machine.
 # Run from anywhere; operates on the workspace root.
 set -eu
 
@@ -7,6 +11,18 @@ cd "$(dirname "$0")/.."
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+
+# gate <title>: prints the elapsed seconds of the gate that just ended and
+# opens the next one (an empty title only closes).
+START="$(date +%s)"
+GATE=""
+gate() {
+    now="$(date +%s)"
+    [ -z "$GATE" ] || echo "-- $GATE: $((now - GATE_START)) s"
+    GATE="$1"
+    GATE_START="$now"
+    [ -z "$GATE" ] || echo "== $GATE =="
+}
 
 # same_output <label> <file-a> <file-b>: the byte-identity gate. Every
 # determinism check below runs a harness twice and hands both outputs here.
@@ -18,13 +34,23 @@ same_output() {
     fi
 }
 
-echo "== cargo fmt --check =="
+# smoke_same <bin>: the harness's --smoke run must exit 0 and print
+# byte-identical stdout serially and on 4 workers / 4 PDES shards.
+smoke_same() {
+    IPFS_REPRO_JOBS=1 IPFS_REPRO_SHARDS=1 "./target/release/$1" --smoke \
+        > "$TMP/$1_j1.txt" 2> /dev/null
+    IPFS_REPRO_JOBS=4 IPFS_REPRO_SHARDS=4 "./target/release/$1" --smoke \
+        > "$TMP/$1_j4.txt" 2> /dev/null
+    same_output "$1 --smoke, jobs/shards 1 vs 4" "$TMP/$1_j1.txt" "$TMP/$1_j4.txt"
+}
+
+gate "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings) =="
+gate "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== unsafe budget (one module, one allow) =="
+gate "unsafe budget (one module, one allow)"
 # Every crate forbids unsafe code except multiformats, which denies it and
 # re-admits exactly one module: the SHA-NI kernel (DESIGN.md §6). The word
 # may not even be mentioned anywhere else under crates/*/src.
@@ -39,27 +65,59 @@ if [ "$ALLOWS" -ne 1 ]; then
     exit 1
 fi
 
-echo "== env-read budget (only the bench crate reads the environment) =="
+gate "env-read budget (one file reads the environment)"
 # Library crates take every setting as an argument or a config field; the
-# IPFS_REPRO_* knobs are read in crates/bench and nowhere else.
-ENV_FILES="$(grep -rl 'env::var' crates/*/src | grep -v '^crates/bench/src/' | tr '\n' ' ')"
-if [ -n "$ENV_FILES" ]; then
-    echo "env-read budget: env::var outside crates/bench/src: $ENV_FILES" >&2
+# IPFS_REPRO_* knobs are parsed once, by bench::RunConfig, and nowhere else.
+ENV_FILES="$(grep -rl 'env::var' crates/*/src | sort | tr '\n' ' ')"
+if [ "$ENV_FILES" != "crates/bench/src/runner.rs " ]; then
+    echo "env-read budget: expected env::var only in crates/bench/src/runner.rs, found: $ENV_FILES" >&2
     exit 1
 fi
 
-echo "== cargo test =="
+gate "cargo test"
 cargo test -q
 
-echo "== cargo test --release (multiformats: intrinsics at benchmark opt level) =="
+gate "cargo test --release (multiformats: intrinsics at benchmark opt level)"
 cargo test -q -p multiformats --release
 
-echo "== throughput smoke (events/sec regression gate) =="
-cargo build --release -q -p bench --bin throughput
-IPFS_REPRO_CSV_DIR="$TMP" ./target/release/throughput --smoke \
-    --check-against results/BENCH_throughput_smoke_baseline.json
+gate "benchmark package tests (the compile contract with the library crates)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== PDES equivalence (serial vs sharded digest gate) =="
+gate "benchmark workloads (0 failed, pinned rep-0 digests)"
+# A digest is a pure function of the seed and the simulated behaviour, so
+# this holds on any host. One that moves means library behaviour changed:
+# say so in the PR, never re-record it to get this gate green.
+while read -r workload digest; do
+    line="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+        --bin ipfs-benchmark -- --workload "$workload" --seed 3 --seconds 0 --trace 0 \
+        | grep "^$workload:" || true)"
+    case "$line" in
+    *", 0 failed, digest of rep 0 $digest") ;;
+    *)
+        echo "benchmark $workload: want 0 failed and digest $digest, got: $line" >&2
+        exit 1
+        ;;
+    esac
+done << EOF
+dht_perf 491b659e8b6030ac
+swarm_fetch d2b7454540a4a060
+gateway_day 402c46cd753c6540
+reprovide_sweep 9b6a798fd7220c21
+pdes_world 62de5182dea1a7d6
+EOF
+
+gate "build the harness bins"
+cargo build --release -q -p bench --bin throughput --bin chaos --bin gateway_fleet \
+    --bin swarm --bin lifecycle --bin latency
+
+gate "knobs fail loudly (a rejected value exits 2)"
+if IPFS_REPRO_SCALE=Paper ./target/release/chaos --smoke > /dev/null 2> "$TMP/knob.err" ||
+    [ $? -ne 2 ] || ! grep -q 'IPFS_REPRO_SCALE="Paper"' "$TMP/knob.err"; then
+    echo "knobs: IPFS_REPRO_SCALE=Paper must exit 2 naming the knob and the value" >&2
+    exit 1
+fi
+
+gate "PDES equivalence (serial vs sharded digest gate)"
 # The region-sharded engine must reproduce the serial total order exactly:
 # a digest run (event counts, (time,key) order fingerprints, metrics
 # fingerprints, bytes/node — no wall-clock values) must be byte-identical
@@ -71,7 +129,7 @@ IPFS_REPRO_SHARDS=6 ./target/release/throughput --smoke --digest \
 same_output "throughput --smoke --digest, IPFS_REPRO_SHARDS=1 vs =6" \
     "$TMP/digest_shards1.txt" "$TMP/digest_shards6.txt"
 
-echo "== dtrace equivalence (tracing on/off digest gate) =="
+gate "dtrace equivalence (tracing on/off digest gate)"
 # Distributed tracing + the flight recorder observe, never perturb: a
 # digest run must be byte-identical with IPFS_REPRO_DTRACE unset and =1.
 ./target/release/throughput --smoke --digest > "$TMP/digest_dtrace_off.txt" 2> /dev/null
@@ -80,65 +138,37 @@ IPFS_REPRO_DTRACE=1 ./target/release/throughput --smoke --digest \
 same_output "throughput --smoke --digest, IPFS_REPRO_DTRACE unset vs =1" \
     "$TMP/digest_dtrace_off.txt" "$TMP/digest_dtrace_on.txt"
 
-echo "== dtrace overhead (tracing throughput budget gate) =="
+gate "dtrace overhead (tracing throughput budget, both sides measured in this run)"
 # The always-on flight recorder plus full tracing must keep the smoke sim
 # cell at >= 0.8x the untraced events/sec (exit 1 inside the bin if not).
 ./target/release/throughput --overhead-check
 
-echo "== chaos smoke (fault-injection determinism gate) =="
-# The chaos harness must exit 0 and print byte-identical output whether
-# its scenario cells run serially or on 4 worker threads.
-cargo build --release -q -p bench --bin chaos
-IPFS_REPRO_JOBS=1 ./target/release/chaos --smoke > "$TMP/chaos_j1.txt"
-IPFS_REPRO_JOBS=4 ./target/release/chaos --smoke > "$TMP/chaos_j4.txt"
-same_output "chaos --smoke, IPFS_REPRO_JOBS=1 vs =4" "$TMP/chaos_j1.txt" "$TMP/chaos_j4.txt"
+gate "throughput smoke (every section runs and exports)"
+IPFS_REPRO_CSV_DIR="$TMP/bench" ./target/release/throughput --smoke > /dev/null
 
-echo "== gateway fleet smoke (determinism + requests/sec regression gate) =="
-# The fleet harness must exit 0, stay byte-identical on stdout whether its
-# cells run serially or on 4 workers, and hold the headline cell's
-# sustained requests/sec within 0.7x of the recorded baseline.
-cargo build --release -q -p bench --bin gateway_fleet
-IPFS_REPRO_JOBS=1 ./target/release/gateway_fleet --smoke > "$TMP/fleet_j1.txt" 2> /dev/null
-IPFS_REPRO_JOBS=4 ./target/release/gateway_fleet --smoke \
-    --check-against results/BENCH_gateway_fleet.json > "$TMP/fleet_j4.txt"
-same_output "gateway_fleet --smoke, IPFS_REPRO_JOBS=1 vs =4" \
-    "$TMP/fleet_j1.txt" "$TMP/fleet_j4.txt"
+gate "chaos smoke (fault-injection determinism gate)"
+smoke_same chaos
 
-echo "== swarm smoke (determinism + goodput regression gate) =="
-# The swarm-transfer harness must exit 0, stay byte-identical on stdout
-# whether its cells run serially or on 4 workers, and hold the headline
-# cell's events/sec within 0.7x of the recorded smoke baseline. The
-# wall-clock gate rides on the serial run: the headline cell lasts a few
-# milliseconds, so sharing cores with sibling cells swamps it.
-cargo build --release -q -p bench --bin swarm
-IPFS_REPRO_JOBS=1 ./target/release/swarm --smoke \
-    --check-against results/BENCH_swarm_smoke_baseline.json > "$TMP/swarm_j1.txt"
-IPFS_REPRO_JOBS=4 ./target/release/swarm --smoke > "$TMP/swarm_j4.txt" 2> /dev/null
-same_output "swarm --smoke, IPFS_REPRO_JOBS=1 vs =4" "$TMP/swarm_j1.txt" "$TMP/swarm_j4.txt"
+gate "gateway fleet smoke (determinism gate)"
+smoke_same gateway_fleet
 
-echo "== lifecycle smoke (determinism + events/sec gates) =="
-# The content-lifecycle harness must exit 0 and print byte-identical
-# stdout serially vs on 4 workers and with the PDES cell on 1 vs 4 shards,
-# while holding the headline cell's events/sec within 0.7x of the
-# recorded smoke baseline.
-cargo build --release -q -p bench --bin lifecycle
-IPFS_REPRO_JOBS=1 IPFS_REPRO_SHARDS=1 ./target/release/lifecycle --smoke \
-    > "$TMP/lifecycle_j1.txt" 2> /dev/null
-IPFS_REPRO_JOBS=4 IPFS_REPRO_SHARDS=4 ./target/release/lifecycle --smoke \
-    --check-against results/BENCH_lifecycle_smoke_baseline.json > "$TMP/lifecycle_j4.txt"
-same_output "lifecycle --smoke, jobs/shards 1 vs 4" \
-    "$TMP/lifecycle_j1.txt" "$TMP/lifecycle_j4.txt"
+gate "swarm smoke (determinism gate)"
+smoke_same swarm
 
-echo "== latency smoke (span-attribution determinism gate) =="
+gate "lifecycle smoke (determinism gate, jobs and shards)"
+smoke_same lifecycle
+
+gate "latency smoke (span-attribution determinism gate)"
 # The latency-attribution harness must exit 0, emit its table + JSON, and
 # print byte-identical artifacts whether cells run serially or on 4
-# workers (stdout and both written files are compared).
-cargo build --release -q -p bench --bin latency
-IPFS_REPRO_JOBS=1 ./target/release/latency --smoke --out "$TMP/lat_j1" \
-    --trace-out "$TMP/lat_j1/traces.json" > /dev/null
-IPFS_REPRO_JOBS=4 ./target/release/latency --smoke --out "$TMP/lat_j4" \
-    --trace-out "$TMP/lat_j4/traces.json" > /dev/null
-for f in tab_latency_attribution.txt BENCH_latency.json traces.json; do
+# workers (both written files are compared; the JSON minus its one
+# provenance line, which stamps the job count).
+for j in 1 4; do
+    IPFS_REPRO_JOBS=$j ./target/release/latency --smoke \
+        --out "$TMP/lat_j$j" --trace-out "$TMP/lat_j$j/traces.json" > /dev/null
+    grep -v '^  "provenance": ' "$TMP/lat_j$j/BENCH_latency.json" > "$TMP/lat_j$j/cells.json"
+done
+for f in tab_latency_attribution.txt cells.json traces.json; do
     same_output "latency --smoke $f, IPFS_REPRO_JOBS=1 vs =4" "$TMP/lat_j1/$f" "$TMP/lat_j4/$f"
 done
 grep -q '"dominant_component": "dht_walk"' "$TMP/lat_j1/BENCH_latency.json" || {
@@ -146,4 +176,5 @@ grep -q '"dominant_component": "dht_walk"' "$TMP/lat_j1/BENCH_latency.json" || {
     exit 1
 }
 
-echo "All checks passed."
+gate ""
+echo "All checks passed in $(($(date +%s) - START)) s."
