@@ -344,8 +344,9 @@ enum OpState {
     /// maintenance produces metrics, not publish reports.
     SweepBatch {
         node: NodeId,
-        /// CIDs in this keyspace neighborhood, in DHT-key order.
-        cids: Vec<Cid>,
+        /// DHT keys of the CIDs in this keyspace neighborhood, in key
+        /// order; shared with every batched store the walk fans out to.
+        keys: Arc<Vec<Key>>,
         /// Batched stores still in flight.
         outstanding: usize,
     },
@@ -358,7 +359,7 @@ enum Action {
     IpnsFail,
     IpnsResolved { value: Vec<u8> },
     PublishFail,
-    SweepStoreBatch { node: NodeId, cids: Vec<Cid>, peers: Vec<Arc<PeerInfo>> },
+    SweepStoreBatch { node: NodeId, keys: Arc<Vec<Key>>, peers: Vec<Arc<PeerInfo>> },
     SweepFail,
     PeerWalk { node: NodeId, providers: Vec<PeerId> },
     Fetch { node: NodeId, providers: Vec<Arc<PeerInfo>> },
@@ -1046,7 +1047,7 @@ impl IpfsNetwork {
     pub fn provider_record_available(&self, cid: &Cid) -> bool {
         let key = Key::from_cid(cid);
         let now = self.now();
-        self.nodes.iter().any(|n| n.online && !n.node.dht.store().providers(&key, now).is_empty())
+        self.nodes.iter().any(|n| n.online && n.node.dht.store().has_provider(&key, now))
     }
 
     /// Total provider-record entries across every node's store (expired
@@ -1378,39 +1379,39 @@ impl IpfsNetwork {
             return;
         }
         // Unpinned CIDs leave the provided set; their records age out.
-        let keep: Vec<(Key, Cid)> = {
-            let sim = &mut self.nodes[id];
-            let store = &sim.node.store;
-            sim.provided.retain(|_, e| store.has(&e.cid));
-            sim.provided.iter().map(|(k, e)| (*k, e.cid.clone())).collect()
-        };
-        if keep.is_empty() {
+        let sim = &mut self.nodes[id];
+        let store = &sim.node.store;
+        sim.provided.retain(|_, e| store.has(&e.cid));
+        let kept = sim.provided.len() as u64;
+        if kept == 0 {
             return; // nothing provided: the sweep chain ends here
         }
         self.metrics.incr(names::PROVIDER_SWEEP_RUNS);
-        self.metrics.add(names::PROVIDER_SWEEP_CIDS, keep.len() as u64);
+        self.metrics.add(names::PROVIDER_SWEEP_CIDS, kept);
         // Kept comparable across modes: one "republish" per maintained CID
         // per cycle, however the messages are amortized.
-        self.metrics.add(names::PROVIDER_REPUBLISHES, keep.len() as u64);
-        // Group by keyspace prefix. BTreeMap iteration handed us the CIDs
-        // already key-sorted, so each group is a contiguous, ordered run.
+        self.metrics.add(names::PROVIDER_REPUBLISHES, kept);
+        // Group by keyspace prefix. BTreeMap iteration hands over the keys
+        // already sorted, so each group is a contiguous, ordered run.
         let bits = u32::from(self.cfg.reprovide_batch_bits.min(16));
-        let mut batches: Vec<(Key, Vec<Cid>)> = Vec::new();
+        let mut batches: Vec<Vec<Key>> = Vec::new();
         let mut last_prefix: Option<u16> = None;
-        for (key, cid) in keep {
+        for key in sim.provided.keys() {
             let wide = u16::from_be_bytes([key.0[0], key.0[1]]);
             let prefix = if bits == 0 { 0 } else { wide >> (16 - bits) };
             if last_prefix != Some(prefix) {
                 last_prefix = Some(prefix);
-                batches.push((key, Vec::new()));
+                batches.push(Vec::new());
             }
-            batches.last_mut().unwrap().1.push(cid);
+            batches.last_mut().unwrap().push(*key);
         }
-        for (first_key, cids) in batches {
+        for keys in batches {
+            let first_key = keys[0];
             self.metrics.incr(names::PROVIDER_SWEEP_BATCHES);
             let op = OpId(self.next_op);
             self.next_op += 1;
-            self.ops.insert(op, OpState::SweepBatch { node: id, cids, outstanding: 0 });
+            self.ops
+                .insert(op, OpState::SweepBatch { node: id, keys: Arc::new(keys), outstanding: 0 });
             self.dtrace.note_op(op, id);
             // One walk toward the neighborhood's first key serves every
             // CID in the batch: within a 2^-bits slice of the keyspace,
@@ -2277,10 +2278,10 @@ impl IpfsNetwork {
                         _ => Action::PublishFail,
                     }
                 }
-                OpState::SweepBatch { node, cids, outstanding } => match outcome {
+                OpState::SweepBatch { node, keys, outstanding } => match outcome {
                     QueryOutcome::Closest(peers) if !peers.is_empty() => {
                         *outstanding = peers.len();
-                        Action::SweepStoreBatch { node: *node, cids: cids.clone(), peers }
+                        Action::SweepStoreBatch { node: *node, keys: Arc::clone(keys), peers }
                     }
                     _ => Action::SweepFail,
                 },
@@ -2417,12 +2418,11 @@ impl IpfsNetwork {
                 }
             }
             Action::PublishFail => self.finish_publish(now, op, false),
-            Action::SweepStoreBatch { node, cids, peers } => {
+            Action::SweepStoreBatch { node, keys, peers } => {
                 // One batched ADD_PROVIDER per closest peer carries every
                 // CID in the neighborhood — k messages for the whole
                 // batch instead of k per CID.
                 let provider = Arc::clone(self.nodes[node].node.info());
-                let keys: Arc<Vec<Key>> = Arc::new(cids.iter().map(Key::from_cid).collect());
                 for target in peers {
                     self.send_provider_batch(
                         op,
@@ -3419,7 +3419,7 @@ mod tests {
     /// Is a provider record for `key` held (unexpired) by any online node?
     fn record_available(net: &IpfsNetwork, key: &Key) -> bool {
         let now = net.now();
-        net.nodes.iter().any(|n| n.online && !n.node.dht.store().providers(key, now).is_empty())
+        net.nodes.iter().any(|n| n.online && n.node.dht.store().has_provider(key, now))
     }
 
     mod availability_timeline {

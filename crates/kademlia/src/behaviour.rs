@@ -13,7 +13,7 @@
 
 use crate::key::Key;
 use crate::query::{IterativeQuery, QueryOutcome, QueryStep, QueryTarget};
-use crate::records::{PeerRecord, ProviderRecord, RecordStore, ValueRecord};
+use crate::records::{PeerRecord, RecordStore, ValueRecord};
 use crate::routing::{PeerInfo, RoutingTable, K};
 use crate::rpc::{Request, Response};
 use multiformats::PeerId;
@@ -248,22 +248,12 @@ impl DhtBehaviour {
                 closer: self.routing.closest(&key, self.config.k),
             }),
             Request::AddProvider { key, provider } => {
-                self.store.add_provider(ProviderRecord {
-                    key,
-                    provider: provider.peer.clone(),
-                    addrs: provider.addrs.clone(),
-                    received_at: now,
-                });
+                self.store.add_provider_shared(key, &provider, now);
                 None // fire and forget (§3.1)
             }
             Request::AddProviderBatch { keys, provider } => {
                 for key in keys {
-                    self.store.add_provider(ProviderRecord {
-                        key,
-                        provider: provider.peer.clone(),
-                        addrs: provider.addrs.clone(),
-                        received_at: now,
-                    });
+                    self.store.add_provider_shared(key, &provider, now);
                 }
                 None // fire and forget, one message for the whole batch
             }
@@ -451,10 +441,11 @@ mod tests {
         let mut s = server(1);
         let keys: Vec<Key> =
             (0u64..5).map(|n| Key::from_cid(&Cid::from_raw_data(&n.to_be_bytes()))).collect();
+        let provider = info(3);
         let resp = s.handle_request(
             &info(2),
             true,
-            Request::AddProviderBatch { keys: keys.clone(), provider: info(3) },
+            Request::AddProviderBatch { keys: keys.clone(), provider: Arc::clone(&provider) },
             SimTime::ZERO,
         );
         assert!(resp.is_none(), "ADD_PROVIDER_BATCH is fire-and-forget");
@@ -462,6 +453,9 @@ mod tests {
             assert_eq!(s.store().providers(k, SimTime::ZERO).len(), 1);
         }
         assert_eq!(s.store().provider_entry_count(), 5);
+        // The five records share one interned provider: the store holds
+        // the handle the batch arrived with, once.
+        assert_eq!(Arc::strong_count(&provider), 2);
     }
 
     #[test]

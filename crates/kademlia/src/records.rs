@@ -5,23 +5,56 @@
 //! soft state: provider records expire after 24 h and are republished every
 //! 12 h "to prevent the system from storing and providing stale records".
 //!
-//! The provider table is one map from DHT key to that key's records plus
-//! one min-heap of expiry deadlines, so [`RecordStore::expire`] costs
-//! O(due deadlines · log pending) instead of O(stored records). Deadlines
-//! are validated lazily on pop: every add or refresh queues one deadline,
-//! so a record refreshed by the 12 h republish leaves its old deadline
-//! behind, and the pop skips any deadline whose live record was refreshed
-//! or already removed. A heap rather than a timing wheel because expiry
-//! only ever asks for "earliest first" — no horizon, so back-dated and
-//! far-future `received_at` are ordinary entries — and because the typical
-//! DHT server holds a handful of records: an idle store must cost nothing,
-//! and an empty map and an empty heap allocate nothing.
+//! # Layout: records are handles
+//!
+//! A few heavy providers account for most of a server's records, so the
+//! provider table stores each distinct provider once and every record as a
+//! handle to it:
+//!
+//! - **Intern table.** A slab of `Arc<PeerInfo>` plus a `PeerId → u32`
+//!   index. Each slot counts the records naming it and returns to a free
+//!   list when the last one expires. A provider has one current address
+//!   set: a refresh carrying different addresses replaces the interned
+//!   `PeerInfo`, so the latest addresses win for all of that provider's
+//!   records in this store.
+//! - **Records.** A stored record is `{received_at, provider: u32}` (16 B),
+//!   held inline in the map entry while its key has one provider and
+//!   spilled to a `Vec`, in first-stored order, only for two or more.
+//!   [`ProviderRecord`] is the wire/API shape, materialised on reads.
+//! - **Deadlines.** One min-heap of `(deadline, key, provider index)`, so
+//!   [`RecordStore::expire`] costs O(due deadlines · log pending) instead
+//!   of O(stored records). A heap rather than a timing wheel because
+//!   expiry only ever asks for "earliest first" — no horizon, so back-dated
+//!   and far-future `received_at` are ordinary entries — and because the
+//!   typical DHT server holds a handful of records: an idle store
+//!   allocates nothing.
+//!
+//! # Invariant: a queued deadline at or before every record's expiry
+//!
+//! Every live record has at least one queued deadline naming its
+//! `(key, provider index)` that is no later than `received_at + expiry`,
+//! and in the steady state exactly one. The first store queues it. A
+//! refresh forward in time (the 12 h republish) moves `received_at` in
+//! place and queues nothing: the queued deadline now falls early, and when
+//! it pops [`RecordStore::expire`] re-arms it at the live expiry time.
+//! Only a back-dated refresh, whose new expiry precedes the queued
+//! deadline, pushes a second entry.
+//!
+//! A popped deadline decides nothing by itself: removal is decided by the
+//! live record's own `received_at`, exactly as a full scan would. That is
+//! why index reuse is safe — a stale deadline whose provider index was
+//! freed and handed to another provider either finds no record under its
+//! key, or finds the new provider's record and removes it only if that
+//! record is itself expired (else it re-arms a harmless duplicate).
 
 use crate::key::Key;
+use crate::routing::PeerInfo;
 use multiformats::{Multiaddr, PeerId};
 use simnet::{SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// Default provider-record expiry interval (paper §3.1: 24 h).
 pub const PROVIDER_EXPIRY: SimDuration = SimDuration::from_hours(24);
@@ -71,15 +104,132 @@ pub struct ValueRecord {
     pub received_at: SimTime,
 }
 
-/// A queued expiry deadline for one `(key, provider)` record; `Reverse`
-/// turns the max-heap into earliest-deadline-first.
-type Deadline = Reverse<(SimTime, Key, PeerId)>;
+/// A queued expiry deadline for one `(key, provider index)` record;
+/// `Reverse` turns the max-heap into earliest-deadline-first.
+type Deadline = Reverse<(SimTime, Key, u32)>;
+
+/// A provider record as stored: the key is the map key and the provider a
+/// handle into the store's intern table.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    received_at: SimTime,
+    provider: u32,
+}
+
+impl Stored {
+    fn is_live(&self, now: SimTime, expiry: SimDuration) -> bool {
+        now.since(self.received_at) < expiry
+    }
+
+    fn deadline(&self, key: Key, expiry: SimDuration) -> Deadline {
+        Reverse((self.received_at.saturating_add(expiry), key, self.provider))
+    }
+}
+
+/// One key's records in first-stored order (retrieval takes the first as
+/// primary provider, so a refresh must not reorder them).
+#[derive(Debug, Clone)]
+enum Slot {
+    One(Stored),
+    Many(Vec<Stored>),
+}
+
+impl Slot {
+    fn records(&self) -> &[Stored] {
+        match self {
+            Slot::One(r) => std::slice::from_ref(r),
+            Slot::Many(rs) => rs,
+        }
+    }
+
+    fn records_mut(&mut self) -> &mut [Stored] {
+        match self {
+            Slot::One(r) => std::slice::from_mut(r),
+            Slot::Many(rs) => rs,
+        }
+    }
+
+    fn push(&mut self, record: Stored) {
+        match self {
+            Slot::One(first) => *self = Slot::Many(vec![*first, record]),
+            Slot::Many(rs) => rs.push(record),
+        }
+    }
+
+    /// Removes the record at `pos`; returns whether any record is left.
+    fn remove(&mut self, pos: usize) -> bool {
+        let Slot::Many(rs) = self else { return false };
+        rs.remove(pos);
+        if let [last] = rs[..] {
+            *self = Slot::One(last);
+        }
+        true
+    }
+}
+
+/// One distinct provider and how many stored records name it.
+#[derive(Debug, Clone)]
+struct Interned {
+    info: Arc<PeerInfo>,
+    records: u32,
+}
+
+/// The intern table: each distinct provider once, addressed by slab index.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    slab: Vec<Option<Interned>>,
+    free: Vec<u32>,
+    index: HashMap<PeerId, u32>,
+}
+
+impl Interner {
+    fn get(&self, idx: u32) -> &Interned {
+        self.slab[idx as usize].as_ref().expect("a stored record names a live slab slot")
+    }
+
+    fn get_mut(&mut self, idx: u32) -> &mut Interned {
+        self.slab[idx as usize].as_mut().expect("a stored record names a live slab slot")
+    }
+
+    /// Interns a provider not yet in the index; the caller stores its
+    /// first record next.
+    fn insert(&mut self, info: Arc<PeerInfo>) -> u32 {
+        let peer = info.peer.clone();
+        let slot = Some(Interned { info, records: 0 });
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx as usize] = slot;
+                idx
+            }
+            None => {
+                self.slab.push(slot);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 distinct providers")
+            }
+        };
+        self.index.insert(peer, idx);
+        idx
+    }
+
+    /// Drops one record's hold on `idx`, freeing the slot with the last.
+    fn release(&mut self, idx: u32) {
+        let held = self.get_mut(idx);
+        held.records -= 1;
+        if held.records == 0 {
+            let gone = self.slab[idx as usize].take().expect("checked live above");
+            self.index.remove(&gone.info.peer);
+            self.free.push(idx);
+        }
+    }
+}
 
 /// Storage for provider, peer, and value records held by one DHT server.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
-    providers: HashMap<Key, Vec<ProviderRecord>>,
+    providers: HashMap<Key, Slot>,
+    interned: Interner,
     deadlines: BinaryHeap<Deadline>,
+    /// Live provider records across all keys.
+    live: usize,
     expiry: SimDuration,
     peers: HashMap<PeerId, PeerRecord>,
     values: HashMap<Key, ValueRecord>,
@@ -109,7 +259,9 @@ impl RecordStore {
     pub fn with_expiry(expiry: SimDuration) -> RecordStore {
         RecordStore {
             providers: HashMap::new(),
+            interned: Interner::default(),
             deadlines: BinaryHeap::new(),
+            live: 0,
             expiry,
             peers: HashMap::new(),
             values: HashMap::new(),
@@ -120,30 +272,93 @@ impl RecordStore {
     }
 
     /// Stores (or refreshes) a provider record. Refreshing resets the
-    /// expiry clock — this is what the 12 h republish achieves.
+    /// expiry clock — this is what the 12 h republish achieves — and keeps
+    /// the provider's position in its key's list. Addresses are held once
+    /// per provider: a record carrying different addresses than the store
+    /// holds for that peer replaces them for all of the peer's records.
     pub fn add_provider(&mut self, record: ProviderRecord) {
-        self.deadlines.push(Reverse((
-            record.received_at.saturating_add(self.expiry),
-            record.key,
-            record.provider.clone(),
-        )));
-        let entry = self.providers.entry(record.key).or_default();
-        if let Some(existing) = entry.iter_mut().find(|r| r.provider == record.provider) {
-            *existing = record;
-        } else {
-            entry.push(record);
-            self.stored_provider_records += 1;
+        let ProviderRecord { key, provider, addrs, received_at } = record;
+        let idx = match self.interned.index.get(&provider) {
+            Some(&idx) => {
+                let held = &mut self.interned.get_mut(idx).info;
+                if held.addrs != addrs {
+                    *held = Arc::new(PeerInfo::new(provider, addrs));
+                }
+                idx
+            }
+            None => self.interned.insert(Arc::new(PeerInfo::new(provider, addrs))),
+        };
+        self.store_record(key, idx, received_at);
+    }
+
+    /// [`RecordStore::add_provider`] for a provider that arrives as a
+    /// shared handle (the ADD_PROVIDER RPCs): the store keeps a reference
+    /// to `provider` instead of copying its PeerID and addresses per key.
+    pub fn add_provider_shared(&mut self, key: Key, provider: &Arc<PeerInfo>, now: SimTime) {
+        let idx = match self.interned.index.get(&provider.peer) {
+            Some(&idx) => {
+                let held = &mut self.interned.get_mut(idx).info;
+                if !Arc::ptr_eq(held, provider) && held.addrs != provider.addrs {
+                    *held = Arc::clone(provider);
+                }
+                idx
+            }
+            None => self.interned.insert(Arc::clone(provider)),
+        };
+        self.store_record(key, idx, now);
+    }
+
+    fn store_record(&mut self, key: Key, provider: u32, received_at: SimTime) {
+        let record = Stored { received_at, provider };
+        match self.providers.entry(key) {
+            Entry::Vacant(vacant) => {
+                vacant.insert(Slot::One(record));
+            }
+            Entry::Occupied(occupied) => {
+                let slot = occupied.into_mut();
+                match slot.records_mut().iter_mut().find(|r| r.provider == provider) {
+                    Some(live) => {
+                        let was = std::mem::replace(&mut live.received_at, received_at);
+                        if received_at < was {
+                            // Back-dated: the queued deadline is now too late.
+                            self.deadlines.push(record.deadline(key, self.expiry));
+                        }
+                        return;
+                    }
+                    None => slot.push(record),
+                }
+            }
         }
+        self.deadlines.push(record.deadline(key, self.expiry));
+        self.interned.get_mut(provider).records += 1;
+        self.live += 1;
+        self.stored_provider_records += 1;
     }
 
     /// Returns unexpired provider records for `key` at time `now`.
     pub fn providers(&self, key: &Key, now: SimTime) -> Vec<ProviderRecord> {
+        let Some(slot) = self.providers.get(key) else { return Vec::new() };
+        slot.records()
+            .iter()
+            .filter(|r| r.is_live(now, self.expiry))
+            .map(|r| {
+                let info = &self.interned.get(r.provider).info;
+                ProviderRecord {
+                    key: *key,
+                    provider: info.peer.clone(),
+                    addrs: info.addrs.clone(),
+                    received_at: r.received_at,
+                }
+            })
+            .collect()
+    }
+
+    /// Whether `key` has at least one unexpired provider record at `now`:
+    /// `!providers(key, now).is_empty()` without materialising the records.
+    pub fn has_provider(&self, key: &Key, now: SimTime) -> bool {
         self.providers
             .get(key)
-            .map(|rs| {
-                rs.iter().filter(|r| now.since(r.received_at) < self.expiry).cloned().collect()
-            })
-            .unwrap_or_default()
+            .is_some_and(|s| s.records().iter().any(|r| r.is_live(now, self.expiry)))
     }
 
     /// Stores (or refreshes) a peer record.
@@ -164,64 +379,65 @@ impl RecordStore {
     ///
     /// Pops every deadline that is due and removes the records whose
     /// *live* `received_at` is at least the expiry old — exactly the
-    /// records a full scan of the table would remove.
+    /// records a full scan of the table would remove. A due deadline whose
+    /// record was refreshed since is re-armed at the record's live expiry.
     pub fn expire(&mut self, now: SimTime) -> usize {
         let mut removed = 0;
+        // Queued after the loop, so a re-armed deadline that saturated at
+        // the end of time cannot pop again within this call.
+        let mut rearmed = Vec::new();
         while self.deadlines.peek().is_some_and(|Reverse((deadline, ..))| *deadline <= now) {
             let Reverse((_, key, provider)) = self.deadlines.pop().expect("peeked a deadline");
-            // Lazy validation: the deadline is stale if the record was
-            // refreshed (the refresh queued its own deadline) or already
-            // removed.
-            let Some(rs) = self.providers.get_mut(&key) else { continue };
-            let Some(pos) = rs.iter().position(|r| r.provider == provider) else { continue };
-            if now.since(rs[pos].received_at) < self.expiry {
+            // Stale if the record is gone (a back-dated twin removed it).
+            let Entry::Occupied(mut entry) = self.providers.entry(key) else { continue };
+            let records = entry.get().records();
+            let Some(pos) = records.iter().position(|r| r.provider == provider) else { continue };
+            let record = records[pos];
+            if record.is_live(now, self.expiry) {
+                rearmed.push(record.deadline(key, self.expiry));
                 continue;
             }
-            rs.remove(pos);
-            removed += 1;
-            if rs.is_empty() {
-                self.providers.remove(&key);
+            if !entry.get_mut().remove(pos) {
+                entry.remove();
             }
+            self.interned.release(provider);
+            self.live -= 1;
+            removed += 1;
         }
-        removed
-    }
-
-    /// Full-scan expiry: the oracle the deadline heap is property-tested
-    /// against.
-    #[cfg(test)]
-    fn expire_scan(&mut self, now: SimTime) -> usize {
-        let expiry = self.expiry;
-        let mut removed = 0;
-        self.providers.retain(|_, rs| {
-            let before = rs.len();
-            rs.retain(|r| now.since(r.received_at) < expiry);
-            removed += before - rs.len();
-            !rs.is_empty()
-        });
+        self.deadlines.extend(rearmed);
         removed
     }
 
     /// Number of live provider-record entries (across all keys).
     pub fn provider_entry_count(&self) -> usize {
-        self.providers.values().map(|v| v.len()).sum()
+        self.live
     }
 
-    /// Estimated resident bytes of the provider table (records plus
-    /// pending deadlines), for memory-per-node accounting.
+    /// Estimated resident bytes of the provider table, for memory-per-node
+    /// accounting: one map entry per key, the spill lists' capacity, the
+    /// pending deadlines, and each interned provider once. A logical
+    /// estimate of the layout above — it ignores allocator and hash-table
+    /// slack, so it is a pure function of the store's contents.
     pub fn bytes_estimate(&self) -> u64 {
+        use std::mem::size_of;
         /// Estimated heap bytes per stored [`Multiaddr`].
         const ADDR_BYTES: usize = 48;
-        /// Fixed charge for the store itself. A constant rather than
-        /// `size_of::<RecordStore>()`: the estimate is logical (it must
-        /// not move with field layout), and recorded `bytes_per_node`
-        /// digests include it.
-        const STORE_BYTES: usize = 160;
-        let mut total = STORE_BYTES + self.deadlines.len() * std::mem::size_of::<Deadline>();
-        for (key, rs) in &self.providers {
-            total += std::mem::size_of_val(key);
-            for r in rs {
-                total += std::mem::size_of::<ProviderRecord>() + r.addrs.len() * ADDR_BYTES;
+        /// One interned provider: its slab slot and index entry, the
+        /// shared `PeerInfo` allocation, and the two PeerID digests.
+        const PROVIDER_BYTES: usize = size_of::<Option<Interned>>()
+            + size_of::<(PeerId, u32)>()
+            + size_of::<PeerInfo>()
+            + 2 * 32;
+        let mut total = size_of::<RecordStore>()
+            + self.providers.len() * size_of::<(Key, Slot)>()
+            + self.deadlines.len() * size_of::<Deadline>();
+        for slot in self.providers.values() {
+            if let Slot::Many(rs) = slot {
+                total += rs.capacity() * size_of::<Stored>();
             }
+        }
+        for held in self.interned.slab.iter().flatten() {
+            total += PROVIDER_BYTES + held.info.addrs.len() * ADDR_BYTES;
         }
         total as u64
     }
@@ -266,12 +482,67 @@ mod tests {
         Key::from_cid(&Cid::from_raw_data(&n.to_be_bytes()))
     }
 
+    fn peer(seed: u64) -> PeerId {
+        Keypair::from_seed(seed).peer_id()
+    }
+
+    fn addr(n: u8) -> Multiaddr {
+        format!("/ip4/10.0.0.{n}/tcp/4001").parse().unwrap()
+    }
+
     fn record(k: Key, seed: u64, at: SimTime) -> ProviderRecord {
-        ProviderRecord {
-            key: k,
-            provider: Keypair::from_seed(seed).peer_id(),
-            addrs: vec![],
-            received_at: at,
+        ProviderRecord { key: k, provider: peer(seed), addrs: vec![], received_at: at }
+    }
+
+    fn hours(h: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_hours(h)
+    }
+
+    /// The scan oracle: a flat table of `(key, provider, received_at)` rows
+    /// in first-stored order plus one address set per provider; every
+    /// operation is a full scan.
+    struct Oracle {
+        rows: Vec<(Key, PeerId, SimTime)>,
+        addrs: HashMap<PeerId, Vec<Multiaddr>>,
+        expiry: SimDuration,
+        stored: u64,
+    }
+
+    impl Oracle {
+        fn add(&mut self, record: ProviderRecord) {
+            let ProviderRecord { key, provider, addrs, received_at } = record;
+            self.addrs.insert(provider.clone(), addrs);
+            match self.rows.iter_mut().find(|(k, p, _)| *k == key && *p == provider) {
+                Some(row) => row.2 = received_at,
+                None => {
+                    self.rows.push((key, provider, received_at));
+                    self.stored += 1;
+                }
+            }
+        }
+
+        fn expire(&mut self, now: SimTime) -> usize {
+            let (before, expiry) = (self.rows.len(), self.expiry);
+            self.rows.retain(|(_, _, at)| now.since(*at) < expiry);
+            before - self.rows.len()
+        }
+
+        fn providers(&self, key: Key, now: SimTime) -> impl Iterator<Item = ProviderRecord> + '_ {
+            self.rows
+                .iter()
+                .filter(move |(k, _, at)| *k == key && now.since(*at) < self.expiry)
+                .map(|(k, p, at)| ProviderRecord {
+                    key: *k,
+                    provider: p.clone(),
+                    addrs: self.addrs[p].clone(),
+                    received_at: *at,
+                })
+        }
+
+        fn distinct_providers(&self) -> usize {
+            let peers: std::collections::HashSet<&PeerId> =
+                self.rows.iter().map(|(_, p, _)| p).collect();
+            peers.len()
         }
     }
 
@@ -290,10 +561,12 @@ mod tests {
         let mut store = RecordStore::new();
         let k = key(1);
         store.add_provider(record(k, 1, SimTime::ZERO));
-        let just_before = SimTime::ZERO + SimDuration::from_hours(23);
-        let just_after = SimTime::ZERO + SimDuration::from_hours(25);
-        assert_eq!(store.providers(&k, just_before).len(), 1);
-        assert_eq!(store.providers(&k, just_after).len(), 0);
+        assert_eq!(store.providers(&k, hours(23)).len(), 1);
+        assert!(store.has_provider(&k, hours(23)));
+        assert_eq!(store.providers(&k, hours(25)).len(), 0);
+        // Expired but not yet swept: resident, and not a provider.
+        assert!(!store.has_provider(&k, hours(25)));
+        assert_eq!(store.provider_entry_count(), 1);
     }
 
     #[test]
@@ -305,8 +578,7 @@ mod tests {
         let t12 = SimTime::ZERO + PROVIDER_REPUBLISH;
         store.add_provider(record(k, 1, t12));
         // At 30 h the original would be dead, but the refresh keeps it.
-        let t30 = SimTime::ZERO + SimDuration::from_hours(30);
-        assert_eq!(store.providers(&k, t30).len(), 1);
+        assert_eq!(store.providers(&k, hours(30)).len(), 1);
         // Only one entry exists (refresh, not duplicate).
         assert_eq!(store.provider_entry_count(), 1);
     }
@@ -315,8 +587,8 @@ mod tests {
     fn expire_sweeps_dead_records() {
         let mut store = RecordStore::new();
         store.add_provider(record(key(1), 1, SimTime::ZERO));
-        store.add_provider(record(key(2), 2, SimTime::ZERO + SimDuration::from_hours(20)));
-        let removed = store.expire(SimTime::ZERO + SimDuration::from_hours(30));
+        store.add_provider(record(key(2), 2, hours(20)));
+        let removed = store.expire(hours(30));
         assert_eq!(removed, 1);
         assert_eq!(store.provider_entry_count(), 1);
     }
@@ -324,15 +596,14 @@ mod tests {
     #[test]
     fn peer_records_roundtrip() {
         let mut store = RecordStore::new();
-        let peer = Keypair::from_seed(5).peer_id();
         let addr: Multiaddr = "/ip4/1.2.3.4/tcp/3333".parse().unwrap();
         store.put_peer_record(PeerRecord {
-            peer: peer.clone(),
+            peer: peer(5),
             addrs: vec![addr.clone()],
             received_at: SimTime::ZERO,
         });
-        assert_eq!(store.peer_record(&peer).unwrap().addrs, vec![addr]);
-        assert!(store.peer_record(&Keypair::from_seed(6).peer_id()).is_none());
+        assert_eq!(store.peer_record(&peer(5)).unwrap().addrs, vec![addr]);
+        assert!(store.peer_record(&peer(6)).is_none());
     }
 
     #[test]
@@ -350,49 +621,83 @@ mod tests {
         let mut store = RecordStore::new();
         let k = key(1);
         store.add_provider(record(k, 1, SimTime::ZERO));
-        // Refresh at 12 h: the t=0 deadline (24 h) becomes stale.
+        // Refresh at 12 h: the queued 24 h deadline now falls early.
         store.add_provider(record(k, 1, SimTime::ZERO + PROVIDER_REPUBLISH));
-        // At 30 h the stale deadline has popped but the live record (fresh
-        // until 36 h) must survive.
-        assert_eq!(store.expire(SimTime::ZERO + SimDuration::from_hours(30)), 0);
+        // At 30 h that deadline has popped but the live record (fresh
+        // until 36 h) must survive, its deadline re-armed.
+        assert_eq!(store.expire(hours(30)), 0);
         assert_eq!(store.provider_entry_count(), 1);
-        // At 37 h the refreshed deadline is due too.
-        assert_eq!(store.expire(SimTime::ZERO + SimDuration::from_hours(37)), 1);
+        assert_eq!(store.deadlines.len(), 1);
+        // At 37 h the re-armed deadline is due.
+        assert_eq!(store.expire(hours(37)), 1);
         assert_eq!(store.provider_entry_count(), 0);
     }
 
     #[test]
     fn proptest_expire_matches_scan_oracle() {
         use proptest::prelude::*;
-        // One step: (op, key, provider, hour, minute); op 4 expires, the
-        // rest add, and every step reads each key back. Few keys and
-        // providers so refreshes and several providers per key are common;
-        // times are unordered across steps, so `received_at` is back-dated
-        // as often as it is days ahead of the last `expire`.
+        // Every (provider, address set) a step can name, as shared handles:
+        // repeated steps pass the same `Arc`, changed addresses another.
+        let infos: Vec<Vec<Arc<PeerInfo>>> = (0..5u64)
+            .map(|p| {
+                let sets = [vec![], vec![addr(1)], vec![addr(2), addr(3)]];
+                sets.into_iter().map(|addrs| Arc::new(PeerInfo::new(peer(p), addrs))).collect()
+            })
+            .collect();
+        // One step: (op, key, provider, address set, hour, minute); op 4
+        // expires, 0–1 add by value, 2–3 add by shared handle, and every
+        // step reads each key back. Few keys and providers so refreshes,
+        // several providers per key, address changes and providers whose
+        // last record expired (their slab index freed, then reused) are
+        // all common; times are unordered across steps, so `received_at`
+        // is back-dated as often as it is days ahead of the last `expire`.
         proptest!(ProptestConfig::with_cases(64), |(
             expiry_hours in 1u64..48,
             steps in proptest::collection::vec(
-                (0u8..5, 0u64..12, 1u64..5, 0u64..120, 0u64..60),
+                (0u8..5, 0u64..12, 1usize..5, 0usize..3, 0u64..120, 0u64..60),
                 1..200,
             ),
         )| {
             let expiry = SimDuration::from_hours(expiry_hours);
             let mut store = RecordStore::with_expiry(expiry);
-            let mut oracle = RecordStore::with_expiry(expiry);
-            for (op, k, provider, hour, minute) in steps {
+            let mut oracle =
+                Oracle { rows: Vec::new(), addrs: HashMap::new(), expiry, stored: 0 };
+            let mut slab_high_water = 0;
+            for (op, k, provider, addr_set, hour, minute) in steps {
                 let t = SimTime::ZERO + SimDuration::from_secs(hour * 3600 + minute * 60);
-                if op == 4 {
-                    prop_assert_eq!(store.expire(t), oracle.expire_scan(t));
-                } else {
-                    let r = record(key(k), provider, t);
-                    store.add_provider(r.clone());
-                    oracle.add_provider(r);
+                let info = &infos[provider][addr_set];
+                let r = ProviderRecord {
+                    key: key(k),
+                    provider: info.peer.clone(),
+                    addrs: info.addrs.clone(),
+                    received_at: t,
+                };
+                match op {
+                    4 => prop_assert_eq!(store.expire(t), oracle.expire(t)),
+                    0 | 1 => {
+                        store.add_provider(r.clone());
+                        oracle.add(r);
+                    }
+                    _ => {
+                        store.add_provider_shared(key(k), info, t);
+                        oracle.add(r);
+                    }
                 }
-                prop_assert_eq!(store.provider_entry_count(), oracle.provider_entry_count());
-                prop_assert_eq!(store.stored_provider_records, oracle.stored_provider_records);
+                prop_assert_eq!(store.provider_entry_count(), oracle.rows.len());
+                prop_assert_eq!(store.stored_provider_records, oracle.stored);
                 for k in 0..12 {
-                    prop_assert_eq!(store.providers(&key(k), t), oracle.providers(&key(k), t));
+                    let expected: Vec<_> = oracle.providers(key(k), t).collect();
+                    prop_assert_eq!(store.has_provider(&key(k), t), !expected.is_empty());
+                    prop_assert_eq!(store.providers(&key(k), t), expected);
                 }
+                // Interned providers are exactly the resident ones, and
+                // freed slab slots are reused before the slab grows.
+                prop_assert_eq!(store.interned.index.len(), oracle.distinct_providers());
+                let occupied = store.interned.slab.iter().flatten().count();
+                prop_assert_eq!(occupied, store.interned.index.len());
+                prop_assert_eq!(store.interned.free.len(), store.interned.slab.len() - occupied);
+                slab_high_water = slab_high_water.max(occupied);
+                prop_assert_eq!(store.interned.slab.len(), slab_high_water);
             }
         });
     }
@@ -403,10 +708,9 @@ mod tests {
         for n in 0..50u64 {
             store.add_provider(record(key(n), n, SimTime::ZERO));
         }
-        let t25 = SimTime::ZERO + SimDuration::from_hours(25);
-        assert_eq!(store.expire(t25), 50);
-        assert_eq!(store.expire(t25), 0); // second call at same time: no-op
-        assert_eq!(store.expire(t25 + SimDuration::from_hours(100)), 0);
+        assert_eq!(store.expire(hours(25)), 50);
+        assert_eq!(store.expire(hours(25)), 0); // second call at same time: no-op
+        assert_eq!(store.expire(hours(125)), 0);
     }
 
     #[test]
@@ -414,11 +718,128 @@ mod tests {
         let mut store = RecordStore::new();
         // Received 100 h ahead of anything the store has seen: the deadline
         // heap has no horizon, so it is an entry like any other.
-        let at = SimTime::ZERO + SimDuration::from_hours(100);
-        store.add_provider(record(key(1), 1, at));
-        assert_eq!(store.expire(at + SimDuration::from_hours(23)), 0);
-        assert_eq!(store.expire(at + SimDuration::from_hours(25)), 1);
+        store.add_provider(record(key(1), 1, hours(100)));
+        assert_eq!(store.expire(hours(123)), 0);
+        assert_eq!(store.expire(hours(125)), 1);
         assert_eq!(store.provider_entry_count(), 0);
+    }
+
+    #[test]
+    fn refresh_queues_no_deadline() {
+        let mut store = RecordStore::new();
+        let providers: Vec<Arc<PeerInfo>> =
+            (0..4).map(|p| Arc::new(PeerInfo::new(peer(p), vec![addr(1)]))).collect();
+        for round in 0..=10u64 {
+            for n in 0..1_000u64 {
+                store.add_provider_shared(key(n), &providers[n as usize % 4], hours(round));
+            }
+        }
+        assert_eq!(store.provider_entry_count(), 1_000);
+        assert_eq!(store.deadlines.len(), 1_000, "ten forward refreshes queued nothing");
+        // Popping the first-store deadlines re-arms them one for one.
+        assert_eq!(store.expire(hours(30)), 0);
+        assert_eq!(store.deadlines.len(), 1_000);
+        assert_eq!(store.expire(hours(34)), 1_000);
+        assert!(store.deadlines.is_empty());
+    }
+
+    #[test]
+    fn backdated_refresh_expires_on_time() {
+        let mut store = RecordStore::new();
+        let k = key(1);
+        store.add_provider(record(k, 1, hours(10)));
+        // Back-dated to 2 h: the record now expires at 26 h, before the
+        // queued 34 h deadline, so the refresh queues its own.
+        store.add_provider(record(k, 1, hours(2)));
+        assert_eq!(store.deadlines.len(), 2);
+        assert_eq!(store.expire(hours(25)), 0);
+        assert_eq!(store.expire(hours(26)), 1);
+        assert_eq!(store.provider_entry_count(), 0);
+    }
+
+    #[test]
+    fn stale_deadline_on_reused_index_is_harmless() {
+        let mut store = RecordStore::new();
+        let k = key(1);
+        // Provider 1 leaves a stale 34 h deadline behind (see above).
+        store.add_provider(record(k, 1, hours(10)));
+        store.add_provider(record(k, 1, hours(2)));
+        assert_eq!(store.expire(hours(26)), 1);
+        // Provider 2 takes over the freed slab index under the same key.
+        store.add_provider(record(k, 2, hours(27)));
+        assert_eq!(store.interned.slab.len(), 1);
+        // The stale deadline pops onto provider 2's live record: kept.
+        assert_eq!(store.expire(hours(35)), 0);
+        assert_eq!(store.providers(&k, hours(35))[0].provider, peer(2));
+        // And provider 2 expires by its own clock.
+        assert_eq!(store.expire(hours(50)), 0);
+        assert_eq!(store.expire(hours(51)), 1);
+        assert_eq!(store.expire(hours(500)), 0);
+    }
+
+    #[test]
+    fn interning_releases_on_expiry() {
+        let mut store = RecordStore::new();
+        for n in 0..200u64 {
+            store.add_provider(record(key(n), n % 8, hours(n % 5)));
+            store.add_provider(record(key(n), 8 + n % 3, hours(n % 7)));
+        }
+        assert_eq!(store.interned.index.len(), 11);
+        assert_eq!(store.expire(hours(40)), 400);
+        assert!(store.providers.is_empty());
+        assert!(store.interned.index.is_empty());
+        assert!(store.interned.slab.iter().all(Option::is_none));
+        assert_eq!(store.interned.free.len(), store.interned.slab.len());
+        assert!(store.deadlines.is_empty());
+    }
+
+    #[test]
+    fn latest_addresses_win() {
+        let mut store = RecordStore::new();
+        let old = Arc::new(PeerInfo::new(peer(1), vec![addr(1)]));
+        store.add_provider_shared(key(1), &old, SimTime::ZERO);
+        store.add_provider_shared(key(2), &old, SimTime::ZERO);
+        store.add_provider(record(key(2), 2, SimTime::ZERO));
+        // A refresh of one key carries the provider's new addresses.
+        let new = Arc::new(PeerInfo::new(peer(1), vec![addr(2)]));
+        store.add_provider_shared(key(2), &new, hours(1));
+        // Every record of that provider now reports them; the other
+        // provider's, and the order under key 2, are untouched.
+        assert_eq!(store.providers(&key(1), hours(1))[0].addrs, vec![addr(2)]);
+        let under_2 = store.providers(&key(2), hours(1));
+        assert_eq!(under_2[0].provider, peer(1));
+        assert_eq!(under_2[0].addrs, vec![addr(2)]);
+        assert_eq!(under_2[1].provider, peer(2));
+        assert!(under_2[1].addrs.is_empty());
+        assert_eq!(Arc::strong_count(&old), 1, "the superseded handle was dropped");
+        // The by-value path obeys the same rule.
+        let mut by_value = record(key(1), 1, hours(2));
+        by_value.addrs = vec![addr(3)];
+        store.add_provider(by_value);
+        assert_eq!(store.providers(&key(2), hours(2))[0].addrs, vec![addr(3)]);
+    }
+
+    /// The layout budget: what keeps the store from growing fat again,
+    /// with no wall-clock or RSS gate.
+    #[test]
+    fn layout_budget() {
+        assert_eq!(std::mem::size_of::<Deadline>(), 48);
+        assert!(std::mem::size_of::<Stored>() <= 16);
+        assert!(std::mem::size_of::<(Key, Slot)>() <= 64);
+        let mut store = RecordStore::new();
+        let providers: Vec<Arc<PeerInfo>> =
+            (0..4).map(|p| Arc::new(PeerInfo::new(peer(p), vec![addr(1), addr(2)]))).collect();
+        for round in 0..=4u64 {
+            for n in 0..10_000u64 {
+                store.add_provider_shared(key(n), &providers[n as usize % 4], hours(round));
+            }
+        }
+        assert_eq!(store.provider_entry_count(), 10_000);
+        assert!(
+            store.bytes_estimate() / 10_000 <= 200,
+            "{} B/record",
+            store.bytes_estimate() / 10_000
+        );
     }
 
     #[test]
@@ -430,7 +851,7 @@ mod tests {
         }
         let full = store.bytes_estimate();
         assert!(full > empty);
-        store.expire(SimTime::ZERO + SimDuration::from_hours(25));
-        assert!(store.bytes_estimate() < full);
+        store.expire(hours(25));
+        assert_eq!(store.bytes_estimate(), empty);
     }
 }
