@@ -11,26 +11,32 @@
 //! large populations. Eviction order is unchanged from the stamp-based
 //! original: stamps are unique and monotonic, so the oldest live record is
 //! exactly the minimum-stamp entry.
+//!
+//! A slot holds the shared `Arc<PeerInfo>` a DHT response carried, indexed
+//! by the peer's cached DHT key, so remembering a peer the book already
+//! knows is a key probe and a pointer compare: no `PeerId` is hashed,
+//! compared or cloned.
 
+use kademlia::{Key, PeerInfo};
 use multiformats::{Multiaddr, PeerId};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// One slab slot. `stamp == 0` marks a dead slot (never a live stamp: the
 /// clock starts at 1), so stale recency records can never resurrect a
-/// removed or recycled entry.
+/// removed or recycled entry; a dead slot holds no `info`.
 #[derive(Debug, Clone)]
 struct Slot {
-    peer: PeerId,
+    info: Option<Arc<PeerInfo>>,
     stamp: u64,
-    addrs: Vec<Multiaddr>,
 }
 
 /// A bounded LRU map from PeerID to known addresses.
 #[derive(Debug, Clone)]
 pub struct AddressBook {
     capacity: usize,
-    /// Peer → slab slot of its live entry.
-    index: HashMap<PeerId, u32>,
+    /// Peer DHT key → slab slot of its live entry.
+    index: HashMap<Key, u32>,
     /// Slab of entries; dead slots are recycled through `free`.
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -61,42 +67,57 @@ impl AddressBook {
         }
     }
 
-    /// Records addresses for a peer (refreshes recency). Clones only when
-    /// the peer is new or its addresses actually changed — re-announcing
-    /// the same addresses is the common case on the DHT walk hot path.
+    /// Records addresses for a peer (refreshes recency). Allocates only
+    /// when the peer is new or its addresses actually changed.
     pub fn insert(&mut self, peer: &PeerId, addrs: &[Multiaddr]) {
-        if addrs.is_empty() {
-            return;
+        if !addrs.is_empty() {
+            self.put(Key::from_peer(peer), addrs, || {
+                Arc::new(PeerInfo::new(peer.clone(), addrs.to_vec()))
+            });
         }
+    }
+
+    /// Records a shared peer info (refreshes recency) — the DHT walk hot
+    /// path, where responses carry the same `Arc`s the routing tables
+    /// hold. The book keeps `info` itself, so an unchanged peer costs no
+    /// clone; a peer whose addresses changed swaps in the new handle.
+    pub fn insert_info(&mut self, info: &Arc<PeerInfo>) {
+        if !info.addrs.is_empty() {
+            self.put(info.key(), &info.addrs, || Arc::clone(info));
+        }
+    }
+
+    /// Upserts the entry for `key`; `make` builds the stored info when the
+    /// peer is new or `addrs` differ from the stored ones.
+    fn put(&mut self, key: Key, addrs: &[Multiaddr], make: impl FnOnce() -> Arc<PeerInfo>) {
         self.clock += 1;
         let clock = self.clock;
-        let slot = if let Some(&slot) = self.index.get(peer) {
+        let slot = if let Some(&slot) = self.index.get(&key) {
             let entry = &mut self.slots[slot as usize];
             entry.stamp = clock;
-            if entry.addrs.as_slice() != addrs {
-                entry.addrs = addrs.to_vec();
+            let stored = entry.info.as_mut().expect("indexed slots are live");
+            // The same `Arc` passes the very slice it stores: skip the
+            // element-wise compare.
+            if !std::ptr::eq(stored.addrs.as_slice(), addrs) && stored.addrs != addrs {
+                *stored = make();
             }
             slot
         } else {
             if self.index.len() >= self.capacity {
                 self.evict_oldest();
             }
+            let entry = Slot { info: Some(make()), stamp: clock };
             let slot = match self.free.pop() {
                 Some(slot) => {
-                    self.slots[slot as usize] =
-                        Slot { peer: peer.clone(), stamp: clock, addrs: addrs.to_vec() };
+                    self.slots[slot as usize] = entry;
                     slot
                 }
                 None => {
-                    self.slots.push(Slot {
-                        peer: peer.clone(),
-                        stamp: clock,
-                        addrs: addrs.to_vec(),
-                    });
+                    self.slots.push(entry);
                     (self.slots.len() - 1) as u32
                 }
             };
-            self.index.insert(peer.clone(), slot);
+            self.index.insert(key, slot);
             slot
         };
         self.touch(clock, slot);
@@ -107,12 +128,12 @@ impl AddressBook {
     pub fn lookup(&mut self, peer: &PeerId) -> Option<Vec<Multiaddr>> {
         self.clock += 1;
         let clock = self.clock;
-        match self.index.get(peer) {
+        match self.index.get(&Key::from_peer(peer)) {
             Some(&slot) => {
                 let entry = &mut self.slots[slot as usize];
                 entry.stamp = clock;
                 self.hits += 1;
-                let addrs = entry.addrs.clone();
+                let addrs = entry.info.as_ref().expect("indexed slots are live").addrs.clone();
                 self.touch(clock, slot);
                 Some(addrs)
             }
@@ -125,13 +146,13 @@ impl AddressBook {
 
     /// Non-mutating presence check (no statistics, no recency bump).
     pub fn contains(&self, peer: &PeerId) -> bool {
-        self.index.contains_key(peer)
+        self.index.contains_key(&Key::from_peer(peer))
     }
 
     /// Drops a peer (e.g. its addresses proved stale). Its queue records
     /// become orphans that eviction skips; the slot is recycled.
     pub fn remove(&mut self, peer: &PeerId) {
-        if let Some(slot) = self.index.remove(peer) {
+        if let Some(slot) = self.index.remove(&Key::from_peer(peer)) {
             self.release(slot);
         }
     }
@@ -147,21 +168,15 @@ impl AddressBook {
     }
 
     /// Logical bytes held (length-based, allocation-independent): index
-    /// entry + slab slot + peer-multihash heap per live peer, a fixed
-    /// per-address estimate for stored multiaddrs, and the recency queue
-    /// at 12 bytes per record.
+    /// entry + slab slot per live peer and the recency queue at 12 bytes
+    /// per record. The `PeerInfo` a slot points at is shared with the
+    /// routing tables and responses that produced it, so the book does not
+    /// charge it.
     pub fn bytes_estimate(&self) -> u64 {
-        /// Estimated heap bytes per stored [`Multiaddr`] (a short protocol
-        /// component vector, e.g. `/ip4/../tcp/..`).
-        const ADDR_BYTES: usize = 48;
-        let mut total = std::mem::size_of::<AddressBook>();
-        total += self.recency.len() * std::mem::size_of::<(u64, u32)>();
-        for &slot in self.index.values() {
-            let entry = &self.slots[slot as usize];
-            total += std::mem::size_of::<(PeerId, u32)>() + std::mem::size_of::<Slot>();
-            total += entry.peer.as_multihash().digest().len();
-            total += entry.addrs.len() * ADDR_BYTES;
-        }
+        let entry = std::mem::size_of::<(Key, u32)>() + std::mem::size_of::<Slot>();
+        let total = std::mem::size_of::<AddressBook>()
+            + self.recency.len() * std::mem::size_of::<(u64, u32)>()
+            + self.index.len() * entry;
         total as u64
     }
 
@@ -180,20 +195,17 @@ impl AddressBook {
     fn evict_oldest(&mut self) {
         while let Some((stamp, slot)) = self.recency.pop_front() {
             if self.slots[slot as usize].stamp == stamp {
-                let peer = self.slots[slot as usize].peer.clone();
-                self.index.remove(&peer);
+                let info = self.slots[slot as usize].info.as_ref().expect("live slot");
+                self.index.remove(&info.key());
                 self.release(slot);
                 return;
             }
         }
     }
 
-    /// Marks a slot dead and recycles it. Shrinks the address list so a
-    /// dead slot holds no heap memory beyond the (reused) peer id.
+    /// Marks a slot dead, drops its info handle and recycles the slot.
     fn release(&mut self, slot: u32) {
-        let entry = &mut self.slots[slot as usize];
-        entry.stamp = 0;
-        entry.addrs = Vec::new();
+        self.slots[slot as usize] = Slot { info: None, stamp: 0 };
         self.free.push(slot);
     }
 }
@@ -345,5 +357,92 @@ mod tests {
         let two = book.bytes_estimate();
         book.remove(&peer(2));
         assert!(book.bytes_estimate() < two);
+    }
+
+    #[test]
+    fn insert_info_reannounce_writes_no_refcount() {
+        let mut book = AddressBook::new(4);
+        let info = Arc::new(PeerInfo::new(peer(1), addr(1)));
+        book.insert_info(&info);
+        assert_eq!(Arc::strong_count(&info), 2, "the book holds one handle");
+        book.insert_info(&info);
+        assert_eq!(Arc::strong_count(&info), 2, "same Arc: no clone, no swap");
+        // A different Arc with the same addresses keeps the stored one.
+        let twin = Arc::new(PeerInfo::new(peer(1), addr(1)));
+        book.insert_info(&twin);
+        assert_eq!((Arc::strong_count(&info), Arc::strong_count(&twin)), (2, 1));
+        // A different Arc with new addresses replaces it.
+        let moved = Arc::new(PeerInfo::new(peer(1), addr(2)));
+        book.insert_info(&moved);
+        assert_eq!((Arc::strong_count(&info), Arc::strong_count(&moved)), (1, 2));
+        assert_eq!(book.lookup(&peer(1)), Some(addr(2)));
+        assert_eq!(book.len(), 1);
+        // Removal drops the book's handle.
+        book.remove(&peer(1));
+        assert_eq!(Arc::strong_count(&moved), 1);
+    }
+
+    /// The book against a `PeerId`-keyed model: a recency-ordered list,
+    /// least recently used first, that evicts its head at capacity.
+    #[test]
+    fn proptest_matches_peer_keyed_model() {
+        use proptest::prelude::*;
+        const PEERS: u64 = 12;
+        let infos: Vec<Vec<Arc<PeerInfo>>> = (0..PEERS)
+            .map(|p| (0..3u16).map(|a| Arc::new(PeerInfo::new(peer(p), addr(a)))).collect())
+            .collect();
+        proptest!(ProptestConfig::with_cases(96), |(
+            capacity in 1usize..6,
+            ops in proptest::collection::vec((0u8..5, 0u64..PEERS, 0u16..4), 1..200),
+        )| {
+            let mut book = AddressBook::new(capacity);
+            let mut model: Vec<(PeerId, Vec<Multiaddr>)> = Vec::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for (op, p, a) in ops {
+                let id = peer(p);
+                let pos = model.iter().position(|(q, _)| *q == id);
+                // Address variant 3 is the empty list, which is ignored.
+                let addrs = if a == 3 { vec![] } else { addr(a) };
+                match op {
+                    0 | 1 if !addrs.is_empty() => {
+                        if op == 0 {
+                            book.insert(&id, &addrs);
+                        } else {
+                            book.insert_info(&infos[p as usize][a as usize]);
+                        }
+                        if let Some(i) = pos {
+                            model.remove(i);
+                        } else if model.len() >= capacity {
+                            model.remove(0);
+                        }
+                        model.push((id, addrs));
+                    }
+                    0 => book.insert(&id, &addrs),
+                    1 => book.insert_info(&Arc::new(PeerInfo::new(id, addrs))),
+                    2 | 3 => {
+                        let expected = pos.map(|i| {
+                            let entry = model.remove(i);
+                            let addrs = entry.1.clone();
+                            model.push(entry);
+                            addrs
+                        });
+                        if expected.is_some() { hits += 1 } else { misses += 1 }
+                        prop_assert_eq!(book.lookup(&id), expected);
+                    }
+                    _ => {
+                        book.remove(&id);
+                        if let Some(i) = pos {
+                            model.remove(i);
+                        }
+                    }
+                }
+                prop_assert_eq!(book.len(), model.len());
+                prop_assert_eq!((book.hits, book.misses), (hits, misses));
+                for q in 0..PEERS {
+                    let id = peer(q);
+                    prop_assert_eq!(book.contains(&id), model.iter().any(|(m, _)| *m == id));
+                }
+            }
+        });
     }
 }

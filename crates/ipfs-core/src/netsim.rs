@@ -199,7 +199,6 @@ struct SimNode {
     node: IpfsNode,
     region: Region,
     bandwidth: BandwidthClass,
-    online: bool,
     is_server: bool,
     /// Warm connections, indexed for O(log n) LRU pruning and O(expired)
     /// idle expiry.
@@ -240,9 +239,11 @@ enum NetEvent {
     /// context so the server's handler span joins the requester's trace.
     RpcArrive { from: NodeId, to: NodeId, query: QueryId, request: Box<Request>, ctx: TraceCtx },
     /// A DHT response arrives back at the requester.
-    RpcResponse { to: NodeId, query: QueryId, from_peer: PeerId, response: Box<Response> },
+    /// Carries the responder's shared identity (a refcount bump, not a
+    /// multihash copy).
+    RpcResponse { to: NodeId, query: QueryId, from: Arc<PeerInfo>, response: Box<Response> },
     /// A query RPC failed (dial timeout / no response within deadline).
-    RpcFail { node: NodeId, query: QueryId, peer: PeerId },
+    RpcFail { node: NodeId, query: QueryId, peer: Arc<PeerInfo> },
     /// A fire-and-forget ADD_PROVIDER arrives at its target (§3.1).
     ProviderStoreArrive { from: NodeId, to: NodeId, key: Key, provider: Arc<PeerInfo> },
     /// One item of a publish RPC batch settled at the publisher.
@@ -435,6 +436,8 @@ struct HotMetrics {
     conn_idle_expired: CounterHandle,
     conn_prunes: CounterHandle,
     provider_records_stored: CounterHandle,
+    churn_online: CounterHandle,
+    churn_offline: CounterHandle,
     dht_walk_rpcs: HistogramHandle,
     /// Blocks received and verified by client sessions.
     session_blocks_received: CounterHandle,
@@ -500,6 +503,8 @@ impl HotMetrics {
             conn_idle_expired: c(m, names::CONN_IDLE_EXPIRED),
             conn_prunes: c(m, names::CONN_PRUNES),
             provider_records_stored: c(m, names::PROVIDER_RECORDS_STORED),
+            churn_online: c(m, names::CHURN_ONLINE),
+            churn_offline: c(m, names::CHURN_OFFLINE),
             dht_walk_rpcs: m.histogram_handle(names::DHT_WALK_RPCS),
             session_blocks_received: c(m, names::BITSWAP_SESSION_BLOCKS_RECEIVED),
             session_dup_blocks: c(m, names::BITSWAP_SESSION_DUP_BLOCKS),
@@ -519,19 +524,25 @@ pub struct IpfsNetwork {
     rng: StdRng,
     cfg: NetworkConfig,
     nodes: Vec<SimNode>,
+    /// Liveness by node id, the single source of truth. Dense and apart
+    /// from [`SimNode`], so the join announcement's neighbourhood filter
+    /// and every dial read one byte per node instead of a node record.
+    online: Vec<bool>,
     peer_index: HashMap<PeerId, NodeId>,
     ops: HashMap<OpId, OpState>,
     /// Which operation owns each outstanding query.
     query_owner: HashMap<(NodeId, QueryId), OpId>,
     /// Which operation owns each Bitswap session.
     session_owner: HashMap<(NodeId, SessionHandle), OpId>,
-    /// Outstanding query RPCs, for stale-timeout suppression.
-    pending_rpcs: HashSet<(NodeId, QueryId, PeerId)>,
+    /// Outstanding query RPCs by (requester, query, target DHT key), for
+    /// stale-timeout suppression.
+    pending_rpcs: HashSet<(NodeId, QueryId, Key)>,
     next_op: u64,
-    /// All DHT servers sorted by key — used by the join-time announcement
-    /// (each churn-online event re-inserts the peer near its key, the
-    /// effect a real node's bootstrap self-lookup has).
-    sorted_servers: Vec<(Key, NodeId)>,
+    /// All DHT servers sorted by key, each with its shared identity (the
+    /// same `Arc` as its node's `info()`) — used by the join-time
+    /// announcement (each churn-online event re-inserts the peer near its
+    /// key, the effect a real node's bootstrap self-lookup has).
+    sorted_servers: Vec<(Key, NodeId, Arc<PeerInfo>)>,
     /// Completed publish reports (drained by experiments).
     pub publish_reports: Vec<PublishReport>,
     /// Completed retrieve reports (drained by experiments).
@@ -575,6 +586,7 @@ impl IpfsNetwork {
     ) -> IpfsNetwork {
         let rng = StdRng::seed_from_u64(seed ^ 0x6e65_7473_696d_2121);
         let mut nodes = Vec::with_capacity(pop.peers.len() + vantages.len());
+        let mut online = Vec::with_capacity(nodes.capacity());
         let mut peer_index = HashMap::new();
         let mut queue = EventQueue::new();
 
@@ -594,7 +606,6 @@ impl IpfsNetwork {
                 node,
                 region: p.host.region,
                 bandwidth: p.bandwidth,
-                online: p.schedule.online_at(SimTime::ZERO),
                 is_server: !p.nat,
                 connections: ConnSet::new(),
                 refresh_timer: None,
@@ -603,6 +614,7 @@ impl IpfsNetwork {
                 sweep_deferred: false,
                 uplink_free_at: SimTime::ZERO,
             });
+            online.push(p.schedule.online_at(SimTime::ZERO));
         }
 
         // Hydra boosters: many always-online heads, before the vantage
@@ -617,7 +629,6 @@ impl IpfsNetwork {
                 node,
                 region: Region::NorthAmericaEast,
                 bandwidth: BandwidthClass::Datacenter,
-                online: true,
                 is_server: true,
                 connections: ConnSet::new(),
                 refresh_timer: None,
@@ -626,6 +637,7 @@ impl IpfsNetwork {
                 sweep_deferred: false,
                 uplink_free_at: SimTime::ZERO,
             });
+            online.push(true);
         }
 
         for (i, vp) in vantages.iter().enumerate() {
@@ -637,7 +649,6 @@ impl IpfsNetwork {
                 node,
                 region: vp.region(),
                 bandwidth: BandwidthClass::Datacenter,
-                online: true,
                 is_server: true,
                 connections: ConnSet::new(),
                 refresh_timer: None,
@@ -646,6 +657,7 @@ impl IpfsNetwork {
                 sweep_deferred: false,
                 uplink_free_at: SimTime::ZERO,
             });
+            online.push(true);
         }
 
         // Periodic table refresh, staggered per node to avoid a thundering
@@ -655,7 +667,7 @@ impl IpfsNetwork {
         // scheduler.
         if let Some(interval) = cfg.table_refresh_interval {
             for (id, node) in nodes.iter_mut().enumerate() {
-                if !node.online {
+                if !online[id] {
                     continue;
                 }
                 let stagger = SimDuration::from_nanos(interval.as_nanos() * (id as u64 % 64) / 64);
@@ -674,6 +686,7 @@ impl IpfsNetwork {
             rng,
             cfg,
             nodes,
+            online,
             peer_index,
             ops: HashMap::new(),
             query_owner: HashMap::new(),
@@ -719,7 +732,7 @@ impl IpfsNetwork {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| (n.is_server || include_clients) && n.online)
+            .filter(|&(i, n)| (n.is_server || include_clients) && self.online[i])
             .map(|(i, n)| (n.node.info().key(), i))
             .collect();
         servers.sort_by_key(|a| a.0 .0);
@@ -756,12 +769,12 @@ impl IpfsNetwork {
 
         // Persist the full server list (independent of t=0 online status)
         // for join-time announcements during the run.
-        let mut all_servers: Vec<(Key, NodeId)> = self
+        let mut all_servers: Vec<(Key, NodeId, Arc<PeerInfo>)> = self
             .nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| n.is_server)
-            .map(|(i, n)| (n.node.info().key(), i))
+            .map(|(i, n)| (n.node.info().key(), i, Arc::clone(n.node.info())))
             .collect();
         all_servers.sort_by_key(|a| a.0 .0);
         self.sorted_servers = all_servers;
@@ -823,12 +836,12 @@ impl IpfsNetwork {
 
     /// Whether a node is currently dialable (online DHT server).
     pub fn is_dialable(&self, id: NodeId) -> bool {
-        self.nodes[id].online && self.nodes[id].is_server
+        self.online[id] && self.nodes[id].is_server
     }
 
     /// Whether a node is currently online (regardless of NAT status).
     pub fn is_online(&self, id: NodeId) -> bool {
-        self.nodes[id].online
+        self.online[id]
     }
 
     /// All k-bucket entries of a node (crawler support, §4.1).
@@ -1047,7 +1060,10 @@ impl IpfsNetwork {
     pub fn provider_record_available(&self, cid: &Cid) -> bool {
         let key = Key::from_cid(cid);
         let now = self.now();
-        self.nodes.iter().any(|n| n.online && n.node.dht.store().has_provider(&key, now))
+        self.nodes
+            .iter()
+            .zip(&self.online)
+            .any(|(n, &online)| online && n.node.dht.store().has_provider(&key, now))
     }
 
     /// Total provider-record entries across every node's store (expired
@@ -1118,27 +1134,36 @@ impl IpfsNetwork {
             return;
         }
         let near = self.cfg.bootstrap_near_peers.max(1);
-        let own_region = self.nodes[id].region;
-        let info = self.nodes[id].node.info().clone();
+        let info = Arc::clone(self.nodes[id].node.info());
         let own_key = info.key(); // cached SHA-256 of the PeerID
-        let pos = self.sorted_servers.partition_point(|(k, _)| k.0 < own_key.0);
+        let pos = self.sorted_servers.partition_point(|(k, ..)| k.0 < own_key.0);
         let window = 3 * near;
         let lo = pos.saturating_sub(window);
         let hi = (pos + window).min(self.sorted_servers.len());
         // The self-lookup this models is ordinary DHT traffic: it cannot
         // cross an active partition, so neither may the oracle shortcut.
+        // Regions are read only while a fault is active: a fault-free
+        // filter touches the dense liveness vector alone.
+        let faulty = self.faults.has_active_faults();
+        let own_region = self.nodes[id].region;
         let reachable = |net: &Self, sid: NodeId| {
-            net.nodes[sid].online && !net.faults.blocked(own_region, net.nodes[sid].region)
+            net.online[sid] && !(faulty && net.faults.blocked(own_region, net.nodes[sid].region))
         };
         // Both halves of the announcement see the same neighbourhood — the
         // `near` reachable servers closest to the joiner's key — so compute
-        // the candidate list once. Distances are unique (SHA-256 keys), so
-        // select-then-sort matches a full stable sort's first `near`.
-        let mut nearby: Vec<(kademlia::Distance, NodeId)> = self.sorted_servers[lo..hi]
-            .iter()
-            .filter(|(_, sid)| *sid != id && reachable(self, *sid))
-            .map(|(k, sid)| (k.distance(&own_key), *sid))
-            .collect();
+        // the candidate list once, as (distance, index into
+        // `sorted_servers`). Distances are unique (SHA-256 keys), so the
+        // index never breaks a tie and select-then-sort matches a full
+        // stable sort's first `near`.
+        let mut nearby: Vec<(kademlia::Distance, usize)> = Vec::with_capacity(hi - lo);
+        nearby.extend(
+            (lo..hi)
+                .filter(|&j| {
+                    let sid = self.sorted_servers[j].1;
+                    sid != id && reachable(self, sid)
+                })
+                .map(|j| (self.sorted_servers[j].0.distance(&own_key), j)),
+        );
         if nearby.len() > near {
             nearby.select_nth_unstable(near - 1);
             nearby.truncate(near);
@@ -1146,21 +1171,23 @@ impl IpfsNetwork {
         nearby.sort_unstable();
         // (a) Insert self into nearby online servers' tables.
         if self.nodes[id].is_server {
-            for &(_, host) in &nearby {
-                self.nodes[host].node.dht.add_peer(info.clone(), true);
+            for &(_, j) in &nearby {
+                let host = self.sorted_servers[j].1;
+                self.nodes[host].node.dht.add_server(own_key, &info);
             }
         }
         // (b) Refresh own table: nearby + random online servers.
-        let mut to_add: Vec<NodeId> = nearby.into_iter().map(|(_, sid)| sid).collect();
+        let mut to_add: Vec<usize> = nearby.into_iter().map(|(_, j)| j).collect();
         for _ in 0..self.cfg.bootstrap_random_peers / 3 {
-            let (_, sid) = self.sorted_servers[self.rng.random_range(0..self.sorted_servers.len())];
+            let j = self.rng.random_range(0..self.sorted_servers.len());
+            let sid = self.sorted_servers[j].1;
             if sid != id && reachable(self, sid) {
-                to_add.push(sid);
+                to_add.push(j);
             }
         }
-        for sid in to_add {
-            let peer_info = self.nodes[sid].node.info().clone();
-            self.nodes[id].node.dht.add_peer(peer_info, true);
+        for j in to_add {
+            let (key, _, peer) = &self.sorted_servers[j];
+            self.nodes[id].node.dht.add_server(*key, peer);
         }
     }
 
@@ -1179,7 +1206,7 @@ impl IpfsNetwork {
         let mut state = AutonatState::new();
         // The node is dialable iff it is not NAT'ed (its `is_server`
         // ground truth) and currently online.
-        let reachable = self.nodes[id].is_server && self.nodes[id].online;
+        let reachable = self.nodes[id].is_server && self.online[id];
         let helpers: Vec<NodeId> = (0..self.nodes.len())
             .filter(|&h| h != id && self.is_dialable(h))
             .take(probes)
@@ -1371,7 +1398,7 @@ impl IpfsNetwork {
     /// reprovides (§3.1's 12 h cycle).
     fn run_reprovide_sweep(&mut self, id: NodeId) {
         self.nodes[id].sweep_timer = None;
-        if !self.nodes[id].online {
+        if !self.online[id] {
             // Raced with a churn-offline between scheduling and dispatch:
             // park the sweep; rejoin runs it immediately.
             self.nodes[id].sweep_deferred = true;
@@ -1626,8 +1653,7 @@ impl IpfsNetwork {
     /// population peers and schedules their restarts through the normal
     /// churn path (so recovery runs the join-time announcement).
     fn crash_wave(&mut self, now: SimTime, fraction: f64, restart_after: SimDuration) {
-        let mut online: Vec<NodeId> =
-            (0..self.crashable).filter(|&i| self.nodes[i].online).collect();
+        let mut online: Vec<NodeId> = (0..self.crashable).filter(|&i| self.online[i]).collect();
         let count = ((online.len() as f64) * fraction).round() as usize;
         let count = count.min(online.len());
         // Partial Fisher–Yates: the first `count` slots become the victims.
@@ -1646,7 +1672,7 @@ impl IpfsNetwork {
     /// dying mid-DAG). No randomness: the scenario picked its victims.
     fn crash_nodes(&mut self, now: SimTime, ids: &[usize], restart_after: SimDuration) {
         for &id in ids {
-            if id >= self.nodes.len() || !self.nodes[id].online {
+            if id >= self.nodes.len() || !self.online[id] {
                 continue;
             }
             self.on_churn(id, false);
@@ -1697,40 +1723,42 @@ impl IpfsNetwork {
                 }
                 self.on_rpc_arrive(now, from, to, query, *request, ctx)
             }
-            NetEvent::RpcResponse { to, query, from_peer, response } => {
-                if let Some(responder) = self.resolve(&from_peer) {
-                    if self.cut_in_flight(responder, to) {
-                        return; // requester's guard timeout will fire
+            NetEvent::RpcResponse { to, query, from, response } => {
+                // Resolving the responder's node id costs a `PeerId` hash:
+                // only a partition check or the tracer needs it.
+                if self.faults.has_active_faults() {
+                    if let Some(responder) = self.resolve(&from.peer) {
+                        if self.cut_in_flight(responder, to) {
+                            return; // requester's guard timeout will fire
+                        }
                     }
                 }
-                self.pending_rpcs.remove(&(to, query, from_peer.clone()));
+                self.pending_rpcs.remove(&(to, query, from.key()));
                 self.metrics.incr_handle(self.hot.dht_rpc_ok);
                 if self.tracer.is_enabled() {
                     if let Some(&op) = self.query_owner.get(&(to, query)) {
-                        let peer = self.resolve(&from_peer).unwrap_or(usize::MAX);
+                        let peer = self.resolve(&from.peer).unwrap_or(usize::MAX);
                         self.tracer.record_with(op, now, || TraceEventKind::RpcOk { peer });
                     }
                 }
-                let outputs = self.nodes[to].node.dht.on_response(query, &from_peer, &response);
+                let outputs = self.nodes[to].node.dht.on_response(query, &from.peer, &response);
                 // Remember responder addresses (§3.2 address book).
                 for info in response.closer() {
-                    if !info.addrs.is_empty() {
-                        self.nodes[to].node.addr_book.insert(&info.peer, &info.addrs);
-                    }
+                    self.nodes[to].node.addr_book.insert_info(info);
                 }
                 self.process_dht_outputs(to, outputs);
             }
             NetEvent::RpcFail { node, query, peer } => {
-                if self.pending_rpcs.remove(&(node, query, peer.clone())) {
+                if self.pending_rpcs.remove(&(node, query, peer.key())) {
                     self.metrics.incr_handle(self.hot.dht_rpc_failed);
                     if self.tracer.is_enabled() {
                         if let Some(&op) = self.query_owner.get(&(node, query)) {
-                            let p = self.resolve(&peer).unwrap_or(usize::MAX);
+                            let p = self.resolve(&peer.peer).unwrap_or(usize::MAX);
                             self.tracer
                                 .record_with(op, now, || TraceEventKind::RpcFailed { peer: p });
                         }
                     }
-                    let outputs = self.nodes[node].node.dht.on_failure(query, &peer);
+                    let outputs = self.nodes[node].node.dht.on_failure(query, &peer.peer);
                     self.process_dht_outputs(node, outputs);
                 }
             }
@@ -1738,7 +1766,7 @@ impl IpfsNetwork {
                 if self.cut_in_flight(from, to) {
                     return; // fire-and-forget: the record is simply lost
                 }
-                if self.nodes[to].online {
+                if self.online[to] {
                     let from_info = self.nodes[from].node.info().clone();
                     let from_is_server = self.nodes[from].is_server;
                     let request = Request::AddProvider { key, provider };
@@ -1754,7 +1782,7 @@ impl IpfsNetwork {
             }
             NetEvent::ProviderStoreSettled { op, ok } => self.on_provider_settled(now, op, ok),
             NetEvent::BitswapArrive { from, to, message, ctx } => {
-                if !self.nodes[to].online || self.cut_in_flight(from, to) {
+                if !self.online[to] || self.cut_in_flight(from, to) {
                     return; // dropped; guard timers handle the fallout
                 }
                 self.metrics.incr_handle(self.hot.bitswap_recv[bitswap_kind(&message)]);
@@ -1782,7 +1810,7 @@ impl IpfsNetwork {
                 self.nodes[node].provided.remove(&key);
                 if !self.nodes[node].node.store.has(&cid) {
                     // Unpinned since the timer was armed: the chain ends.
-                } else if self.nodes[node].online {
+                } else if self.online[node] {
                     self.metrics.incr(names::PROVIDER_REPUBLISHES);
                     self.publish_inner(node, cid, true);
                 } else {
@@ -1799,7 +1827,7 @@ impl IpfsNetwork {
                 if self.cut_in_flight(from, to) {
                     return; // fire-and-forget: the whole batch is lost
                 }
-                if self.nodes[to].online {
+                if self.online[to] {
                     let from_info = self.nodes[from].node.info().clone();
                     let from_is_server = self.nodes[from].is_server;
                     let request = Request::AddProviderBatch { keys: (*keys).clone(), provider };
@@ -1815,7 +1843,7 @@ impl IpfsNetwork {
             }
             NetEvent::RefreshTable { node } => {
                 self.nodes[node].refresh_timer = None;
-                if self.nodes[node].online {
+                if self.online[node] {
                     self.announce_join(node);
                     // Refresh doubles as the store's GC tick: drop provider
                     // records past the 24 h expiry (§3.1).
@@ -1835,7 +1863,7 @@ impl IpfsNetwork {
                 if self.cut_in_flight(from, to) {
                     return; // lost in flight; the publisher already settled
                 }
-                if self.nodes[to].online {
+                if self.online[to] {
                     let from_info = self.nodes[from].node.info().clone();
                     let from_is_server = self.nodes[from].is_server;
                     let request = Request::PutValue { key, value };
@@ -1924,8 +1952,12 @@ impl IpfsNetwork {
     }
 
     fn on_churn(&mut self, id: NodeId, online: bool) {
-        self.nodes[id].online = online;
-        self.metrics.incr(if online { names::CHURN_ONLINE } else { names::CHURN_OFFLINE });
+        self.online[id] = online;
+        self.metrics.incr_handle(if online {
+            self.hot.churn_online
+        } else {
+            self.hot.churn_offline
+        });
         if online {
             self.announce_join(id);
             // Restart the refresh chain the node dropped when it went
@@ -2022,7 +2054,7 @@ impl IpfsNetwork {
         request: Request,
         ctx: TraceCtx,
     ) {
-        if !self.nodes[to].online {
+        if !self.online[to] {
             return; // requester's guard timeout will fire
         }
         self.metrics.incr_handle(self.hot.rpc_recv[request_kind(&request)]);
@@ -2053,10 +2085,15 @@ impl IpfsNetwork {
             if self.degraded_loss(to, from) {
                 return; // requester's guard timeout will fire
             }
-            let from_peer = self.nodes[to].node.peer_id().clone();
+            let responder = Arc::clone(self.nodes[to].node.info());
             self.queue.schedule(
                 delay,
-                NetEvent::RpcResponse { to: from, query, from_peer, response: Box::new(response) },
+                NetEvent::RpcResponse {
+                    to: from,
+                    query,
+                    from: responder,
+                    response: Box::new(response),
+                },
             );
         }
     }
@@ -2190,7 +2227,7 @@ impl IpfsNetwork {
         to: Arc<PeerInfo>,
         request: Request,
     ) {
-        self.pending_rpcs.insert((from, query, to.peer.clone()));
+        self.pending_rpcs.insert((from, query, to.key()));
         self.metrics.incr_handle(self.hot.rpc_sent[request_kind(&request)]);
         let mut ctx = TraceCtx::NONE;
         if self.tracer.is_enabled() {
@@ -2228,7 +2265,7 @@ impl IpfsNetwork {
                 // (or the request was lost to a degraded link).
                 self.queue.schedule(
                     self.cfg.node.rpc_timeout,
-                    NetEvent::RpcFail { node: from, query, peer: to.peer.clone() },
+                    NetEvent::RpcFail { node: from, query, peer: to },
                 );
             }
             None => {
@@ -2241,10 +2278,7 @@ impl IpfsNetwork {
                             .record_with(op, now, || TraceEventKind::DialFailed { peer, class });
                     }
                 }
-                self.queue.schedule(
-                    delay,
-                    NetEvent::RpcFail { node: from, query, peer: to.peer.clone() },
-                );
+                self.queue.schedule(delay, NetEvent::RpcFail { node: from, query, peer: to });
             }
         }
     }
@@ -2510,12 +2544,12 @@ impl IpfsNetwork {
             }
             Action::Fetch { node, providers } => {
                 for provider in &providers {
-                    self.nodes[node].node.addr_book.insert(&provider.peer, &provider.addrs);
+                    self.nodes[node].node.addr_book.insert_info(provider);
                 }
                 self.start_fetch(op, node, providers);
             }
             Action::JoinFetch { node, provider } => {
-                self.nodes[node].node.addr_book.insert(&provider.peer, &provider.addrs);
+                self.nodes[node].node.addr_book.insert_info(&provider);
                 self.join_fetch(op, node, provider);
             }
             Action::RetrieveFail => self.finish_retrieve(now, op, false),
@@ -3129,7 +3163,7 @@ impl IpfsNetwork {
     fn dial(&mut self, from: NodeId, peer: &PeerId) -> Option<(NodeId, SimDuration)> {
         let target = self.resolve(peer)?;
         self.metrics.incr_handle(self.hot.dials_attempted);
-        if !self.nodes[target].online {
+        if !self.online[target] {
             return None;
         }
         if self.faults.has_active_faults() {
@@ -3259,10 +3293,10 @@ mod tests {
         let mut net = IpfsNetwork::from_population(&pop, &[], cfg, 21);
         let deadline = SimTime::ZERO + SimDuration::from_hours(3);
         net.run_until(deadline);
-        let online = net.nodes.iter().filter(|n| n.online).count();
+        let online = net.online.iter().filter(|&&on| on).count();
         assert!(online < net.nodes.len(), "test needs at least one offline node");
         for (id, node) in net.nodes.iter().enumerate() {
-            if !node.online {
+            if !net.online[id] {
                 assert!(node.refresh_timer.is_none(), "offline node {id} holds a refresh timer");
             }
         }
@@ -3419,7 +3453,8 @@ mod tests {
     /// Is a provider record for `key` held (unexpired) by any online node?
     fn record_available(net: &IpfsNetwork, key: &Key) -> bool {
         let now = net.now();
-        net.nodes.iter().any(|n| n.online && n.node.dht.store().has_provider(key, now))
+        (0..net.len())
+            .any(|i| net.online[i] && net.nodes[i].node.dht.store().has_provider(key, now))
     }
 
     mod availability_timeline {

@@ -209,14 +209,18 @@ impl DhtBehaviour {
     }
 
     /// Learns about a peer (bootstrap, identify, inbound traffic). Only
-    /// servers enter the routing table. Accepts owned or shared infos;
-    /// hot paths pass `Arc`s so no address list is copied.
+    /// servers enter the routing table, and never the local peer (its key
+    /// has no bucket). Accepts owned or shared infos; hot paths pass
+    /// `Arc`s so no address list is copied.
     pub fn add_peer(&mut self, info: impl Into<Arc<PeerInfo>>, is_server: bool) -> bool {
-        let info = info.into();
-        if !is_server || info.peer == self.local.peer {
-            return false;
-        }
-        self.routing.insert(info)
+        is_server && self.routing.insert(info)
+    }
+
+    /// Learns about a server by its key and shared handle (`key` must be
+    /// `info.key()`): the hot-path form of [`DhtBehaviour::add_peer`],
+    /// which clones the handle only when the table stores it.
+    pub fn add_server(&mut self, key: Key, info: &Arc<PeerInfo>) -> bool {
+        self.routing.insert_shared(key, info)
     }
 
     /// Forgets a peer (failed dial).
@@ -311,10 +315,11 @@ impl DhtBehaviour {
             }
             Response::Ack => query.on_response(from, &[], &[]),
         }
-        // Every responder is a live server: remember it (an `Arc` bump per
-        // entry — the old path deep-copied the whole closer set).
+        // Insert the responder's closer set — peers it only mentioned, which
+        // may be offline — not the responder itself. A known deviation:
+        // go-libp2p-kad-dht adds a peer to its table after it answers.
         for info in response.closer() {
-            self.add_peer(Arc::clone(info), true);
+            self.add_server(info.key(), info);
         }
         self.pump(id)
     }

@@ -29,7 +29,8 @@ use crate::records::ProviderRecord;
 use crate::routing::{PeerInfo, K};
 use crate::ALPHA;
 use multiformats::PeerId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What the walk is looking for.
@@ -84,6 +85,18 @@ enum CandidateState {
     Failed,
 }
 
+/// A known peer together with its walk state, stored inline in the
+/// distance-ordered candidate map so the walk never hashes a `PeerId`.
+#[derive(Debug, Clone)]
+struct Candidate {
+    /// Shared with the routing tables / responses that produced it.
+    info: Arc<PeerInfo>,
+    state: CandidateState,
+    /// Discovery depth: seeds are hop 0, a responder's closer set is its
+    /// hop + 1.
+    hop: u32,
+}
+
 /// Instruction from the query to its driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryStep {
@@ -102,10 +115,12 @@ pub struct IterativeQuery {
     target: QueryTarget,
     alpha: usize,
     k: usize,
-    /// All known candidates ordered by distance to the target. Infos are
-    /// shared with the routing tables / responses that produced them.
-    candidates: BTreeMap<Distance, Arc<PeerInfo>>,
-    state: HashMap<PeerId, CandidateState>,
+    /// All known candidates ordered by distance to the target. Keys are
+    /// SHA-256 of the PeerID, so a distance names exactly one peer.
+    candidates: BTreeMap<Distance, Candidate>,
+    /// Candidates still in state `New`: the walk is exhausted once this
+    /// and `in_flight` are both zero.
+    unqueried: usize,
     in_flight: usize,
     /// Providers accumulated (Providers target).
     found_providers: Vec<ProviderRecord>,
@@ -120,9 +135,7 @@ pub struct IterativeQuery {
     pub responses: u64,
     /// Statistics: failures (timeouts / refused dials).
     pub failures: u64,
-    /// Hop depth: longest chain of discovery (seed peers = hop 0).
-    hop_of: HashMap<PeerId, u32>,
-    /// Maximum hop depth reached.
+    /// Maximum hop depth reached (seed peers = hop 0).
     pub max_hops: u32,
 }
 
@@ -136,7 +149,7 @@ impl IterativeQuery {
             alpha: ALPHA,
             k: K,
             candidates: BTreeMap::new(),
-            state: HashMap::new(),
+            unqueried: 0,
             in_flight: 0,
             found_providers: Vec::new(),
             provider_server: None,
@@ -145,10 +158,9 @@ impl IterativeQuery {
             rpcs_sent: 0,
             responses: 0,
             failures: 0,
-            hop_of: HashMap::new(),
             max_hops: 0,
         };
-        for seed in seeds {
+        for seed in &seeds {
             q.add_candidate(seed, 0);
         }
         q
@@ -178,22 +190,28 @@ impl IterativeQuery {
         &self.target
     }
 
-    fn add_candidate(&mut self, info: Arc<PeerInfo>, hop: u32) {
-        let key = info.key();
-        let dist = key.distance(&self.target_key);
-        if self.state.contains_key(&info.peer) {
-            // Keep the better (larger address set) info; never regress hop.
-            if let Some(existing) = self.candidates.get_mut(&dist) {
-                if existing.addrs.len() < info.addrs.len() {
-                    *existing = info;
+    fn add_candidate(&mut self, info: &Arc<PeerInfo>, hop: u32) {
+        match self.candidates.entry(info.key().distance(&self.target_key)) {
+            Entry::Occupied(mut known) => {
+                // Keep the better (larger address set) info; never regress hop.
+                let known = known.get_mut();
+                if known.info.addrs.len() < info.addrs.len() {
+                    known.info = Arc::clone(info);
                 }
             }
-            return;
+            Entry::Vacant(slot) => {
+                slot.insert(Candidate { info: Arc::clone(info), state: CandidateState::New, hop });
+                self.unqueried += 1;
+                self.max_hops = self.max_hops.max(hop);
+            }
         }
-        self.state.insert(info.peer.clone(), CandidateState::New);
-        self.hop_of.insert(info.peer.clone(), hop);
-        self.max_hops = self.max_hops.max(hop);
-        self.candidates.insert(dist, info);
+    }
+
+    /// The in-flight candidate `from`, if the walk is waiting on it.
+    /// Stale, duplicate and unknown responders resolve to `None`.
+    fn in_flight_candidate(&mut self, from: &PeerId) -> Option<&mut Candidate> {
+        let dist = Key::from_peer(from).distance(&self.target_key);
+        self.candidates.get_mut(&dist).filter(|c| c.state == CandidateState::InFlight)
     }
 
     /// Whether the termination condition holds.
@@ -206,8 +224,8 @@ impl IterativeQuery {
                 // The k nearest known candidates have all responded (failed
                 // peers are skipped — they don't count toward the k set).
                 let mut responded = 0;
-                for info in self.candidates.values() {
-                    match self.state[&info.peer] {
+                for c in self.candidates.values() {
+                    match c.state {
                         CandidateState::Responded => {
                             responded += 1;
                             if responded >= self.k {
@@ -221,19 +239,14 @@ impl IterativeQuery {
                     }
                 }
                 // Fewer than k candidates total: done once none are pending.
-                self.in_flight == 0
-                    && !self
-                        .candidates
-                        .values()
-                        .any(|i| matches!(self.state[&i.peer], CandidateState::New))
+                self.exhausted()
             }
         }
     }
 
     /// Whether every candidate has been tried and the walk cannot progress.
     fn exhausted(&self) -> bool {
-        self.in_flight == 0
-            && !self.candidates.values().any(|i| matches!(self.state[&i.peer], CandidateState::New))
+        self.in_flight == 0 && self.unqueried == 0
     }
 
     /// Asks the machine what to do next. Returns at most one step; call
@@ -243,30 +256,20 @@ impl IterativeQuery {
         if self.satisfied() || self.exhausted() {
             return QueryStep::Done;
         }
-        if self.in_flight >= self.alpha {
+        if self.in_flight >= self.alpha || self.unqueried == 0 {
             return QueryStep::Wait;
         }
         // Pick the nearest unqueried candidate.
         let next = self
             .candidates
-            .values()
-            .find(|i| matches!(self.state[&i.peer], CandidateState::New))
-            .cloned();
-        match next {
-            Some(info) => {
-                self.state.insert(info.peer.clone(), CandidateState::InFlight);
-                self.in_flight += 1;
-                self.rpcs_sent += 1;
-                QueryStep::Query(info)
-            }
-            None => {
-                if self.in_flight > 0 {
-                    QueryStep::Wait
-                } else {
-                    QueryStep::Done
-                }
-            }
-        }
+            .values_mut()
+            .find(|c| c.state == CandidateState::New)
+            .expect("an unqueried candidate is counted");
+        next.state = CandidateState::InFlight;
+        self.unqueried -= 1;
+        self.in_flight += 1;
+        self.rpcs_sent += 1;
+        QueryStep::Query(Arc::clone(&next.info))
     }
 
     /// Feeds back a successful response: closer peers and (for provider
@@ -289,16 +292,13 @@ impl IterativeQuery {
         providers: &[ProviderRecord],
         value: Option<&[u8]>,
     ) {
-        let Some(state) = self.state.get_mut(from) else {
-            return; // stale response from an unknown peer
+        let Some(responder) = self.in_flight_candidate(from) else {
+            return; // stale, duplicate or late response
         };
-        if *state != CandidateState::InFlight {
-            return; // duplicate / late response
-        }
-        *state = CandidateState::Responded;
+        responder.state = CandidateState::Responded;
+        let hop = responder.hop + 1;
         self.in_flight -= 1;
         self.responses += 1;
-        let hop = self.hop_of.get(from).copied().unwrap_or(0) + 1;
         for info in closer {
             // The responder may include the target peer itself.
             if let QueryTarget::Peer(wanted) = &self.target {
@@ -306,7 +306,7 @@ impl IterativeQuery {
                     self.found_peer = Some(info.clone());
                 }
             }
-            self.add_candidate(info.clone(), hop);
+            self.add_candidate(info, hop);
         }
         if !providers.is_empty() && matches!(self.target, QueryTarget::Providers) {
             self.found_providers.extend(providers.iter().cloned());
@@ -321,13 +321,10 @@ impl IterativeQuery {
 
     /// Feeds back a failure (dial timeout, unreachable peer, ...).
     pub fn on_failure(&mut self, from: &PeerId) {
-        let Some(state) = self.state.get_mut(from) else {
+        let Some(failed) = self.in_flight_candidate(from) else {
             return;
         };
-        if *state != CandidateState::InFlight {
-            return;
-        }
-        *state = CandidateState::Failed;
+        failed.state = CandidateState::Failed;
         self.in_flight -= 1;
         self.failures += 1;
     }
@@ -360,9 +357,9 @@ impl IterativeQuery {
             },
             QueryTarget::Closest => {
                 let mut out = Vec::with_capacity(self.k);
-                for info in self.candidates.values() {
-                    if matches!(self.state[&info.peer], CandidateState::Responded) {
-                        out.push(info.clone());
+                for c in self.candidates.values() {
+                    if c.state == CandidateState::Responded {
+                        out.push(Arc::clone(&c.info));
                         if out.len() == self.k {
                             break;
                         }
@@ -637,5 +634,325 @@ mod tests {
         let t = target();
         let q = drive(&net, IterativeQuery::new(t, QueryTarget::Closest, vec![peer(1)]), |_| false);
         assert!(q.max_hops >= 1, "walk must traverse at least one hop");
+    }
+
+    /// The walk as it was before candidate state moved inline: states and
+    /// hop depths in `PeerId`-keyed hash maps, every scan a hash lookup per
+    /// candidate. Kept as the differential oracle for [`IterativeQuery`].
+    mod oracle {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        pub struct HashMapQuery {
+            target_key: Key,
+            target: QueryTarget,
+            alpha: usize,
+            k: usize,
+            candidates: BTreeMap<Distance, Arc<PeerInfo>>,
+            state: HashMap<PeerId, CandidateState>,
+            in_flight: usize,
+            found_providers: Vec<ProviderRecord>,
+            provider_server: Option<PeerId>,
+            found_peer: Option<Arc<PeerInfo>>,
+            found_value: Option<(Vec<u8>, PeerId)>,
+            pub rpcs_sent: u64,
+            pub responses: u64,
+            pub failures: u64,
+            hop_of: HashMap<PeerId, u32>,
+            pub max_hops: u32,
+        }
+
+        impl HashMapQuery {
+            pub fn new(
+                target_key: Key,
+                target: QueryTarget,
+                seeds: Vec<Arc<PeerInfo>>,
+                alpha: usize,
+                k: usize,
+            ) -> HashMapQuery {
+                let mut q = HashMapQuery {
+                    target_key,
+                    target,
+                    alpha,
+                    k,
+                    candidates: BTreeMap::new(),
+                    state: HashMap::new(),
+                    in_flight: 0,
+                    found_providers: Vec::new(),
+                    provider_server: None,
+                    found_peer: None,
+                    found_value: None,
+                    rpcs_sent: 0,
+                    responses: 0,
+                    failures: 0,
+                    hop_of: HashMap::new(),
+                    max_hops: 0,
+                };
+                for seed in seeds {
+                    q.add_candidate(seed, 0);
+                }
+                q
+            }
+
+            fn add_candidate(&mut self, info: Arc<PeerInfo>, hop: u32) {
+                let dist = info.key().distance(&self.target_key);
+                if self.state.contains_key(&info.peer) {
+                    if let Some(existing) = self.candidates.get_mut(&dist) {
+                        if existing.addrs.len() < info.addrs.len() {
+                            *existing = info;
+                        }
+                    }
+                    return;
+                }
+                self.state.insert(info.peer.clone(), CandidateState::New);
+                self.hop_of.insert(info.peer.clone(), hop);
+                self.max_hops = self.max_hops.max(hop);
+                self.candidates.insert(dist, info);
+            }
+
+            fn satisfied(&self) -> bool {
+                match &self.target {
+                    QueryTarget::Providers => !self.found_providers.is_empty(),
+                    QueryTarget::Peer(_) => self.found_peer.is_some(),
+                    QueryTarget::Value => self.found_value.is_some(),
+                    QueryTarget::Closest => {
+                        let mut responded = 0;
+                        for info in self.candidates.values() {
+                            match self.state[&info.peer] {
+                                CandidateState::Responded => {
+                                    responded += 1;
+                                    if responded >= self.k {
+                                        return true;
+                                    }
+                                }
+                                CandidateState::Failed => continue,
+                                _ => return false,
+                            }
+                        }
+                        self.exhausted()
+                    }
+                }
+            }
+
+            fn exhausted(&self) -> bool {
+                self.in_flight == 0
+                    && !self
+                        .candidates
+                        .values()
+                        .any(|i| matches!(self.state[&i.peer], CandidateState::New))
+            }
+
+            pub fn next_step(&mut self) -> QueryStep {
+                if self.satisfied() || self.exhausted() {
+                    return QueryStep::Done;
+                }
+                if self.in_flight >= self.alpha {
+                    return QueryStep::Wait;
+                }
+                let next = self
+                    .candidates
+                    .values()
+                    .find(|i| matches!(self.state[&i.peer], CandidateState::New))
+                    .cloned();
+                match next {
+                    Some(info) => {
+                        self.state.insert(info.peer.clone(), CandidateState::InFlight);
+                        self.in_flight += 1;
+                        self.rpcs_sent += 1;
+                        QueryStep::Query(info)
+                    }
+                    None if self.in_flight > 0 => QueryStep::Wait,
+                    None => QueryStep::Done,
+                }
+            }
+
+            pub fn on_response(
+                &mut self,
+                from: &PeerId,
+                closer: &[Arc<PeerInfo>],
+                providers: &[ProviderRecord],
+                value: Option<&[u8]>,
+            ) {
+                let Some(state) = self.state.get_mut(from) else {
+                    return;
+                };
+                if *state != CandidateState::InFlight {
+                    return;
+                }
+                *state = CandidateState::Responded;
+                self.in_flight -= 1;
+                self.responses += 1;
+                let hop = self.hop_of.get(from).copied().unwrap_or(0) + 1;
+                for info in closer {
+                    if let QueryTarget::Peer(wanted) = &self.target {
+                        if &info.peer == wanted && !info.addrs.is_empty() {
+                            self.found_peer = Some(info.clone());
+                        }
+                    }
+                    self.add_candidate(info.clone(), hop);
+                }
+                if !providers.is_empty() && matches!(self.target, QueryTarget::Providers) {
+                    self.found_providers.extend(providers.iter().cloned());
+                    self.provider_server = Some(from.clone());
+                }
+                if let Some(v) = value {
+                    if matches!(self.target, QueryTarget::Value) && self.found_value.is_none() {
+                        self.found_value = Some((v.to_vec(), from.clone()));
+                    }
+                }
+            }
+
+            pub fn on_failure(&mut self, from: &PeerId) {
+                let Some(state) = self.state.get_mut(from) else {
+                    return;
+                };
+                if *state != CandidateState::InFlight {
+                    return;
+                }
+                *state = CandidateState::Failed;
+                self.in_flight -= 1;
+                self.failures += 1;
+            }
+
+            pub fn outcome(&self) -> QueryOutcome {
+                match &self.target {
+                    QueryTarget::Providers if self.found_providers.is_empty() => {
+                        QueryOutcome::Exhausted
+                    }
+                    QueryTarget::Providers => QueryOutcome::Providers {
+                        records: self.found_providers.clone(),
+                        served_by: self.provider_server.clone().expect("set with records"),
+                    },
+                    QueryTarget::Peer(_) if self.found_peer.is_some() => {
+                        QueryOutcome::Peer(self.found_peer.clone())
+                    }
+                    QueryTarget::Peer(_) => QueryOutcome::Exhausted,
+                    QueryTarget::Value => match &self.found_value {
+                        Some((value, served_by)) => QueryOutcome::Value {
+                            value: value.clone(),
+                            served_by: served_by.clone(),
+                        },
+                        None => QueryOutcome::Exhausted,
+                    },
+                    QueryTarget::Closest => {
+                        let out: Vec<Arc<PeerInfo>> = self
+                            .candidates
+                            .values()
+                            .filter(|i| self.state[&i.peer] == CandidateState::Responded)
+                            .take(self.k)
+                            .cloned()
+                            .collect();
+                        if out.is_empty() {
+                            QueryOutcome::Exhausted
+                        } else {
+                            QueryOutcome::Closest(out)
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random interleavings of steps, responses and failures drive the
+    /// inline-state walk and the hash-map oracle side by side; after every
+    /// input both must agree on the step taken, the statistics and the
+    /// outcome. Responders include in-flight peers (the common case),
+    /// known peers that already answered or failed (duplicates, stale
+    /// replies), peers never mentioned and a stranger outside the universe;
+    /// closer sets re-mention known peers with more or fewer addresses.
+    #[test]
+    fn proptest_walk_matches_hashmap_oracle() {
+        use proptest::prelude::*;
+        const UNIVERSE: usize = 48;
+        // Each peer in four address variants: none, two different single
+        // addresses, two addresses.
+        let variants: Vec<[Arc<PeerInfo>; 4]> = (1..=UNIVERSE as u64)
+            .map(|seed| {
+                let id = Keypair::from_seed(seed).peer_id();
+                let addr = |port: u64| -> multiformats::Multiaddr {
+                    format!("/ip4/10.0.0.{}/tcp/{port}", seed % 250).parse().unwrap()
+                };
+                [
+                    Arc::new(PeerInfo::new(id.clone(), vec![])),
+                    Arc::new(PeerInfo::new(id.clone(), vec![addr(1)])),
+                    Arc::new(PeerInfo::new(id.clone(), vec![addr(3)])),
+                    Arc::new(PeerInfo::new(id, vec![addr(1), addr(2)])),
+                ]
+            })
+            .collect();
+        let stranger = Keypair::from_seed(10_000).peer_id();
+        let wanted = variants[7][0].peer.clone();
+        proptest!(ProptestConfig::with_cases(200), |(
+            setup in (0u8..4, 1usize..5, 1usize..9, 0u64..1_000),
+            seeds in proptest::collection::vec((0usize..UNIVERSE, 0usize..4), 0..6),
+            ops in proptest::collection::vec(
+                (0u8..10, any::<u16>(), proptest::collection::vec((0usize..UNIVERSE, 0usize..4), 0..7), 0u8..6),
+                1..120,
+            ),
+        )| {
+            let (flavour, alpha, k, key_seed) = setup;
+            let (target, target_key) = match flavour {
+                0 => (QueryTarget::Closest, Key::from_cid(&Cid::from_raw_data(&key_seed.to_be_bytes()))),
+                1 => (QueryTarget::Providers, Key::from_cid(&Cid::from_raw_data(&key_seed.to_be_bytes()))),
+                2 => (QueryTarget::Value, Key::from_cid(&Cid::from_raw_data(&key_seed.to_be_bytes()))),
+                _ => (QueryTarget::Peer(wanted.clone()), Key::from_peer(&wanted)),
+            };
+            let seed_infos: Vec<Arc<PeerInfo>> =
+                seeds.iter().map(|&(p, v)| Arc::clone(&variants[p][v])).collect();
+            let mut walk = IterativeQuery::new(target_key, target.clone(), seed_infos.clone())
+                .with_alpha(alpha)
+                .with_k(k);
+            let mut oracle = oracle::HashMapQuery::new(target_key, target, seed_infos, alpha, k);
+            let mut asked: Vec<PeerId> = Vec::new();
+            for (kind, pick, closer, extra) in ops {
+                let pick = pick as usize;
+                match kind {
+                    // Ask for the next step (most common input).
+                    0..=3 => {
+                        let step = walk.next_step();
+                        prop_assert_eq!(&step, &oracle.next_step());
+                        if let QueryStep::Query(info) = step {
+                            asked.push(info.peer.clone());
+                        }
+                    }
+                    // Respond or fail: an in-flight peer, an earlier
+                    // responder (duplicate / stale), any universe peer or
+                    // the stranger.
+                    _ => {
+                        let from = match extra {
+                            0..=2 if !asked.is_empty() => asked.remove(pick % asked.len()),
+                            3 if !asked.is_empty() => asked[pick % asked.len()].clone(),
+                            4 => variants[pick % UNIVERSE][0].peer.clone(),
+                            _ => stranger.clone(),
+                        };
+                        if kind == 9 {
+                            walk.on_failure(&from);
+                            oracle.on_failure(&from);
+                        } else {
+                            let closer: Vec<Arc<PeerInfo>> =
+                                closer.iter().map(|&(p, v)| Arc::clone(&variants[p][v])).collect();
+                            let providers = if kind == 8 {
+                                vec![ProviderRecord {
+                                    key: target_key,
+                                    provider: variants[pick % UNIVERSE][0].peer.clone(),
+                                    addrs: vec![],
+                                    received_at: SimTime::ZERO,
+                                }]
+                            } else {
+                                vec![]
+                            };
+                            let value = (kind == 7).then_some(&b"record"[..]);
+                            walk.on_response_with_value(&from, &closer, &providers, value);
+                            oracle.on_response(&from, &closer, &providers, value);
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    (walk.rpcs_sent, walk.responses, walk.failures, walk.max_hops),
+                    (oracle.rpcs_sent, oracle.responses, oracle.failures, oracle.max_hops)
+                );
+                prop_assert_eq!(walk.outcome(), oracle.outcome());
+            }
+        });
     }
 }

@@ -113,7 +113,15 @@ impl RoutingTable {
     /// refreshed.
     pub fn insert(&mut self, info: impl Into<Arc<PeerInfo>>) -> bool {
         let info = info.into();
-        let key = info.key();
+        self.insert_shared(info.key(), &info)
+    }
+
+    /// [`RoutingTable::insert`] for a caller that already holds the peer's
+    /// key and a shared handle. The handle is cloned only when a new entry
+    /// is stored or the stored entry holds a different `Arc`, so
+    /// re-announcing a peer that is already present writes no refcount.
+    /// `key` must be `info.key()`.
+    pub fn insert_shared(&mut self, key: Key, info: &Arc<PeerInfo>) -> bool {
         let Some(idx) = self.local.bucket_index(&key) else {
             return false; // never insert self
         };
@@ -128,9 +136,11 @@ impl RoutingTable {
         // Keys are SHA-256 of the PeerID, so key equality is peer equality;
         // the inline `[u8; 32]` compare avoids chasing the Arc on every probe.
         if let Some(pos) = bucket.iter().position(|e| e.key == key) {
-            let mut entry = bucket.remove(pos);
-            entry.info = info;
-            bucket.push(entry);
+            bucket[pos..].rotate_left(1);
+            let entry = bucket.last_mut().expect("bucket holds the refreshed entry");
+            if !Arc::ptr_eq(&entry.info, info) {
+                entry.info = Arc::clone(info);
+            }
             return true;
         }
         if bucket.len() >= K {
@@ -139,7 +149,7 @@ impl RoutingTable {
             }
             return false;
         }
-        bucket.push(Entry { info, key });
+        bucket.push(Entry { info: Arc::clone(info), key });
         self.size += 1;
         true
     }
@@ -295,6 +305,43 @@ mod tests {
         assert_eq!(rt.len(), 1, "reinsert must not duplicate");
         let got = rt.closest(&Key::from_peer(&info(1).peer), 1);
         assert_eq!(got[0].addrs, vec![addr]);
+    }
+
+    #[test]
+    fn insert_shared_reannounce_writes_no_refcount() {
+        let mut rt = table(0);
+        let first = Arc::new(info(1));
+        assert!(rt.insert_shared(first.key(), &first));
+        let held = Arc::strong_count(&first);
+        assert_eq!(held, 2, "the table holds one handle");
+        assert!(rt.insert_shared(first.key(), &first));
+        assert_eq!(Arc::strong_count(&first), held, "same Arc: no clone, no swap");
+        // A different Arc with new addresses replaces the stored one.
+        let addr: Multiaddr = "/ip4/9.9.9.9/tcp/4001".parse().unwrap();
+        let moved = Arc::new(PeerInfo::new(first.peer.clone(), vec![addr.clone()]));
+        assert!(rt.insert_shared(moved.key(), &moved));
+        assert_eq!(Arc::strong_count(&first), 1);
+        assert_eq!(Arc::strong_count(&moved), 2);
+        assert_eq!(rt.closest(&moved.key(), 1)[0].addrs, vec![addr]);
+        assert_eq!(rt.len(), 1);
+    }
+
+    #[test]
+    fn refresh_moves_entry_to_lru_tail() {
+        let mut rt = table(0);
+        let infos: Vec<Arc<PeerInfo>> = (1..200u64).map(|s| Arc::new(info(s))).collect();
+        for i in &infos {
+            rt.insert_shared(i.key(), i);
+        }
+        // Re-announce the first peer of the fullest bucket: it must become
+        // that bucket's most recently seen entry.
+        let (slot, _) =
+            rt.buckets.iter().enumerate().max_by_key(|(_, (_, b))| b.len()).expect("occupied");
+        let oldest = Arc::clone(&rt.buckets[slot].1[0].info);
+        assert!(rt.insert_shared(oldest.key(), &oldest));
+        let bucket = &rt.buckets[slot].1;
+        assert!(Arc::ptr_eq(&bucket[bucket.len() - 1].info, &oldest));
+        assert!(!bucket[..bucket.len() - 1].iter().any(|e| Arc::ptr_eq(&e.info, &oldest)));
     }
 
     #[test]
