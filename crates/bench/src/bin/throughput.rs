@@ -116,9 +116,9 @@ struct SimResult {
 }
 
 /// Simulation section: publish/retrieve rounds on a live network. With
-/// `dtrace` on, the op tracer, distributed-trace collection, and the
-/// flight recorder all run — observation only, so every deterministic
-/// field must match the untraced run exactly.
+/// `dtrace` on, the tracer runs at its top level (op logs, fragment
+/// collection, the flight recorder) — observation only, so every
+/// deterministic field must match the untraced run exactly.
 fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
     let pop = Population::generate(
         PopulationConfig {
@@ -137,8 +137,7 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
     );
     let [provider, requester] = net.vantage_ids(2)[..] else { unreachable!() };
     if dtrace {
-        net.set_trace_config(ipfs_core::TraceConfig::enabled());
-        net.set_dtrace(ipfs_core::obs::dtrace::DtraceConfig::full(None));
+        net.set_trace_config(ipfs_core::TraceConfig::full(None));
     }
 
     let events_before = net.events_processed;

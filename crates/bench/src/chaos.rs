@@ -457,7 +457,7 @@ fn scenario_provider_crash(cfg: &ChaosConfig, seed: u64) -> CellOutput {
     let mut plan = FaultPlan::new();
     plan.crash_nodes(crash_at, vec![victim], SimDuration::from_secs(600));
     net.install_fault_plan(plan);
-    net.set_dtrace(ipfs_core::obs::dtrace::DtraceConfig::full(None));
+    net.set_trace_config(ipfs_core::TraceConfig::full(None));
     net.retrieve(requester, cid);
     net.run_until_quiet();
     let postmortems = net.drain_postmortems();

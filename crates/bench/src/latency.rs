@@ -26,7 +26,7 @@ use crate::runner::{run_cells_with_jobs, RunConfig, Scale};
 use crate::stats::percentile;
 use bytes::Bytes;
 use faultsim::FaultPlan;
-use ipfs_core::obs::dtrace::{exemplar_json, DtraceConfig};
+use ipfs_core::obs::dtrace::exemplar_json;
 use ipfs_core::{IpfsNetwork, LatencyBreakdown, NetworkConfig, SpanTree, TraceConfig};
 use multiformats::Cid;
 use simnet::latency::VantagePoint;
@@ -199,10 +199,7 @@ fn run_cell(
     let mut net = IpfsNetwork::from_population(&pop, &vantages, NetworkConfig::default(), seed);
     let [publisher, requester] = net.vantage_ids(2)[..] else { unreachable!() };
     let publisher_peer = net.peer_id(publisher).clone();
-    net.set_trace_config(TraceConfig::enabled());
-    if trace {
-        net.set_dtrace(DtraceConfig::collecting());
-    }
+    net.set_trace_config(if trace { TraceConfig::collecting() } else { TraceConfig::enabled() });
 
     // Age the network before measuring: §4.3 ran against the live DHT,
     // where churn leaves stale routing entries that walks must dial and
@@ -257,7 +254,7 @@ fn run_cell(
         }
         check_critical_path(&pub_trace, &mut result);
         if trace {
-            if let Some(tree) = net.stitched_trace(pub_op, &pub_trace) {
+            if let Some(tree) = net.stitched_trace(&pub_trace) {
                 result.exemplars.push(TraceExemplar {
                     dur_nanos: pub_bd.total().as_nanos(),
                     op: pub_op.0,
@@ -292,7 +289,7 @@ fn run_cell(
         }
         check_critical_path(&ret_trace, &mut result);
         if trace {
-            if let Some(tree) = net.stitched_trace(ret_op, &ret_trace) {
+            if let Some(tree) = net.stitched_trace(&ret_trace) {
                 result.exemplars.push(TraceExemplar {
                     dur_nanos: ret_bd.total().as_nanos(),
                     op: ret_op.0,

@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::export::{BenchDoc, TraceExemplar};
 use crate::runner::{run_cells_with_jobs, RunConfig, Scale};
 use bytes::Bytes;
-use ipfs_core::obs::dtrace::{exemplar_json, DtraceConfig};
+use ipfs_core::obs::dtrace::exemplar_json;
 use ipfs_core::obs::names;
 use ipfs_core::{IpfsNetwork, NetworkConfig, NodeId, TraceConfig};
 use simnet::latency::VantagePoint;
@@ -165,8 +165,7 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     // only under `--trace-out`): pure observation, the deterministic
     // report is byte-identical either way.
     if trace {
-        net.set_trace_config(TraceConfig::enabled());
-        net.set_dtrace(DtraceConfig::collecting());
+        net.set_trace_config(TraceConfig::collecting());
     }
     let wall = Instant::now();
     let events_before = net.events_processed;
@@ -177,7 +176,7 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     let mut exemplars = Vec::new();
     if trace {
         if let Some(tr) = net.take_trace(ret_op) {
-            if let Some(tree) = net.stitched_trace(ret_op, &tr) {
+            if let Some(tree) = net.stitched_trace(&tr) {
                 exemplars.push(TraceExemplar {
                     dur_nanos: tree.duration().as_nanos(),
                     op: ret_op.0,

@@ -31,8 +31,8 @@
 //!   behalf of NAT'ed users (§3.1).
 //! - [`experiment`] — the six-vantage-point DHT performance experiment of
 //!   §4.3 (Table 1, Table 4, Figures 9–10).
-//! - [`obs`] — observability: the metrics registry and per-operation
-//!   trace layer threaded through the simulation.
+//! - [`obs`] — observability: the metrics registry and the one trace
+//!   recorder threaded through the simulation.
 //! - [`shardsim`] — the scale substrate: a struct-of-arrays IPFS cell on
 //!   the region-sharded deterministic PDES engine (100k+-node worlds).
 
@@ -64,7 +64,7 @@ pub use obs::span::{CriticalHop, LatencyBreakdown, Span, SpanTree};
 pub use obs::timeseries::TimeSeries;
 pub use obs::{
     DialClass, HistogramMode, HistogramStats, MetricsRegistry, OpTrace, StreamingHistogram,
-    TraceConfig, TraceEvent, TraceEventKind, Tracer,
+    TraceConfig, TraceEvent, TraceEventKind, TraceLevel, Tracer,
 };
 pub use ops::{OpId, PublishReport, RetrieveReport};
 pub use pinning::{PinReceipt, PinningService};

@@ -15,11 +15,11 @@ use crate::config::{NodeConfig, TimeoutModel};
 use crate::conn::ConnSet;
 use crate::ipns::IpnsRecord;
 use crate::node::IpfsNode;
-use crate::obs::dtrace::{self, DtraceConfig, DtraceSink, SpanFragment, TraceCtx};
+use crate::obs::dtrace::{self, SpanFragment, TraceCtx};
 use crate::obs::span::SpanTree;
 use crate::obs::{
     names, CounterHandle, DialClass, HistogramHandle, MetricsRegistry, OpTrace, TraceConfig,
-    TraceEventKind, Tracer,
+    TraceEventKind, TraceLevel, Tracer,
 };
 use crate::ops::{
     IpnsPublishReport, IpnsResolveReport, OpId, PublishPhase, PublishReport, RetrievePhase,
@@ -558,13 +558,9 @@ pub struct IpfsNetwork {
     metrics: MetricsRegistry,
     /// Pre-resolved handles into `metrics` for the per-event hot path.
     hot: HotMetrics,
-    /// Per-operation trace collector (off by default).
+    /// The trace recorder: op logs, fragments, flight rings and
+    /// post-mortems (off by default).
     tracer: Tracer,
-    /// Distributed-trace storage: per-node flight rings (always on), the
-    /// stitching collection, and per-op context bookkeeping.
-    dtrace: DtraceSink,
-    /// Rendered flight-recorder post-mortems, drained by experiments.
-    postmortems: Vec<(OpId, String)>,
     /// Scripted-fault state; idle (and cost-free) unless a plan is
     /// installed with [`IpfsNetwork::install_fault_plan`].
     faults: FaultOracle,
@@ -678,7 +674,6 @@ impl IpfsNetwork {
             }
         }
 
-        let node_count = nodes.len();
         let mut metrics = MetricsRegistry::new();
         let hot = HotMetrics::resolve(&mut metrics);
         let mut net = IpfsNetwork {
@@ -702,8 +697,6 @@ impl IpfsNetwork {
             metrics,
             hot,
             tracer: Tracer::default(),
-            dtrace: DtraceSink::new(node_count),
-            postmortems: Vec::new(),
             faults: FaultOracle::idle(),
             crashable: pop.peers.len(),
         };
@@ -932,8 +925,8 @@ impl IpfsNetwork {
         &mut self.metrics
     }
 
-    /// Enables/disables per-operation tracing. Already-collected traces
-    /// are kept.
+    /// Sets what the tracer records from now on; ops started earlier stay
+    /// untraced. Already-collected traces are kept.
     pub fn set_trace_config(&mut self, config: TraceConfig) {
         self.tracer.set_config(config);
     }
@@ -944,43 +937,34 @@ impl IpfsNetwork {
         self.tracer.trace(op)
     }
 
-    /// Removes and returns the trace collected for an operation.
+    /// Removes and returns the trace collected for an operation; the
+    /// tracer keeps nothing of the op afterwards.
     pub fn take_trace(&mut self, op: OpId) -> Option<OpTrace> {
         self.tracer.take(op)
     }
 
-    /// Removes and returns every collected trace, sorted by [`OpId`] —
-    /// the deterministic order bulk exports must use.
-    pub fn drain_traces(&mut self) -> Vec<(OpId, OpTrace)> {
-        self.tracer.drain_sorted()
-    }
-
-    /// Configures the distributed-trace sink: fragment collection for
-    /// stitching, the always-on flight recorder, and its post-mortem
-    /// deadline.
-    pub fn set_dtrace(&mut self, cfg: DtraceConfig) {
-        self.dtrace.set_config(cfg);
+    /// Former name of [`IpfsNetwork::set_trace_config`].
+    pub fn set_dtrace(&mut self, cfg: TraceConfig) {
+        self.set_trace_config(cfg);
     }
 
     /// The remote span fragments collected so far (record order).
     pub fn dtrace_fragments(&self) -> &[SpanFragment] {
-        self.dtrace.fragments()
+        self.tracer.fragments()
     }
 
-    /// Stitches an op's requester-side trace with every remote fragment
-    /// its trace id produced, yielding one distributed [`SpanTree`]. The
-    /// op must have been started while the sink was active (its origin
-    /// node is re-derived from the sink's registry).
-    pub fn stitched_trace(&self, op: OpId, trace: &OpTrace) -> Option<SpanTree> {
-        let node = self.dtrace.op_node(op)?;
-        dtrace::stitch(node, op, trace, self.dtrace.fragments())
+    /// Stitches an op's requester-side trace (taken or not) with every
+    /// remote fragment its trace id produced, yielding one distributed
+    /// [`SpanTree`].
+    pub fn stitched_trace(&self, trace: &OpTrace) -> Option<SpanTree> {
+        dtrace::stitch(trace, self.tracer.fragments())
     }
 
     /// Removes and returns every rendered flight-recorder post-mortem, in
     /// op-completion order (deterministic: completion is simulation
     /// order).
     pub fn drain_postmortems(&mut self) -> Vec<(OpId, String)> {
-        std::mem::take(&mut self.postmortems)
+        self.tracer.drain_postmortems()
     }
 
     /// Records a gateway-side span (serve, bridge, fetch tiers) into an
@@ -996,14 +980,10 @@ impl IpfsNetwork {
         start: SimTime,
         end: SimTime,
     ) {
-        if !self.dtrace.active() {
-            return;
-        }
-        let Some(origin) = self.dtrace.op_node(op) else { return };
+        let Some(origin) = self.tracer.origin(op) else { return };
         let tid = dtrace::trace_id(origin, op);
-        self.dtrace.record_span(
-            tid,
-            dtrace::root_span(tid),
+        self.tracer.record_span(
+            TraceCtx { trace_id: tid, parent_span: dtrace::root_span(tid) },
             gateway_node,
             None,
             "gw",
@@ -1294,9 +1274,9 @@ impl IpfsNetwork {
         );
         self.metrics.incr(names::IPNS_PUBLISH_OPS);
         let t0 = self.now();
+        self.tracer.start_op(op, id);
         self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "ipns_publish" });
         self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
-        self.dtrace.note_op(op, id);
         let key = Key::from_peer(&record.name);
         let (qid, outputs) = self.nodes[id].node.dht.start_query(key, QueryTarget::Closest);
         self.query_owner.insert((id, qid), op);
@@ -1313,9 +1293,9 @@ impl IpfsNetwork {
         self.ops.insert(op, OpState::ResolveIpns { node: id, name: name.clone(), t0: self.now() });
         self.metrics.incr(names::IPNS_RESOLVE_OPS);
         let t0 = self.now();
+        self.tracer.start_op(op, id);
         self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "ipns_resolve" });
         self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
-        self.dtrace.note_op(op, id);
         let key = Key::from_peer(name);
         let (qid, outputs) = self.nodes[id].node.dht.start_query(key, QueryTarget::Value);
         self.query_owner.insert((id, qid), op);
@@ -1343,9 +1323,9 @@ impl IpfsNetwork {
         if !silent {
             self.metrics.incr(names::PUBLISH_OPS);
         }
+        self.tracer.start_op(op, id);
         self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "publish" });
         self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
-        self.dtrace.note_op(op, id);
         let key = Key::from_cid(&cid);
         let (qid, outputs) = self.nodes[id].node.dht.start_query(key, QueryTarget::Closest);
         self.query_owner.insert((id, qid), op);
@@ -1439,7 +1419,7 @@ impl IpfsNetwork {
             self.next_op += 1;
             self.ops
                 .insert(op, OpState::SweepBatch { node: id, keys: Arc::new(keys), outstanding: 0 });
-            self.dtrace.note_op(op, id);
+            self.tracer.start_op(op, id);
             // One walk toward the neighborhood's first key serves every
             // CID in the batch: within a 2^-bits slice of the keyspace,
             // the k closest peers are (to good approximation) shared.
@@ -1484,9 +1464,9 @@ impl IpfsNetwork {
             },
         );
         self.metrics.incr(names::RETRIEVE_OPS);
+        self.tracer.start_op(op, id);
         self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "retrieve" });
         self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "bitswap_probe" });
-        self.dtrace.note_op(op, id);
         // Opportunistic Bitswap: broadcast WANT-HAVE to connected peers
         // (§3.2, Figure 3 step 4). Idle connections expired first: the
         // connection manager would have closed them long ago, so they must
@@ -1735,7 +1715,7 @@ impl IpfsNetwork {
                 }
                 self.pending_rpcs.remove(&(to, query, from.key()));
                 self.metrics.incr_handle(self.hot.dht_rpc_ok);
-                if self.tracer.is_enabled() {
+                if self.tracer.records(TraceLevel::OpLog) {
                     if let Some(&op) = self.query_owner.get(&(to, query)) {
                         let peer = self.resolve(&from.peer).unwrap_or(usize::MAX);
                         self.tracer.record_with(op, now, || TraceEventKind::RpcOk { peer });
@@ -1751,7 +1731,7 @@ impl IpfsNetwork {
             NetEvent::RpcFail { node, query, peer } => {
                 if self.pending_rpcs.remove(&(node, query, peer.key())) {
                     self.metrics.incr_handle(self.hot.dht_rpc_failed);
-                    if self.tracer.is_enabled() {
+                    if self.tracer.records(TraceLevel::OpLog) {
                         if let Some(&op) = self.query_owner.get(&(node, query)) {
                             let p = self.resolve(&peer.peer).unwrap_or(usize::MAX);
                             self.tracer
@@ -1918,7 +1898,6 @@ impl IpfsNetwork {
             records_stored: stored,
             success: ok,
         });
-        self.dtrace.finish_op(op);
     }
 
     fn finish_ipns_resolve(&mut self, now: SimTime, op: OpId, value: Option<Vec<u8>>) {
@@ -1948,7 +1927,6 @@ impl IpfsNetwork {
             record,
             success,
         });
-        self.dtrace.finish_op(op);
     }
 
     fn on_churn(&mut self, id: NodeId, online: bool) {
@@ -2033,9 +2011,9 @@ impl IpfsNetwork {
                 for (session, outputs) in grouped {
                     let op = self.session_owner.get(&(p, session)).copied();
                     let ctx = op.map(|o| self.op_ctx(p, o)).unwrap_or(TraceCtx::NONE);
-                    if self.dtrace.active() {
+                    if self.tracer.records(TraceLevel::Stitch) {
                         if let Some(op) = op {
-                            self.dtrace.flag(op);
+                            self.tracer.flag(op);
                             self.record_reroute_fragments(op, p, id, &outputs, now);
                         }
                     }
@@ -2064,13 +2042,12 @@ impl IpfsNetwork {
         let response =
             self.nodes[to].node.dht.handle_request(&from_info, from_is_server, request, now);
         if let Some(response) = response {
-            if self.dtrace.active() && !ctx.is_none() {
+            if !ctx.is_none() {
                 // The server's own view of the request — handler time plus
                 // the walk fan-out it computed — recorded as a child of the
                 // requester's rpc span, even if the response is later lost.
-                self.dtrace.record_span(
-                    ctx.trace_id,
-                    ctx.parent_span,
+                self.tracer.record_span(
+                    ctx,
                     to,
                     Some(from),
                     "srv",
@@ -2116,7 +2093,6 @@ impl IpfsNetwork {
                 if *outstanding == 0 {
                     // Sweep maintenance is silent: no publish report.
                     self.ops.remove(&op);
-                    self.dtrace.finish_op(op);
                 }
                 return;
             }
@@ -2230,20 +2206,10 @@ impl IpfsNetwork {
         self.pending_rpcs.insert((from, query, to.key()));
         self.metrics.incr_handle(self.hot.rpc_sent[request_kind(&request)]);
         let mut ctx = TraceCtx::NONE;
-        if self.tracer.is_enabled() {
+        if self.tracer.records(TraceLevel::OpLog) {
             if let Some(&op) = self.query_owner.get(&(from, query)) {
-                let now = self.now();
                 let peer = self.resolve(&to.peer).unwrap_or(usize::MAX);
-                let kind = request.name();
-                self.tracer.record_with(op, now, || TraceEventKind::RpcSent { kind, peer });
-                // The context numbering MUST advance in lockstep with the
-                // `RpcSent` records just written: the stitcher re-derives
-                // rpc span ids by counting those events on the requester.
-                let tid = dtrace::trace_id(from, op);
-                ctx = TraceCtx {
-                    trace_id: tid,
-                    parent_span: dtrace::rpc_span(tid, self.dtrace.next_rpc_seq(op)),
-                };
+                ctx = self.tracer.rpc_sent(op, self.now(), request.name(), peer);
             }
         }
         match self.dial(from, &to.peer) {
@@ -2270,7 +2236,7 @@ impl IpfsNetwork {
             }
             None => {
                 let (delay, class) = self.sample_fail_delay();
-                if self.tracer.is_enabled() {
+                if self.tracer.records(TraceLevel::OpLog) {
                     if let Some(&op) = self.query_owner.get(&(from, query)) {
                         let now = self.now();
                         let peer = self.resolve(&to.peer).unwrap_or(usize::MAX);
@@ -2473,7 +2439,6 @@ impl IpfsNetwork {
                 // survive — expiry is 24 h against a 12 h sweep cadence).
                 self.metrics.incr(names::PROVIDER_SWEEP_BATCH_FAILED);
                 self.ops.remove(&op);
-                self.dtrace.finish_op(op);
             }
             Action::IpnsBatch { node, key, value, peers } => {
                 self.tracer
@@ -2771,7 +2736,7 @@ impl IpfsNetwork {
         let (node, cid, existing, havers, candidates) =
             (*node, cid.clone(), *fetch_session, probe_havers.clone(), fetch_candidates.clone());
         let now = self.now();
-        if self.tracer.is_enabled() {
+        if self.tracer.records(TraceLevel::OpLog) {
             // The dial component of the §6.2 split ends here: the
             // connection to the provider is up (instantly for warm
             // reuse) and the Bitswap exchange begins.
@@ -2814,10 +2779,10 @@ impl IpfsNetwork {
     /// The causal context of an op's current activity: trace id from the
     /// op's identity, parent span from its active retrieval phase (the op
     /// root for non-retrieve ops or ops already finalized). Returns
-    /// [`TraceCtx::NONE`] when the sink is off, so the disabled path costs
-    /// one branch and carries zeroes.
+    /// [`TraceCtx::NONE`] below [`TraceLevel::Stitch`], so the disabled
+    /// path costs one branch and carries zeroes.
     fn op_ctx(&self, node: NodeId, op: OpId) -> TraceCtx {
-        if !self.dtrace.active() {
+        if !self.tracer.records(TraceLevel::Stitch) {
             return TraceCtx::NONE;
         }
         let tid = dtrace::trace_id(node, op);
@@ -2849,14 +2814,13 @@ impl IpfsNetwork {
         now: SimTime,
     ) {
         let tid = dtrace::trace_id(node, op);
-        let parent = dtrace::root_span(tid);
+        let ctx = TraceCtx { trace_id: tid, parent_span: dtrace::root_span(tid) };
         for out in outputs {
             match out {
                 EngineOutput::Send { to, message: Message::WantBlock(cid) } => {
                     let target = self.resolve(to);
-                    self.dtrace.record_span(
-                        tid,
-                        parent,
+                    self.tracer.record_span(
+                        ctx,
                         node,
                         target,
                         "bs",
@@ -2868,9 +2832,8 @@ impl IpfsNetwork {
                     );
                 }
                 EngineOutput::WantFailed { cid, .. } => {
-                    self.dtrace.record_span(
-                        tid,
-                        parent,
+                    self.tracer.record_span(
+                        ctx,
                         node,
                         None,
                         "bs",
@@ -2925,24 +2888,21 @@ impl IpfsNetwork {
                             (data.len() as f64 * 8.0) / from_bw.up_bps() as f64,
                         );
                         self.nodes[id].uplink_free_at = start + tx;
-                        if self.dtrace.active() {
-                            // The serve span a remote peer contributes to the
-                            // requester's trace: this block's serialization
-                            // at the sender's uplink, with the queue wait
-                            // behind earlier blocks kept in `b`.
-                            self.dtrace.record_span(
-                                ctx.trace_id,
-                                ctx.parent_span,
-                                id,
-                                Some(target),
-                                "bs",
-                                "block_serve",
-                                data.len() as u64,
-                                start.since(now).as_nanos(),
-                                start,
-                                start + tx,
-                            );
-                        }
+                        // The serve span a remote peer contributes to the
+                        // requester's trace: this block's serialization at
+                        // the sender's uplink, with the queue wait behind
+                        // earlier blocks kept in `b`.
+                        self.tracer.record_span(
+                            ctx,
+                            id,
+                            Some(target),
+                            "bs",
+                            "block_serve",
+                            data.len() as u64,
+                            start.since(now).as_nanos(),
+                            start,
+                            start + tx,
+                        );
                         delay + start.since(now)
                     } else {
                         delay
@@ -2965,7 +2925,7 @@ impl IpfsNetwork {
                 EngineOutput::BlockStored { session, .. } => {
                     self.metrics.incr(names::BITSWAP_BLOCKS_STORED);
                     self.metrics.incr_handle(self.hot.session_blocks_received);
-                    if self.tracer.is_enabled() {
+                    if self.tracer.records(TraceLevel::OpLog) {
                         if let Some(&op) = self.session_owner.get(&(id, session)) {
                             let now = self.now();
                             self.tracer.record_with(op, now, || TraceEventKind::BlockReceived);
@@ -3064,7 +3024,6 @@ impl IpfsNetwork {
             walk_failures,
             success: ok,
         });
-        self.dtrace.finish_op(op);
     }
 
     fn finish_retrieve(&mut self, now: SimTime, op: OpId, success: bool) {
@@ -3122,28 +3081,7 @@ impl IpfsNetwork {
             via_bitswap,
             addrbook_hit,
         });
-        // Flight recorder: a failed, flagged (mid-fetch re-route), or
-        // deadline-breaching op dumps its full causal trail — every ring
-        // fragment its trace id touched on any node.
-        if self.dtrace.config().postmortem {
-            let breached =
-                self.dtrace.config().deadline.map(|d| now.since(t0) > d).unwrap_or(false);
-            if !success || breached || self.dtrace.is_flagged(op) {
-                let tid = dtrace::trace_id(node, op);
-                let entries = self.dtrace.ring_entries_for(tid);
-                let outcome = if !success {
-                    "failed"
-                } else if breached {
-                    "deadline_breached"
-                } else {
-                    "rerouted"
-                };
-                let text =
-                    dtrace::render_postmortem(op, node, "retrieve", outcome, t0, now, &entries);
-                self.postmortems.push((op, text));
-            }
-        }
-        self.dtrace.finish_op(op);
+        self.tracer.finish_retrieval(op, node, success, t0, now);
         // §3.1: "any peer that later retrieves the data becomes a
         // temporary ... content provider themselves by publishing a
         // provider record".
@@ -4234,8 +4172,7 @@ mod tests {
     #[test]
     fn stitched_retrieval_trace_reconciles_with_its_report() {
         let mut net = small_net(400, 7);
-        net.set_trace_config(TraceConfig::enabled());
-        net.set_dtrace(DtraceConfig::collecting());
+        net.set_trace_config(TraceConfig::collecting());
         let [provider, requester] = net.vantage_ids(2)[..] else { panic!() };
         let data = Bytes::from(vec![0xAB; 512 * 1024]);
         let cid = net.import_content(provider, &data);
@@ -4247,7 +4184,7 @@ mod tests {
         assert!(rr.success, "retrieve must succeed: {rr:?}");
 
         let trace = net.take_trace(op).expect("tracing was on");
-        let tree = net.stitched_trace(op, &trace).expect("op origin registered");
+        let tree = net.stitched_trace(&trace).expect("trace is not empty");
         // The distributed tree reconciles with the op report: same
         // envelope, and a critical path that never exceeds it (integer
         // nanoseconds, no tolerance).
@@ -4284,8 +4221,7 @@ mod tests {
     #[test]
     fn crashed_session_peer_triggers_a_reroute_postmortem() {
         let mut net = small_net(300, 8);
-        net.set_trace_config(TraceConfig::enabled());
-        net.set_dtrace(DtraceConfig::full(None));
+        net.set_trace_config(TraceConfig::full(None));
         let [a, b, requester] = net.vantage_ids(3)[..] else { panic!() };
         // Non-repeating payload: a uniform fill would dedup every leaf
         // into one CID and leave too few wants to observe a re-route.
@@ -4337,5 +4273,74 @@ mod tests {
         assert!(text.contains("bs:reroute"), "{text}");
         assert!(text.contains(&format!("-> n{b}")), "{text}");
         assert!(net.drain_postmortems().is_empty(), "drain removes what it returns");
+    }
+
+    #[test]
+    fn postmortem_level_alone_records_remote_server_spans() {
+        // Post-mortems are the top trace level, so arming them alone also
+        // numbers RPCs: the failed provider walk's server spans land in
+        // the flight rings and in the dump.
+        let mut net = small_net(300, 9);
+        net.set_trace_config(TraceConfig::full(None));
+        let [holder, requester] = net.vantage_ids(2)[..] else { panic!() };
+        // Imported but never published: the provider walk finds nobody.
+        let cid = net.import_content(holder, &Bytes::from(vec![0x5C; 4096]));
+        let op = net.retrieve(requester, cid);
+        net.run_until_quiet();
+        assert!(!net.retrieve_reports[0].success);
+        let pms = net.drain_postmortems();
+        assert_eq!(pms.len(), 1);
+        let (pm_op, text) = &pms[0];
+        assert_eq!(*pm_op, op);
+        assert!(text.contains("outcome=failed"), "{text}");
+        assert!(text.contains(" srv:GET_PROVIDERS from="), "server spans missing: {text}");
+    }
+
+    #[test]
+    fn deadline_breach_triggers_exactly_one_postmortem() {
+        let mut net = small_net(300, 10);
+        net.set_trace_config(TraceConfig::full(Some(SimDuration::from_millis(1))));
+        let [provider, requester] = net.vantage_ids(2)[..] else { panic!() };
+        let cid = net.import_content(provider, &Bytes::from(vec![0x3D; 64 * 1024]));
+        net.publish(provider, cid.clone());
+        net.run_until_quiet();
+        let op = net.retrieve(requester, cid);
+        net.run_until_quiet();
+        let rr = net.retrieve_reports[0].clone();
+        assert!(rr.success && rr.total > SimDuration::from_millis(1), "{rr:?}");
+        let pms = net.drain_postmortems();
+        assert_eq!(pms.len(), 1, "only the retrieval is watched: {pms:?}");
+        assert_eq!(pms[0].0, op);
+        assert!(pms[0].1.contains("outcome=deadline_breached"), "{}", pms[0].1);
+    }
+
+    #[test]
+    fn taken_traces_release_every_per_op_entry() {
+        let mut net = small_net(300, 11);
+        net.set_trace_config(TraceConfig::collecting());
+        let [provider, requester] = net.vantage_ids(2)[..] else { panic!() };
+        let mut last = None;
+        for i in 0..4u8 {
+            let cid = net.import_content(provider, &Bytes::from(vec![i; 8 * 1024]));
+            let pub_op = net.publish(provider, cid.clone());
+            net.run_until_quiet();
+            let ret_op = net.retrieve(requester, cid);
+            net.run_until_quiet();
+            assert!(net.take_trace(pub_op).is_some());
+            last = net.take_trace(ret_op);
+            assert!(last.is_some());
+        }
+        assert_eq!(net.tracer.open_ops(), 0, "taken traces leave no per-op state behind");
+        // The taken trace carries its own origin, so it still stitches
+        // against the fragments its RPCs produced.
+        let tree = net.stitched_trace(&last.unwrap()).expect("trace is not empty");
+        assert_eq!(tree.duration(), net.retrieve_reports[3].total);
+        let mut labels = Vec::new();
+        let mut stack = vec![&tree.root];
+        while let Some(span) = stack.pop() {
+            labels.push(span.label.as_str());
+            stack.extend(&span.children);
+        }
+        assert!(labels.iter().any(|l| l.contains("@n")), "remote spans missing: {labels:?}");
     }
 }

@@ -14,24 +14,28 @@
 //!   oracle, warm connections severed, messages cut or lost, crash-wave
 //!   victims — plus the `fault_recovery_secs` histogram of
 //!   time-to-first-successful-retrieval after heal.
-//! * **Traces** — a per-[`OpId`] sequence of timestamped [`TraceEvent`]s
-//!   recording the §3.2 content-retrieval pipeline (Bitswap probe →
-//!   provider walk → peer walk → dial → fetch) and the publish/IPNS
-//!   equivalents, collected by a [`Tracer`].
+//! * **Traces** — one [`Tracer`] per network, configured by one
+//!   [`TraceConfig`] whose nested [`TraceLevel`] picks what it records:
+//!   each op's requester-side [`OpTrace`] (the §3.2 pipeline: Bitswap
+//!   probe → provider walk → peer walk → dial → fetch, and the
+//!   publish/IPNS equivalents), then the span fragments remote nodes
+//!   record for stitching, then flight-recorder post-mortems.
 //!
 //! Tracing is off by default. [`Tracer::record_with`] takes a closure that
 //! builds the event, so a disabled tracer costs exactly one branch per
 //! call site and performs no allocation.
 //!
-//! Three submodules build on this layer: [`names`] holds every canonical
-//! metric name as a constant, [`span`] folds an [`OpTrace`] into a causal
-//! span tree with critical-path analysis and the §6.2
-//! [`LatencyBreakdown`](span::LatencyBreakdown), and [`timeseries`]
+//! Four submodules build on this layer: [`names`] holds every canonical
+//! metric name as a constant, [`dtrace`] carries trace context across
+//! nodes and [`dtrace::stitch`]es a trace and its fragments into a span
+//! tree, [`span`] analyses that tree (critical path, the §6.2
+//! [`LatencyBreakdown`](span::LatencyBreakdown)), and [`timeseries`]
 //! buckets counter deltas and samples into windows of simulated time
 //! (the Fig. 4 longitudinal view).
 
 use crate::ops::OpId;
-use simnet::SimTime;
+use dtrace::{FlightRing, SpanFragment, TraceCtx};
+use simnet::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
 pub mod dtrace;
@@ -705,20 +709,6 @@ pub enum TraceEventKind {
         /// Timer label.
         timer: &'static str,
     },
-    /// A Bitswap message left this node for the operation.
-    BitswapSent {
-        /// Message type label ("WANT_HAVE", "BLOCK", ...).
-        kind: &'static str,
-        /// Destination node.
-        peer: usize,
-    },
-    /// A Bitswap message arrived for the operation.
-    BitswapReceived {
-        /// Message type label.
-        kind: &'static str,
-        /// Sending node.
-        peer: usize,
-    },
     /// A wanted block arrived and was stored.
     BlockReceived,
     /// The provider's address was already cached, skipping the peer walk
@@ -747,8 +737,6 @@ impl TraceEventKind {
             TraceEventKind::DialCompleted { .. } => "dial_completed",
             TraceEventKind::TimerArmed { .. } => "timer_armed",
             TraceEventKind::TimerFired { .. } => "timer_fired",
-            TraceEventKind::BitswapSent { .. } => "bitswap_sent",
-            TraceEventKind::BitswapReceived { .. } => "bitswap_received",
             TraceEventKind::BlockReceived => "block_received",
             TraceEventKind::AddrBookHit => "addr_book_hit",
             TraceEventKind::OpFinished { .. } => "op_finished",
@@ -780,10 +768,6 @@ impl TraceEventKind {
             TraceEventKind::TimerArmed { timer } | TraceEventKind::TimerFired { timer } => {
                 format!(",\"timer\":\"{timer}\"")
             }
-            TraceEventKind::BitswapSent { kind, peer }
-            | TraceEventKind::BitswapReceived { kind, peer } => {
-                format!(",\"kind\":\"{kind}\",\"peer\":{peer}")
-            }
             TraceEventKind::BlockReceived | TraceEventKind::AddrBookHit => String::new(),
             TraceEventKind::OpFinished { success } => format!(",\"success\":{success}"),
         }
@@ -799,9 +783,14 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// The accumulated trace of one operation.
+/// The accumulated trace of one operation, as its origin node saw it.
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
+    /// The operation.
+    pub op: OpId,
+    /// The node that started it; with `op` it fixes the trace id
+    /// ([`dtrace::trace_id`]), so a taken trace can still be stitched.
+    pub origin: usize,
     /// Events in emission (and therefore time) order.
     pub events: Vec<TraceEvent>,
 }
@@ -850,42 +839,100 @@ impl OpTrace {
     }
 }
 
-/// Switches for trace collection.
-#[derive(Debug, Clone, Copy, Default)]
+/// How much a [`Tracer`] records. Each level includes every level below
+/// it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TraceLevel {
+    /// Nothing: every record site costs one branch.
+    #[default]
+    Off,
+    /// Each op's requester-side event log ([`OpTrace`]).
+    OpLog,
+    /// Plus the span fragments remote nodes record, kept for
+    /// [`dtrace::stitch`], and every node's flight ring.
+    Stitch,
+    /// Plus a flight-recorder post-mortem for each retrieval that fails,
+    /// overruns [`TraceConfig::deadline`], or re-routes wants mid-fetch.
+    Postmortem,
+}
+
+/// What a [`Tracer`] records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch: when false, [`Tracer::record_with`] returns after a
-    /// single branch and never invokes its closure.
-    pub enabled: bool,
+    /// How much is recorded.
+    pub level: TraceLevel,
+    /// At [`TraceLevel::Postmortem`], a retrieval that takes longer than
+    /// this also gets a post-mortem.
+    pub deadline: Option<SimDuration>,
 }
 
 impl TraceConfig {
-    /// A config with tracing on.
+    /// The op log alone.
     pub fn enabled() -> Self {
-        TraceConfig { enabled: true }
+        TraceConfig { level: TraceLevel::OpLog, deadline: None }
+    }
+
+    /// The op log plus remote fragments for stitching.
+    pub fn collecting() -> Self {
+        TraceConfig { level: TraceLevel::Stitch, deadline: None }
+    }
+
+    /// Everything, post-mortems included, with an optional deadline
+    /// trigger.
+    pub fn full(deadline: Option<SimDuration>) -> Self {
+        TraceConfig { level: TraceLevel::Postmortem, deadline }
     }
 }
 
-/// Collects [`OpTrace`]s for in-flight and completed operations.
+/// Fragments each node's flight ring keeps.
+const RING_CAP: usize = 64;
+
+/// One op's tracing state.
+#[derive(Debug, Clone)]
+struct OpRecord {
+    trace: OpTrace,
+    /// `RpcSent` events so far: the span index of the op's next RPC.
+    rpcs: u32,
+    /// A mid-fetch re-route flagged the op for a post-mortem.
+    flagged: bool,
+}
+
+/// The network's one trace recorder: a record per traced op, every
+/// node's flight ring, the fragments kept for stitching, and rendered
+/// post-mortems, all gated by one [`TraceConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     config: TraceConfig,
-    traces: HashMap<OpId, OpTrace>,
+    ops: HashMap<OpId, OpRecord>,
+    rings: Vec<FlightRing>,
+    fragments: Vec<SpanFragment>,
+    postmortems: Vec<(OpId, String)>,
 }
 
 impl Tracer {
     /// Creates a tracer with the given config.
     pub fn new(config: TraceConfig) -> Self {
-        Tracer { config, traces: HashMap::new() }
+        Tracer { config, ..Default::default() }
     }
 
-    /// Whether events are being collected.
-    pub fn is_enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    /// Replaces the config (existing traces are kept).
+    /// Replaces the config (everything recorded so far is kept).
     pub fn set_config(&mut self, config: TraceConfig) {
         self.config = config;
+    }
+
+    /// Whether `level` is being recorded.
+    #[inline]
+    pub fn records(&self, level: TraceLevel) -> bool {
+        self.config.level >= level
+    }
+
+    /// Opens the record of `op`, started at node `origin`. Ops without a
+    /// record are not traced.
+    pub fn start_op(&mut self, op: OpId, origin: usize) {
+        if self.records(TraceLevel::OpLog) {
+            let trace = OpTrace { op, origin, events: Vec::new() };
+            self.ops.insert(op, OpRecord { trace, rpcs: 0, flagged: false });
+        }
     }
 
     /// Records an event for `op` at time `at`. The closure that builds the
@@ -893,51 +940,149 @@ impl Tracer {
     /// single branch with no allocation.
     #[inline]
     pub fn record_with<F: FnOnce() -> TraceEventKind>(&mut self, op: OpId, at: SimTime, f: F) {
-        if !self.config.enabled {
+        if !self.records(TraceLevel::OpLog) {
             return;
         }
-        self.traces.entry(op).or_default().events.push(TraceEvent { at, kind: f() });
+        if let Some(r) = self.ops.get_mut(&op) {
+            r.trace.events.push(TraceEvent { at, kind: f() });
+        }
+    }
+
+    /// Records that `op` sent a `kind` RPC to `peer` and returns the
+    /// context the RPC carries. Its span is numbered by the op's count of
+    /// `RpcSent` events, the count [`dtrace::stitch`] reads back.
+    pub fn rpc_sent(&mut self, op: OpId, at: SimTime, kind: &'static str, peer: usize) -> TraceCtx {
+        let Some(r) = self.ops.get_mut(&op) else { return TraceCtx::NONE };
+        r.trace.events.push(TraceEvent { at, kind: TraceEventKind::RpcSent { kind, peer } });
+        let trace_id = dtrace::trace_id(r.trace.origin, op);
+        let parent_span = dtrace::rpc_span(trace_id, r.rpcs);
+        r.rpcs += 1;
+        TraceCtx { trace_id, parent_span }
     }
 
     /// The trace collected for `op`, if any.
     pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
-        self.traces.get(&op)
+        self.ops.get(&op).map(|r| &r.trace)
     }
 
-    /// Removes and returns the trace collected for `op`.
+    /// Removes and returns the trace collected for `op`, releasing every
+    /// per-op entry the tracer held for it.
     pub fn take(&mut self, op: OpId) -> Option<OpTrace> {
-        self.traces.remove(&op)
+        self.ops.remove(&op).map(|r| r.trace)
     }
 
-    /// All collected traces sorted by [`OpId`] — the deterministic order
-    /// every bulk export must use (the backing store is a `HashMap`, so
-    /// raw iteration order would depend on hashing).
-    pub fn iter_sorted(&self) -> Vec<(OpId, &OpTrace)> {
-        let mut all: Vec<(OpId, &OpTrace)> = self.traces.iter().map(|(k, v)| (*k, v)).collect();
-        all.sort_by_key(|(id, _)| *id);
-        all
+    /// The node `op` started at, while its record is held.
+    pub fn origin(&self, op: OpId) -> Option<usize> {
+        self.ops.get(&op).map(|r| r.trace.origin)
     }
 
-    /// Removes and returns every collected trace, sorted by [`OpId`].
-    pub fn drain_sorted(&mut self) -> Vec<(OpId, OpTrace)> {
-        let mut all: Vec<(OpId, OpTrace)> = self.traces.drain().collect();
-        all.sort_by_key(|(id, _)| *id);
-        all
+    /// Flags `op` for a post-mortem (a mid-fetch re-route was observed).
+    pub fn flag(&mut self, op: OpId) {
+        if let Some(r) = self.ops.get_mut(&op) {
+            r.flagged = true;
+        }
     }
 
-    /// Number of operations with collected traces.
-    pub fn len(&self) -> usize {
-        self.traces.len()
+    /// Records one remote-side span on `node`, caused by `ctx`: into the
+    /// node's flight ring, and into the stitching collection when it
+    /// belongs to a trace. A no-op below [`TraceLevel::Stitch`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_span(
+        &mut self,
+        ctx: TraceCtx,
+        node: usize,
+        peer: Option<usize>,
+        label: &'static str,
+        detail: &'static str,
+        a: u64,
+        b: u64,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        if !self.records(TraceLevel::Stitch) {
+            return;
+        }
+        if node >= self.rings.len() {
+            self.rings.resize(node + 1, FlightRing::default());
+        }
+        let ring = &mut self.rings[node];
+        let seq = ring.take_seq();
+        let frag = SpanFragment {
+            trace_id: ctx.trace_id,
+            span_id: dtrace::fragment_span(ctx.trace_id, node, seq),
+            parent: ctx.parent_span,
+            node: node as u32,
+            peer: peer.map(|p| p as u32).unwrap_or(dtrace::NO_PEER),
+            label,
+            detail,
+            a,
+            b,
+            start,
+            end,
+            seq,
+        };
+        ring.push(RING_CAP, frag);
+        if !ctx.is_none() {
+            self.fragments.push(frag);
+        }
     }
 
-    /// Whether no traces have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
+    /// Every fragment collected for stitching, in record order.
+    pub fn fragments(&self) -> &[SpanFragment] {
+        &self.fragments
     }
 
-    /// Drops all collected traces.
-    pub fn clear(&mut self) {
-        self.traces.clear();
+    /// Ends the flight recorder's watch over a retrieval started at
+    /// `origin` at `t0`: at [`TraceLevel::Postmortem`], one that failed,
+    /// overran the deadline or was flagged gets a post-mortem rendered
+    /// from every ring fragment of its trace, on any node.
+    pub fn finish_retrieval(
+        &mut self,
+        op: OpId,
+        origin: usize,
+        success: bool,
+        t0: SimTime,
+        end: SimTime,
+    ) {
+        if !self.records(TraceLevel::Postmortem) {
+            return;
+        }
+        let breached = self.config.deadline.is_some_and(|d| end.since(t0) > d);
+        let outcome = if !success {
+            "failed"
+        } else if breached {
+            "deadline_breached"
+        } else if self.ops.get(&op).is_some_and(|r| r.flagged) {
+            "rerouted"
+        } else {
+            return;
+        };
+        let tid = dtrace::trace_id(origin, op);
+        let entries = self.ring_entries(tid);
+        let text = dtrace::render_postmortem(op, origin, "retrieve", outcome, t0, end, &entries);
+        self.postmortems.push((op, text));
+    }
+
+    /// Removes and returns every rendered post-mortem, in op-completion
+    /// order.
+    pub fn drain_postmortems(&mut self) -> Vec<(OpId, String)> {
+        std::mem::take(&mut self.postmortems)
+    }
+
+    /// The flight-ring entries of one trace across every node.
+    fn ring_entries(&self, tid: u64) -> Vec<SpanFragment> {
+        self.rings
+            .iter()
+            .flat_map(FlightRing::iter)
+            .filter(|f| f.trace_id == tid)
+            .copied()
+            .collect()
+    }
+
+    /// Per-op records currently held.
+    #[cfg(test)]
+    pub(crate) fn open_ops(&self) -> usize {
+        self.ops.len()
     }
 }
 
@@ -1050,23 +1195,29 @@ mod tests {
             TraceEventKind::BlockReceived
         });
         assert!(!called, "closure must not run when tracing is disabled");
-        assert!(tracer.is_empty(), "no trace storage allocated when disabled");
+        tracer.start_op(OpId(1), 0);
+        assert_eq!(tracer.open_ops(), 0, "no trace storage allocated when disabled");
     }
 
     #[test]
     fn enabled_tracer_collects_in_order() {
         let mut tracer = Tracer::new(TraceConfig::enabled());
         let op = OpId(9);
+        tracer.start_op(op, 4);
         tracer.record_with(op, SimTime::ZERO, || TraceEventKind::OpStarted { kind: "retrieve" });
         tracer.record_with(op, SimTime::ZERO + SimDuration::from_secs(1), || {
             TraceEventKind::PhaseEntered { phase: "provider_walk" }
         });
+        // Events of ops that were never started are not kept.
+        tracer.record_with(OpId(10), SimTime::ZERO, || TraceEventKind::BlockReceived);
+        assert!(tracer.trace(OpId(10)).is_none());
         let trace = tracer.trace(op).unwrap();
         assert_eq!(trace.events.len(), 2);
         assert_eq!(trace.phases(), vec!["provider_walk"]);
         let taken = tracer.take(op).unwrap();
-        assert_eq!(taken.events.len(), 2);
+        assert_eq!((taken.op, taken.origin, taken.events.len()), (op, 4, 2));
         assert!(tracer.trace(op).is_none());
+        assert_eq!(tracer.open_ops(), 0);
     }
 
     #[test]
@@ -1224,23 +1375,10 @@ mod tests {
     }
 
     #[test]
-    fn tracer_drain_is_sorted_by_op_id() {
-        let mut tracer = Tracer::new(TraceConfig::enabled());
-        for id in [9u64, 2, 151, 40, 1] {
-            tracer.record_with(OpId(id), SimTime::ZERO, || TraceEventKind::BlockReceived);
-        }
-        let ids: Vec<u64> = tracer.iter_sorted().iter().map(|(id, _)| id.0).collect();
-        assert_eq!(ids, vec![1, 2, 9, 40, 151]);
-        let drained = tracer.drain_sorted();
-        assert_eq!(drained.len(), 5);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0), "drain sorted by OpId");
-        assert!(tracer.is_empty());
-    }
-
-    #[test]
     fn trace_json_includes_timestamps_and_payload() {
         let mut tracer = Tracer::new(TraceConfig::enabled());
         let op = OpId(3);
+        tracer.start_op(op, 0);
         tracer.record_with(op, SimTime::ZERO + SimDuration::from_millis(1500), || {
             TraceEventKind::DialFailed { peer: 12, class: DialClass::Timeout5s }
         });

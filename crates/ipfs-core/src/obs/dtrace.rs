@@ -1,9 +1,10 @@
-//! Cross-node causal tracing and the crash flight recorder.
+//! Cross-node causal tracing, stitching and the crash flight recorder.
 //!
-//! The per-op [`super::Tracer`] only sees what the *requesting* node
-//! observes: a remote peer's handler time, uplink queueing, or mid-fetch
-//! re-routing collapses into an opaque RPC or fetch span. This module adds
-//! the distributed half:
+//! An [`OpTrace`] only holds what the *requesting* node observes: a
+//! remote peer's handler time, uplink queueing, or mid-fetch re-routing
+//! collapses into an opaque RPC or fetch span. From
+//! [`TraceLevel::Stitch`](super::TraceLevel::Stitch) up, the network's one
+//! [`Tracer`](super::Tracer) also records the distributed half:
 //!
 //! * [`TraceCtx`] — a 16-byte `(trace_id, parent_span)` pair carried on
 //!   simulated messages (kademlia RPCs, Bitswap WANT/BLOCK traffic). Both
@@ -14,16 +15,15 @@
 //! * [`SpanFragment`] — a fixed-size, `Copy`, allocation-free record of
 //!   one remote-side span (server handler time, BLOCK serve with uplink
 //!   queue wait, a re-routed want, a gateway serve tier), written by the
-//!   node where the work happened.
-//! * [`DtraceSink`] — per-node storage: a bounded [`FlightRing`] of the
-//!   most recent fragments (always on, one fixed buffer per active node)
-//!   plus an unbounded collection vector used for stitching when
-//!   [`DtraceConfig::collect`] is set.
-//! * [`stitch`] — joins the requester's [`OpTrace`] with every fragment
-//!   of the op's trace id into one distributed
-//!   [`SpanTree`](super::span::SpanTree). Stitching sorts fragments by a
-//!   total order first, so the result is byte-identical regardless of the
-//!   order fragments were gathered in (shards, job counts, shuffles).
+//!   node where the work happened into its bounded [`FlightRing`] and
+//!   the tracer's stitching collection.
+//! * [`stitch`] — the one span builder: folds a requester [`OpTrace`]
+//!   into phase, RPC and dial spans and hangs every fragment of the op's
+//!   trace id under its cause, yielding one distributed [`SpanTree`].
+//!   With no fragments it is [`SpanTree::from_trace`]. Fragments are
+//!   sorted by a total order first, so the result is byte-identical
+//!   regardless of the order they were gathered in (shards, job counts,
+//!   shuffles).
 //! * [`render_postmortem`] — the flight-recorder dump: the causal trail
 //!   of one op across every node that touched it, rendered when the op
 //!   fails, breaches a deadline, or saw a mid-fetch re-route.
@@ -40,15 +40,20 @@
 //! | remote fragment         | `span_id(tid, FRAGMENT, node«32 | seq)`   |
 //!
 //! The requester side of the scheme is reconstructible from the op's
-//! trace alone (the stitcher counts `RpcSent` events the same way the
-//! sender numbered them), so no id ever needs to travel backwards.
+//! trace alone ([`Tracer::rpc_sent`](super::Tracer::rpc_sent) numbers an
+//! RPC by the `RpcSent` events before it, which is what [`stitch`]
+//! counts), so no id ever needs to travel backwards.
 
-use super::span::{Span, SpanTree};
+use super::span::{tile, Span, SpanTree};
 use super::{OpTrace, TraceEventKind};
 use crate::ops::OpId;
 use simnet::mix::{fnv1a, splitmix64, FNV_BASIS};
-use simnet::{SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use simnet::SimTime;
+use std::collections::{HashMap, HashSet};
+
+/// Former name of [`TraceConfig`](super::TraceConfig), kept for callers
+/// that still use it.
+pub type DtraceConfig = super::TraceConfig;
 
 /// Sentinel for "no counterpart node" in [`SpanFragment::peer`].
 pub const NO_PEER: u32 = u32::MAX;
@@ -236,193 +241,20 @@ impl FlightRing {
     }
 }
 
-/// Switches for distributed-trace collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DtraceConfig {
-    /// Keep every traced fragment for stitching (unbounded vector).
-    pub collect: bool,
-    /// Render flight-recorder post-mortems when an op fails, breaches
-    /// `deadline`, or saw a mid-fetch re-route.
-    pub postmortem: bool,
-    /// Deadline whose breach triggers a post-mortem (in addition to
-    /// failure and re-route triggers).
-    pub deadline: Option<SimDuration>,
-    /// Per-node flight-ring capacity (fragments). The ring records
-    /// regardless of `collect`/`postmortem`; zero disables it.
-    pub ring_cap: usize,
-}
-
-impl Default for DtraceConfig {
-    fn default() -> Self {
-        DtraceConfig { collect: false, postmortem: false, deadline: None, ring_cap: 64 }
-    }
-}
-
-impl DtraceConfig {
-    /// Collection on (for stitched traces), post-mortems off.
-    pub fn collecting() -> Self {
-        DtraceConfig { collect: true, ..Default::default() }
-    }
-
-    /// Post-mortems on with an optional deadline trigger.
-    pub fn postmortems(deadline: Option<SimDuration>) -> Self {
-        DtraceConfig { postmortem: true, deadline, ..Default::default() }
-    }
-
-    /// Both collection and post-mortems.
-    pub fn full(deadline: Option<SimDuration>) -> Self {
-        DtraceConfig { collect: true, postmortem: true, deadline, ..Default::default() }
-    }
-}
-
-/// Per-network distributed-trace storage: one [`FlightRing`] per node,
-/// the stitching collection, and the per-op bookkeeping the context
-/// derivation needs (RPC send counters, op origins, re-route flags).
-#[derive(Debug, Clone, Default)]
-pub struct DtraceSink {
-    cfg: DtraceConfig,
-    rings: Vec<FlightRing>,
-    fragments: Vec<SpanFragment>,
-    rpc_seq: HashMap<u64, u32>,
-    op_node: HashMap<u64, usize>,
-    flagged: BTreeSet<u64>,
-}
-
-impl DtraceSink {
-    /// A sink with rings for `nodes` nodes (buffers allocate lazily).
-    pub fn new(nodes: usize) -> Self {
-        DtraceSink { rings: vec![FlightRing::default(); nodes], ..Default::default() }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> DtraceConfig {
-        self.cfg
-    }
-
-    /// Replaces the configuration. Already-collected fragments are kept.
-    pub fn set_config(&mut self, cfg: DtraceConfig) {
-        self.cfg = cfg;
-    }
-
-    /// Whether any op-level bookkeeping (collection or post-mortems) is
-    /// on.
-    pub fn active(&self) -> bool {
-        self.cfg.collect || self.cfg.postmortem
-    }
-
-    /// Records one remote-side span on `node`: always into the node's
-    /// flight ring, and into the stitching collection when collecting a
-    /// real trace.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span(
-        &mut self,
-        tid: u64,
-        parent: u64,
-        node: usize,
-        peer: Option<usize>,
-        label: &'static str,
-        detail: &'static str,
-        a: u64,
-        b: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if node >= self.rings.len() {
-            self.rings.resize(node + 1, FlightRing::default());
-        }
-        let ring = &mut self.rings[node];
-        let seq = ring.take_seq();
-        let frag = SpanFragment {
-            trace_id: tid,
-            span_id: fragment_span(tid, node, seq),
-            parent,
-            node: node as u32,
-            peer: peer.map(|p| p as u32).unwrap_or(NO_PEER),
-            label,
-            detail,
-            a,
-            b,
-            start,
-            end,
-            seq,
-        };
-        ring.push(self.cfg.ring_cap, frag);
-        if self.cfg.collect && tid != 0 {
-            self.fragments.push(frag);
-        }
-    }
-
-    /// Every fragment collected for stitching, in record order.
-    pub fn fragments(&self) -> &[SpanFragment] {
-        &self.fragments
-    }
-
-    /// Drops the stitching collection (rings are untouched).
-    pub fn clear_fragments(&mut self) {
-        self.fragments.clear();
-    }
-
-    /// Gathers the flight-ring entries of one trace across every node.
-    pub fn ring_entries_for(&self, tid: u64) -> Vec<SpanFragment> {
-        if tid == 0 {
-            return Vec::new();
-        }
-        self.rings
-            .iter()
-            .flat_map(FlightRing::iter)
-            .filter(|f| f.trace_id == tid)
-            .copied()
-            .collect()
-    }
-
-    /// Registers an op's origin node (needed to re-derive its trace id
-    /// after the op state is gone). No-op unless the sink is active.
-    pub fn note_op(&mut self, op: OpId, node: usize) {
-        if self.active() {
-            self.op_node.insert(op.0, node);
-        }
-    }
-
-    /// The origin node registered for `op`, if any.
-    pub fn op_node(&self, op: OpId) -> Option<usize> {
-        self.op_node.get(&op.0).copied()
-    }
-
-    /// Takes the next per-op RPC send index (numbers `RpcSent` events the
-    /// same way the stitcher counts them).
-    pub fn next_rpc_seq(&mut self, op: OpId) -> u32 {
-        let e = self.rpc_seq.entry(op.0).or_insert(0);
-        let s = *e;
-        *e += 1;
-        s
-    }
-
-    /// Flags `op` for a post-mortem (e.g. a mid-fetch re-route was
-    /// observed). No-op unless the sink is active.
-    pub fn flag(&mut self, op: OpId) {
-        if self.active() {
-            self.flagged.insert(op.0);
-        }
-    }
-
-    /// Whether `op` was flagged.
-    pub fn is_flagged(&self, op: OpId) -> bool {
-        self.flagged.contains(&op.0)
-    }
-
-    /// Releases the per-op counters once the op has finished (its origin
-    /// registration is kept so late stitching still works).
-    pub fn finish_op(&mut self, op: OpId) {
-        self.rpc_seq.remove(&op.0);
-        self.flagged.remove(&op.0);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Stitching
 // ---------------------------------------------------------------------------
 
-/// Arena node used while assembling the distributed tree.
+/// The tree under construction: nodes plus the span-id index fragments
+/// find their parents through.
+#[derive(Default)]
+struct Arena {
+    nodes: Vec<ArenaNode>,
+    parent_of: Vec<Option<usize>>,
+    index: HashMap<u64, Vec<usize>>,
+}
+
+/// One span while the tree is assembled.
 struct ArenaNode {
     label: String,
     start: SimTime,
@@ -430,163 +262,84 @@ struct ArenaNode {
     children: Vec<usize>,
 }
 
-/// Joins a requester-side trace with the remote fragments of the same
-/// trace id into one distributed [`SpanTree`]. Returns `None` for an
-/// empty trace.
-///
-/// The requester skeleton mirrors
-/// [`SpanTree::from_trace`](super::span::SpanTree::from_trace) exactly
-/// (same pairing and clamping rules), but additionally assigns every
-/// skeleton span its deterministic id so fragments can find their
-/// parents. Fragments are sorted by `(start, end, node, seq, span_id)`
-/// before attachment and children are re-sorted at materialization, so
-/// the output is independent of the order fragments arrive in.
-pub fn stitch(
-    node: usize,
-    op: OpId,
-    trace: &OpTrace,
-    fragments: &[SpanFragment],
-) -> Option<SpanTree> {
-    let tid = trace_id(node, op);
-    let events = &trace.events;
-    let first = events.first()?;
-    let start = first.at;
-    let end = events
-        .iter()
-        .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
-        .map(|e| e.at)
-        .unwrap_or_else(|| events.last().map(|e| e.at).unwrap_or(start));
-    let end = end.max(start);
-    let op_label = events
-        .iter()
-        .find_map(|e| match e.kind {
-            TraceEventKind::OpStarted { kind } => Some(kind),
-            _ => None,
-        })
-        .unwrap_or("op");
-
-    let mut nodes: Vec<ArenaNode> = Vec::new();
-    let mut parent_of: Vec<Option<usize>> = Vec::new();
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-    let push = |nodes: &mut Vec<ArenaNode>,
-                parent_of: &mut Vec<Option<usize>>,
-                index: &mut HashMap<u64, Vec<usize>>,
-                id: u64,
-                parent: Option<usize>,
-                label: String,
-                s: SimTime,
-                e: SimTime| {
-        let idx = nodes.len();
-        nodes.push(ArenaNode { label, start: s, end: e, children: Vec::new() });
-        parent_of.push(parent);
+impl Arena {
+    fn push(
+        &mut self,
+        id: u64,
+        parent: Option<usize>,
+        label: String,
+        start: SimTime,
+        end: SimTime,
+    ) -> usize {
+        let idx = self.nodes.len();
+        self.nodes.push(ArenaNode { label, start, end, children: Vec::new() });
+        self.parent_of.push(parent);
         if let Some(p) = parent {
-            nodes[p].children.push(idx);
+            self.nodes[p].children.push(idx);
         }
-        index.entry(id).or_default().push(idx);
+        self.index.entry(id).or_default().push(idx);
         idx
-    };
+    }
+}
 
-    let root = push(
-        &mut nodes,
-        &mut parent_of,
-        &mut index,
-        root_span(tid),
-        None,
-        op_label.to_string(),
-        start,
-        end,
-    );
+/// Folds a requester-side trace into a span tree and hangs every remote
+/// fragment of the same trace id under its cause. Returns `None` for an
+/// empty trace; with no fragments the result is
+/// [`SpanTree::from_trace`].
+///
+/// The op span runs from the first event to `OpFinished` (or the last
+/// event), and each phase runs from its `PhaseEntered` to the next one,
+/// the tiling [`LatencyBreakdown`](super::span::LatencyBreakdown) also
+/// reads. Within a phase, `RpcSent` pairs with the first later
+/// `RpcOk`/`RpcFailed` for the same peer inside the phase, and
+/// `DialStarted` with the first later `DialCompleted`/`DialFailed` for the
+/// same peer; unmatched starts close at the phase end. Every span gets its
+/// deterministic id so fragments can find their parents. Fragments are sorted by `(start, end, node,
+/// seq, span_id)` before attachment and children are re-sorted and
+/// clamped into their parent at materialization, so the output is
+/// independent of the order fragments arrive in.
+pub fn stitch(trace: &OpTrace, fragments: &[SpanFragment]) -> Option<SpanTree> {
+    let tiling = tile(trace)?;
+    let tid = trace_id(trace.origin, trace.op);
+    let events = &trace.events;
+    let (start, end) = (tiling.start, tiling.end);
+    let mut arena = Arena::default();
+    let root = arena.push(root_span(tid), None, tiling.kind.to_string(), start, end);
 
-    // Requester skeleton: phases tile the op; RPC and dial spans pair the
-    // same way `SpanTree::from_trace` pairs them, while a global counter
-    // assigns each `RpcSent` the send index the network numbered it with.
-    let bounds: Vec<(usize, SimTime, &'static str)> = events
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| match e.kind {
-            TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
-            _ => None,
-        })
-        .collect();
-    let mut rpc_seq: u32 = 0;
-    let mut dial_seq: u32 = 0;
-    for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
-        let (next_idx, phase_end) = match bounds.get(pi + 1) {
-            Some(&(ni, na, _)) => (ni, na),
-            None => (events.len(), end),
-        };
-        let phase_end = phase_end.max(at);
-        let pnode = push(
-            &mut nodes,
-            &mut parent_of,
-            &mut index,
-            phase_span(tid, phase),
+    // A global counter per span family assigns each `RpcSent` the send
+    // index the network numbered it with.
+    let (mut rpc_seq, mut dial_seq) = (0u32, 0u64);
+    for phase in &tiling.phases {
+        let pnode = arena.push(
+            phase_span(tid, phase.label),
             Some(root),
-            phase.to_string(),
-            at,
-            phase_end,
+            phase.label.to_string(),
+            phase.start,
+            phase.end,
         );
         let mut claimed = vec![false; events.len()];
-        for i in idx..next_idx {
-            match events[i].kind {
-                TraceEventKind::RpcSent { kind, peer } => {
-                    let matched = (i + 1..next_idx).find(|&j| {
-                        !claimed[j]
-                            && matches!(
-                                events[j].kind,
-                                TraceEventKind::RpcOk { peer: p }
-                                | TraceEventKind::RpcFailed { peer: p } if p == peer
-                            )
-                    });
-                    let child_end = match matched {
-                        Some(j) => {
-                            claimed[j] = true;
-                            events[j].at
-                        }
-                        None => phase_end,
-                    };
-                    push(
-                        &mut nodes,
-                        &mut parent_of,
-                        &mut index,
-                        rpc_span(tid, rpc_seq),
-                        Some(pnode),
-                        format!("rpc:{kind}"),
-                        events[i].at,
-                        child_end,
-                    );
+        for i in phase.events.clone() {
+            let (id, label, horizon) = match events[i].kind {
+                TraceEventKind::RpcSent { kind, .. } => {
                     rpc_seq += 1;
+                    (rpc_span(tid, rpc_seq - 1), format!("rpc:{kind}"), phase.events.end)
                 }
-                TraceEventKind::DialStarted { peer } => {
-                    let matched = (i + 1..events.len()).find(|&j| {
-                        !claimed[j]
-                            && matches!(
-                                events[j].kind,
-                                TraceEventKind::DialCompleted { peer: p }
-                                | TraceEventKind::DialFailed { peer: p, .. } if p == peer
-                            )
-                    });
-                    let child_end = match matched {
-                        Some(j) => {
-                            claimed[j] = true;
-                            events[j].at
-                        }
-                        None => phase_end,
-                    };
-                    push(
-                        &mut nodes,
-                        &mut parent_of,
-                        &mut index,
-                        span_id(tid, domain::DIAL, dial_seq as u64),
-                        Some(pnode),
-                        "dial".to_string(),
-                        events[i].at,
-                        child_end,
-                    );
+                TraceEventKind::DialStarted { .. } => {
                     dial_seq += 1;
+                    (span_id(tid, domain::DIAL, dial_seq - 1), "dial".to_string(), events.len())
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            let closer =
+                (i + 1..horizon).find(|&j| !claimed[j] && closes(&events[i].kind, &events[j].kind));
+            let child_end = match closer {
+                Some(j) => {
+                    claimed[j] = true;
+                    events[j].at
+                }
+                None => phase.end,
+            };
+            arena.push(id, Some(pnode), label, events[i].at, child_end);
         }
     }
 
@@ -598,41 +351,43 @@ pub fn stitch(
     frags.sort_by_key(|f| (f.start, f.end, f.node, f.seq, f.span_id));
     let mut seen: HashSet<u64> = HashSet::with_capacity(frags.len());
     frags.retain(|f| seen.insert(f.span_id));
-    let mut fidx = Vec::with_capacity(frags.len());
+    let first = arena.nodes.len();
     for f in &frags {
-        let i = push(
-            &mut nodes,
-            &mut parent_of,
-            &mut index,
-            f.span_id,
-            None,
-            f.span_label(),
-            f.start,
-            f.end,
-        );
-        fidx.push(i);
+        arena.push(f.span_id, None, f.span_label(), f.start, f.end);
     }
-    for (f, &i) in frags.iter().zip(&fidx) {
-        let target = locate(&nodes, &index, f.parent, f.start)
-            .filter(|&p| !reaches(&parent_of, p, i))
+    for (i, f) in (first..).zip(&frags) {
+        let target = locate(&arena, f.parent, f.start)
+            .filter(|&p| !reaches(&arena.parent_of, p, i))
             .unwrap_or(root);
-        parent_of[i] = Some(target);
-        nodes[target].children.push(i);
+        arena.parent_of[i] = Some(target);
+        arena.nodes[target].children.push(i);
     }
 
-    Some(SpanTree { root: materialize(&nodes, root, start, end) })
+    Some(SpanTree { root: materialize(&arena.nodes, root, start, end) })
+}
+
+/// Whether `reply` closes the span `open` started: an RPC's answer or
+/// failure from its peer, a dial's completion or failure to its peer.
+fn closes(open: &TraceEventKind, reply: &TraceEventKind) -> bool {
+    match (open, reply) {
+        (
+            TraceEventKind::RpcSent { peer, .. },
+            TraceEventKind::RpcOk { peer: p } | TraceEventKind::RpcFailed { peer: p },
+        ) => p == peer,
+        (
+            TraceEventKind::DialStarted { peer },
+            TraceEventKind::DialCompleted { peer: p } | TraceEventKind::DialFailed { peer: p, .. },
+        ) => p == peer,
+        _ => false,
+    }
 }
 
 /// Picks the arena node carrying span id `id` best matching time `at`:
 /// prefer an interval containing `at`, else the latest one starting at or
 /// before `at`, else the first registered.
-fn locate(
-    nodes: &[ArenaNode],
-    index: &HashMap<u64, Vec<usize>>,
-    id: u64,
-    at: SimTime,
-) -> Option<usize> {
-    let cands = index.get(&id)?;
+fn locate(arena: &Arena, id: u64, at: SimTime) -> Option<usize> {
+    let nodes = &arena.nodes;
+    let cands = arena.index.get(&id)?;
     if let Some(&i) = cands.iter().find(|&&i| nodes[i].start <= at && at <= nodes[i].end) {
         return Some(i);
     }
@@ -735,7 +490,7 @@ pub fn exemplar_json(cell: &str, op: OpId, tree: &SpanTree) -> String {
 
 /// Renders a flight-recorder post-mortem: the op's identity and outcome,
 /// the peers it lost mid-op, and every retained fragment in causal
-/// order. `entries` come from [`DtraceSink::ring_entries_for`].
+/// order. `entries` are the op's fragments from every node's flight ring.
 pub fn render_postmortem(
     op: OpId,
     origin: usize,
@@ -808,6 +563,7 @@ mod tests {
     use super::*;
     use crate::obs::TraceEvent;
     use proptest::prelude::*;
+    use simnet::SimDuration;
 
     fn at(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -819,8 +575,10 @@ mod tests {
 
     /// The §3.2 retrieval trace from the span-tree tests: probe 1 s,
     /// provider walk 400 ms (2 RPCs), peer walk 300 ms, fetch 500 ms.
-    fn retrieval_trace() -> OpTrace {
+    fn retrieval_trace(origin: usize, op: u64) -> OpTrace {
         OpTrace {
+            op: OpId(op),
+            origin,
             events: vec![
                 ev(0, TraceEventKind::OpStarted { kind: "retrieve" }),
                 ev(0, TraceEventKind::PhaseEntered { phase: "bitswap_probe" }),
@@ -925,35 +683,45 @@ mod tests {
 
     #[test]
     fn sink_routes_fragments_by_config() {
-        let mut sink = DtraceSink::new(2);
-        // Default config: ring only.
-        sink.record_span(5, 9, 0, Some(1), "srv", "FIND_NODE", 3, 0, at(0), at(1));
-        assert!(sink.fragments().is_empty());
-        assert_eq!(sink.ring_entries_for(5).len(), 1);
-        // Collecting: fragments retained; untraced (tid 0) ones are not.
-        sink.set_config(DtraceConfig::collecting());
-        sink.record_span(5, 9, 1, None, "srv", "FIND_NODE", 3, 0, at(1), at(2));
-        sink.record_span(0, 0, 1, None, "srv", "FIND_NODE", 3, 0, at(2), at(3));
-        assert_eq!(sink.fragments().len(), 1);
-        assert_eq!(sink.ring_entries_for(5).len(), 2);
-        // Per-op bookkeeping requires an active config.
-        sink.note_op(OpId(1), 7);
-        assert_eq!(sink.op_node(OpId(1)), Some(7));
-        sink.flag(OpId(1));
-        assert!(sink.is_flagged(OpId(1)));
-        sink.finish_op(OpId(1));
-        assert!(!sink.is_flagged(OpId(1)));
-        assert_eq!(sink.op_node(OpId(1)), Some(7), "origin survives finish for late stitching");
-        assert_eq!(sink.next_rpc_seq(OpId(2)), 0);
-        assert_eq!(sink.next_rpc_seq(OpId(2)), 1);
+        use crate::obs::{TraceConfig, Tracer};
+        let traced = TraceCtx { trace_id: 5, parent_span: 9 };
+        // Below the stitch level nothing is recorded, not even in a ring.
+        let mut tracer = Tracer::new(TraceConfig::enabled());
+        tracer.record_span(traced, 0, Some(1), "srv", "FIND_NODE", 3, 0, at(0), at(1));
+        assert!(tracer.fragments().is_empty());
+        assert!(tracer.ring_entries(5).is_empty());
+        // Stitching: traced fragments are kept; untraced ones reach only
+        // the recording node's ring.
+        tracer.set_config(TraceConfig::collecting());
+        tracer.record_span(traced, 1, None, "srv", "FIND_NODE", 3, 0, at(1), at(2));
+        tracer.record_span(TraceCtx::NONE, 1, None, "srv", "FIND_NODE", 3, 0, at(2), at(3));
+        assert_eq!(tracer.fragments().len(), 1);
+        assert_eq!(tracer.ring_entries(5).len(), 1);
+        assert_eq!(tracer.ring_entries(0).len(), 1);
+        // Per-op bookkeeping lives in the op's record: its origin and the
+        // RPC numbering the stitcher re-derives.
+        let op = OpId(2);
+        assert_eq!(tracer.rpc_sent(op, at(0), "FIND_NODE", 1), TraceCtx::NONE, "op not started");
+        tracer.start_op(op, 7);
+        assert_eq!(tracer.origin(op), Some(7));
+        let tid = trace_id(7, op);
+        for seq in 0..3 {
+            let ctx = tracer.rpc_sent(op, at(seq.into()), "FIND_NODE", 1);
+            assert_eq!(ctx, TraceCtx { trace_id: tid, parent_span: rpc_span(tid, seq) });
+        }
+        tracer.flag(op);
+        let taken = tracer.take(op).unwrap();
+        assert_eq!(taken.events.len(), 3);
+        assert_eq!(tracer.open_ops(), 0, "taking a trace releases its record");
+        assert_eq!(tracer.origin(op), None);
     }
 
     #[test]
     fn stitch_attaches_remote_spans_under_their_causes() {
-        let trace = retrieval_trace();
+        let trace = retrieval_trace(3, 11);
         let tid = trace_id(3, OpId(11));
         let frags = remote_fragments(tid);
-        let tree = stitch(3, OpId(11), &trace, &frags).unwrap();
+        let tree = stitch(&trace, &frags).unwrap();
         let labels = labels_of(&tree.root);
         assert!(labels.contains(&"srv:GET_PROVIDERS@n4".to_string()), "{labels:?}");
         assert!(labels.contains(&"srv:GET_PROVIDERS@n9".to_string()), "{labels:?}");
@@ -980,15 +748,22 @@ mod tests {
 
     #[test]
     fn stitch_without_fragments_matches_local_tree_shape() {
-        let trace = retrieval_trace();
-        let local = crate::obs::span::SpanTree::from_trace(&trace).unwrap();
-        let stitched = stitch(0, OpId(0), &trace, &[]).unwrap();
-        assert_eq!(local, stitched, "no fragments → identical to the local tree");
+        let trace = retrieval_trace(3, 11);
+        let local = SpanTree::from_trace(&trace).unwrap();
+        // Fragments of another trace leave the local tree untouched.
+        let foreign = stitch(&trace, &remote_fragments(trace_id(4, OpId(11)))).unwrap();
+        assert_eq!(local, foreign, "no fragments of this trace → identical to the local tree");
+        let phases: Vec<(&str, usize)> =
+            local.root.children.iter().map(|p| (p.label.as_str(), p.children.len())).collect();
+        assert_eq!(
+            phases,
+            vec![("bitswap_probe", 0), ("provider_walk", 2), ("peer_walk", 1), ("fetch", 1)]
+        );
     }
 
     #[test]
     fn orphan_fragments_fall_back_to_the_root() {
-        let trace = retrieval_trace();
+        let trace = retrieval_trace(1, 2);
         let tid = trace_id(1, OpId(2));
         let orphan = SpanFragment {
             trace_id: tid,
@@ -1004,19 +779,19 @@ mod tests {
             end: at(200),
             seq: 0,
         };
-        let tree = stitch(1, OpId(2), &trace, &[orphan]).unwrap();
+        let tree = stitch(&trace, &[orphan]).unwrap();
         assert!(tree.root.children.iter().any(|c| c.label == "gw:serve@n5"));
         // Fragments of other traces are ignored entirely.
         let foreign = SpanFragment { trace_id: tid ^ 2, ..orphan };
-        let tree2 = stitch(1, OpId(2), &trace, &[foreign]).unwrap();
+        let tree2 = stitch(&trace, &[foreign]).unwrap();
         assert!(!labels_of(&tree2.root).iter().any(|l| l.contains("gw")));
     }
 
     #[test]
     fn exemplar_json_is_well_formed() {
-        let trace = retrieval_trace();
+        let trace = retrieval_trace(3, 11);
         let tid = trace_id(3, OpId(11));
-        let tree = stitch(3, OpId(11), &trace, &remote_fragments(tid)).unwrap();
+        let tree = stitch(&trace, &remote_fragments(tid)).unwrap();
         let json = exemplar_json("smoke/EU", OpId(11), &tree);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"cell\":\"smoke/EU\""));
@@ -1077,7 +852,7 @@ mod tests {
             // vendored proptest shim has no shuffle strategy).
             let mut perm: Vec<usize> = (0..16).collect();
             perm.sort_by_key(|&i| (shuffle_keys[i], i));
-            let trace = retrieval_trace();
+            let trace = retrieval_trace(3, 11);
             let tid = trace_id(3, OpId(11));
             let mut frags = remote_fragments(tid);
             // Extra fragments parented to arbitrary known spans.
@@ -1102,7 +877,7 @@ mod tests {
                     seq: 100 + i as u32,
                 });
             }
-            let canonical = stitch(3, OpId(11), &trace, &frags).unwrap();
+            let canonical = stitch(&trace, &frags).unwrap();
             let shuffled: Vec<SpanFragment> =
                 perm.iter().filter(|&&i| i < frags.len()).map(|&i| frags[i]).collect();
             // The permutation covers indices 0..16; restrict to the real
@@ -1111,7 +886,7 @@ mod tests {
             let mut shuffled = shuffled;
             shuffled.append(&mut rest);
             prop_assert_eq!(shuffled.len(), frags.len());
-            let stitched = stitch(3, OpId(11), &trace, &shuffled).unwrap();
+            let stitched = stitch(&trace, &shuffled).unwrap();
             prop_assert_eq!(&canonical, &stitched);
             prop_assert_eq!(span_tree_json(&canonical), span_tree_json(&stitched));
             // Structural invariants hold for arbitrary fragment sets.

@@ -1,27 +1,29 @@
 //! Span trees, critical-path analysis, and latency attribution.
 //!
 //! A raw [`OpTrace`] is a flat list of timestamped events; this module
-//! folds it into the causal structure the paper's §6.2 decomposition
-//! needs:
+//! analyses the causal structure the paper's §6.2 decomposition needs:
 //!
-//! * [`SpanTree`] — op → phase → per-RPC / per-dial spans, rebuilt from
-//!   the event stream (phases tile the op interval; RPC and dial spans
-//!   nest inside the phase that issued them).
+//! * [`SpanTree`] — op → phase → per-RPC / per-dial spans, built by
+//!   [`stitch`](super::dtrace::stitch), the one span builder (phases tile
+//!   the op interval; RPC and dial spans nest inside the phase that
+//!   issued them; remote fragments, when given, nest under their causes).
 //! * [`SpanTree::critical_path`] — the backward-greedy chain of leaf
 //!   spans that bounds the op's latency from below: starting at the op's
 //!   end, repeatedly step to the child span that finished last and
 //!   recurse into it. The covered time never exceeds the op duration.
 //! * [`LatencyBreakdown`] — the §6.2 / Fig. 9b split of one retrieval
 //!   into `bitswap_probe → provider_walk → peer_walk → dial → fetch`
-//!   (plus `other`), computed so the components **exactly** sum to the
-//!   op duration in integer-nanosecond arithmetic.
+//!   (plus `other`), computed over the same phase tiling as the span
+//!   tree, so the components **exactly** sum to the op duration in
+//!   integer-nanosecond arithmetic.
 //!
 //! All of this is pure analysis over a collected trace: nothing here
-//! touches the simulator, so it can run after the fact on drained traces
-//! (see [`super::Tracer::drain_sorted`]).
+//! touches the simulator, so it can run after the fact on a trace taken
+//! with [`super::Tracer::take`].
 
 use super::{OpTrace, TraceEventKind};
 use simnet::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// One node of a span tree: a labelled `[start, end]` interval with
 /// child spans nested inside it.
@@ -72,111 +74,10 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Folds a trace into a span tree. Returns `None` for an empty trace.
-    ///
-    /// The op span runs from the first event to `OpFinished` (or the last
-    /// event if the op never finished). Each `PhaseEntered` opens a phase
-    /// span that closes when the next phase opens or the op ends, so the
-    /// phases tile the op interval after the first phase. Within a phase,
-    /// `RpcSent` pairs with the first later `RpcOk`/`RpcFailed` for the
-    /// same peer, and `DialStarted` pairs with the first later
-    /// `DialCompleted`/`DialFailed` for the same peer; unmatched starts
-    /// close at the phase end. Child spans are clamped into their parent.
+    /// Folds a trace into a span tree: [`stitch`](super::dtrace::stitch)
+    /// with no remote fragments. Returns `None` for an empty trace.
     pub fn from_trace(trace: &OpTrace) -> Option<SpanTree> {
-        let events = &trace.events;
-        let first = events.first()?;
-        let start = first.at;
-        let end = events
-            .iter()
-            .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
-            .map(|e| e.at)
-            .unwrap_or_else(|| events.last().map(|e| e.at).unwrap_or(start));
-        let label = events
-            .iter()
-            .find_map(|e| match e.kind {
-                TraceEventKind::OpStarted { kind } => Some(kind),
-                _ => None,
-            })
-            .unwrap_or("op");
-
-        // Phase boundaries: (event index, start time, label).
-        let bounds: Vec<(usize, SimTime, &'static str)> = events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
-                _ => None,
-            })
-            .collect();
-
-        let mut phases = Vec::with_capacity(bounds.len());
-        for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
-            let (next_idx, phase_end) = match bounds.get(pi + 1) {
-                Some(&(ni, na, _)) => (ni, na),
-                None => (events.len(), end),
-            };
-            let phase_end = phase_end.max(at);
-            let mut children = Vec::new();
-            let mut claimed = vec![false; events.len()];
-            for i in idx..next_idx {
-                match events[i].kind {
-                    TraceEventKind::RpcSent { kind, peer } => {
-                        let matched = (i + 1..next_idx).find(|&j| {
-                            !claimed[j]
-                                && matches!(
-                                    events[j].kind,
-                                    TraceEventKind::RpcOk { peer: p }
-                                    | TraceEventKind::RpcFailed { peer: p } if p == peer
-                                )
-                        });
-                        let child_end = match matched {
-                            Some(j) => {
-                                claimed[j] = true;
-                                events[j].at
-                            }
-                            None => phase_end,
-                        };
-                        children.push(clamped_span(
-                            format!("rpc:{kind}"),
-                            events[i].at,
-                            child_end,
-                            at,
-                            phase_end,
-                        ));
-                    }
-                    TraceEventKind::DialStarted { peer } => {
-                        let matched = (i + 1..events.len()).find(|&j| {
-                            !claimed[j]
-                                && matches!(
-                                    events[j].kind,
-                                    TraceEventKind::DialCompleted { peer: p }
-                                    | TraceEventKind::DialFailed { peer: p, .. } if p == peer
-                                )
-                        });
-                        let child_end = match matched {
-                            Some(j) => {
-                                claimed[j] = true;
-                                events[j].at
-                            }
-                            None => phase_end,
-                        };
-                        children.push(clamped_span(
-                            "dial".to_string(),
-                            events[i].at,
-                            child_end,
-                            at,
-                            phase_end,
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-            phases.push(Span { label: phase.to_string(), start: at, end: phase_end, children });
-        }
-
-        Some(SpanTree {
-            root: Span { label: label.to_string(), start, end: end.max(start), children: phases },
-        })
+        super::dtrace::stitch(trace, &[])
     }
 
     /// The op duration (root span duration).
@@ -199,19 +100,6 @@ impl SpanTree {
     pub fn critical_path_duration(&self) -> SimDuration {
         self.critical_path().iter().fold(SimDuration::ZERO, |acc, h| acc + h.duration())
     }
-}
-
-/// Builds a child span clamped into `[parent_start, parent_end]`.
-fn clamped_span(
-    label: String,
-    start: SimTime,
-    end: SimTime,
-    parent_start: SimTime,
-    parent_end: SimTime,
-) -> Span {
-    let s = start.max(parent_start).min(parent_end);
-    let e = end.clamp(s, parent_end);
-    Span { label, start: s, end: e, children: Vec::new() }
 }
 
 /// Backward-greedy critical-path cover of `span` up to `limit`, appending
@@ -272,37 +160,11 @@ impl LatencyBreakdown {
     /// Computes the breakdown of a trace. Empty traces yield all zeros.
     pub fn from_trace(trace: &OpTrace) -> LatencyBreakdown {
         let mut bd = LatencyBreakdown::default();
-        let Some(first) = trace.events.first() else { return bd };
-        let t0 = first.at;
-        let end = trace
-            .events
-            .iter()
-            .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
-            .map(|e| e.at)
-            .unwrap_or_else(|| trace.events.last().map(|e| e.at).unwrap_or(t0));
-
-        let bounds: Vec<(usize, SimTime, &'static str)> = trace
-            .events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
-                _ => None,
-            })
-            .collect();
-        if bounds.is_empty() {
-            bd.other = end.since(t0);
-            return bd;
-        }
-        bd.other += bounds[0].1.since(t0);
-        for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
-            let (next_idx, seg_end) = match bounds.get(pi + 1) {
-                Some(&(ni, na, _)) => (ni, na),
-                None => (trace.events.len(), end),
-            };
-            let seg_end = seg_end.max(at);
-            let seg = seg_end.since(at);
-            match phase {
+        let Some(tiling) = tile(trace) else { return bd };
+        bd.other = tiling.phases.first().map_or(tiling.end, |p| p.start).since(tiling.start);
+        for phase in &tiling.phases {
+            let seg = phase.end.since(phase.start);
+            match phase.label {
                 "bitswap_probe" => bd.bitswap_probe += seg,
                 "provider_walk" | "walk" => bd.provider_walk += seg,
                 "peer_walk" => bd.peer_walk += seg,
@@ -310,17 +172,17 @@ impl LatencyBreakdown {
                     // Split the fetch phase at the instant the provider
                     // connection came up; a failed dial burns the whole
                     // segment dialing.
-                    let window = &trace.events[idx..next_idx];
+                    let window = &trace.events[phase.events.clone()];
                     let connected = window
                         .iter()
                         .find(|e| matches!(e.kind, TraceEventKind::DialCompleted { .. }))
-                        .map(|e| e.at.clamp(at, seg_end));
+                        .map(|e| e.at.clamp(phase.start, phase.end));
                     let failed =
                         window.iter().any(|e| matches!(e.kind, TraceEventKind::DialFailed { .. }));
                     match connected {
                         Some(tc) => {
-                            bd.dial += tc.since(at);
-                            bd.fetch += seg_end.since(tc);
+                            bd.dial += tc.since(phase.start);
+                            bd.fetch += phase.end.since(tc);
                         }
                         None if failed => bd.dial += seg,
                         None => bd.fetch += seg,
@@ -384,6 +246,69 @@ impl LatencyBreakdown {
     }
 }
 
+/// A requester log read as an op interval tiled by its phases: the one
+/// reading of a trace that [`stitch`](super::dtrace::stitch) and
+/// [`LatencyBreakdown`] share.
+pub(super) struct Tiling {
+    /// Op kind from `OpStarted` (`"op"` if absent).
+    pub(super) kind: &'static str,
+    /// The first event.
+    pub(super) start: SimTime,
+    /// `OpFinished`, else the last event; never before `start`.
+    pub(super) end: SimTime,
+    /// The phases in order.
+    pub(super) phases: Vec<Phase>,
+}
+
+/// One phase of a [`Tiling`]: it runs from its `PhaseEntered` to the next
+/// one (or the op end) and owns the events in between.
+pub(super) struct Phase {
+    pub(super) label: &'static str,
+    pub(super) start: SimTime,
+    pub(super) end: SimTime,
+    /// Indices of the events the phase owns, its `PhaseEntered` first.
+    pub(super) events: Range<usize>,
+}
+
+/// Tiles `trace`; `None` for an empty trace.
+pub(super) fn tile(trace: &OpTrace) -> Option<Tiling> {
+    let events = &trace.events;
+    let start = events.first()?.at;
+    let end = events
+        .iter()
+        .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
+        .or(events.last())
+        .map_or(start, |e| e.at)
+        .max(start);
+    let kind = events
+        .iter()
+        .find_map(|e| match e.kind {
+            TraceEventKind::OpStarted { kind } => Some(kind),
+            _ => None,
+        })
+        .unwrap_or("op");
+    let bounds: Vec<(usize, SimTime, &'static str)> = events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e.kind {
+            TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
+            _ => None,
+        })
+        .collect();
+    let phases = bounds
+        .iter()
+        .enumerate()
+        .map(|(pi, &(idx, at, label))| {
+            let (next_idx, next_at) = match bounds.get(pi + 1) {
+                Some(&(ni, na, _)) => (ni, na),
+                None => (events.len(), end),
+            };
+            Phase { label, start: at, end: next_at.max(at), events: idx..next_idx }
+        })
+        .collect();
+    Some(Tiling { kind, start, end, phases })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +344,7 @@ mod tests {
                 ev(1820, TraceEventKind::DialCompleted { peer: 7 }),
                 ev(2200, TraceEventKind::OpFinished { success: true }),
             ],
+            ..Default::default()
         }
     }
 
@@ -467,6 +393,7 @@ mod tests {
                 ev(0, TraceEventKind::DialFailed { peer: 3, class: crate::DialClass::Timeout5s }),
                 ev(5000, TraceEventKind::OpFinished { success: false }),
             ],
+            ..Default::default()
         };
         let bd = LatencyBreakdown::from_trace(&trace);
         assert_eq!(bd.dial, SimDuration::from_secs(5));
@@ -483,6 +410,7 @@ mod tests {
                 ev(5, TraceEventKind::OpStarted { kind: "retrieve" }),
                 ev(42, TraceEventKind::OpFinished { success: false }),
             ],
+            ..Default::default()
         };
         let bd = LatencyBreakdown::from_trace(&trace);
         assert_eq!(bd.other, SimDuration::from_millis(37));
@@ -559,7 +487,7 @@ mod tests {
         events.push(ev(peer_end, TraceEventKind::DialStarted { peer: 99 }));
         events.push(ev(peer_end + dial_ms, TraceEventKind::DialCompleted { peer: 99 }));
         events.push(ev(fetch_end, TraceEventKind::OpFinished { success: true }));
-        OpTrace { events }
+        OpTrace { events, ..Default::default() }
     }
 
     proptest! {

@@ -11,7 +11,7 @@ use multiformats::{Cid, PeerId};
 use simnet::{SimDuration, SimTime};
 
 /// Identifier of an operation within one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u64);
 
 /// Phases of a publication (paper Figure 3, steps 1–3).
