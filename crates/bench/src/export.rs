@@ -35,7 +35,7 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Writes `file` into the export directory `dir`, if there is one.
 /// Returns the path written, or `None` when exporting is off. IO errors
 /// are reported to stderr but never fail the experiment.
-fn write_file(dir: Option<&Path>, file: &str, body: &str) -> Option<PathBuf> {
+pub(crate) fn write_file(dir: Option<&Path>, file: &str, body: &str) -> Option<PathBuf> {
     let dir = dir?;
     let path = dir.join(file);
     match fs::create_dir_all(dir).and_then(|()| fs::write(&path, body)) {
@@ -103,6 +103,14 @@ impl BenchDoc {
             "    {{\"label\": \"{label}\", \"wall_sec\": {wall_sec:.6}, \"events\": {events}, \
              \"events_per_sec\": {:.1}, \"result\": {result}}}",
             events as f64 / wall_sec.max(1e-9)
+        ));
+    }
+
+    /// Appends a cell that took `wall_sec` of wall-clock time and counts
+    /// no events.
+    pub fn wall_cell(&mut self, label: &str, wall_sec: f64, result: &str) {
+        self.cells.push(format!(
+            "    {{\"label\": \"{label}\", \"wall_sec\": {wall_sec:.6}, \"result\": {result}}}"
         ));
     }
 
@@ -349,6 +357,7 @@ mod tests {
         let mut doc = BenchDoc::new("unit", &run);
         doc.cell("plain", "{\"ok\": true}");
         doc.timed_cell("timed", 0.5, 100, "{\"ok\": false}");
+        doc.wall_cell("wall", 1.25, "{}");
         let text = doc.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[..3], ["{", "  \"harness\": \"unit\",", "  \"seed\": 7,"]);
@@ -362,9 +371,10 @@ mod tests {
         assert_eq!(
             lines[6],
             "    {\"label\": \"timed\", \"wall_sec\": 0.500000, \"events\": 100, \
-             \"events_per_sec\": 200.0, \"result\": {\"ok\": false}}"
+             \"events_per_sec\": 200.0, \"result\": {\"ok\": false}},"
         );
-        assert_eq!(lines[7..], ["  ]", "}"]);
-        assert_eq!(text.matches("wall_sec").count(), 1, "no timing keys on the untimed cell");
+        assert_eq!(lines[7], "    {\"label\": \"wall\", \"wall_sec\": 1.250000, \"result\": {}}");
+        assert_eq!(lines[8..], ["  ]", "}"]);
+        assert_eq!(text.matches("wall_sec").count(), 2, "no timing keys on the untimed cell");
     }
 }

@@ -72,23 +72,33 @@ impl RunConfig {
         })
     }
 
-    /// What every binary's `main` starts with: [`RunConfig::parse`] over
-    /// the process environment — a rejected value is printed and exits 2 —
-    /// then the standard experiment banner.
-    pub fn start(artifact: &str, description: &str) -> RunConfig {
-        let run = RunConfig::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| {
+    /// [`RunConfig::parse`] over the process environment; a rejected value
+    /// is printed and exits 2.
+    pub fn from_env() -> RunConfig {
+        RunConfig::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
-        });
-        println!("==================================================================");
-        println!("{artifact} — {description}");
-        println!(
-            "scale: {:?}, seed: {} (IPFS_REPRO_SCALE / IPFS_REPRO_SEED to change)",
-            run.scale, run.seed
-        );
-        println!("==================================================================");
+        })
+    }
+
+    /// What every harness binary's `main` starts with:
+    /// [`RunConfig::from_env`], then the standard experiment [`banner`].
+    pub fn start(artifact: &str, description: &str) -> RunConfig {
+        let run = RunConfig::from_env();
+        print!("{}", banner(artifact, description, &run));
         run
     }
+}
+
+/// The standard experiment banner that opens every harness's and every
+/// paper artifact's output.
+pub fn banner(artifact: &str, description: &str, run: &RunConfig) -> String {
+    let rule = "==================================================================";
+    format!(
+        "{rule}\n{artifact} — {description}\nscale: {:?}, seed: {} \
+         (IPFS_REPRO_SCALE / IPFS_REPRO_SEED to change)\n{rule}\n",
+        run.scale, run.seed
+    )
 }
 
 impl Default for RunConfig {

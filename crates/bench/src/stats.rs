@@ -1,5 +1,8 @@
 //! Statistics and table-formatting helpers for the experiment binaries.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
 /// Percentile of a sample (nearest-rank on a sorted copy). `p` in the range 0 to 100.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
@@ -59,6 +62,20 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
         return 0.0;
     }
     cov / (vx.sqrt() * vy.sqrt())
+}
+
+/// Counts how often each key occurs and ranks the `(key, count)` pairs by
+/// count, largest first, breaking ties by key — so a ranking prints the
+/// same rows in the same order on every run, whatever order the keys came
+/// in.
+pub fn rank_by_count<K: Ord>(keys: impl IntoIterator<Item = K>) -> Vec<(K, u64)> {
+    let mut counts: BTreeMap<K, u64> = BTreeMap::new();
+    for key in keys {
+        *counts.entry(key).or_default() += 1;
+    }
+    let mut rows: Vec<(K, u64)> = counts.into_iter().collect();
+    rows.sort_by_key(|(_, n)| Reverse(*n)); // stable: ties stay in key order
+    rows
 }
 
 /// Five-number-ish summary used in report rows.
@@ -187,6 +204,14 @@ mod tests {
         assert!((pearson(&x, &y_neg) + 1.0).abs() < 1e-12);
         let flat = vec![1.0; 5];
         assert_eq!(pearson(&x, &flat), 0.0);
+    }
+
+    #[test]
+    fn rank_by_count_breaks_ties_by_key_whatever_the_input_order() {
+        let one = rank_by_count(["TW", "US", "FR", "US", "GB", "TW", "CA", "FR", "US"]);
+        let other = rank_by_count(["CA", "FR", "US", "GB", "TW", "US", "FR", "TW", "US"]);
+        assert_eq!(one, [("US", 3), ("FR", 2), ("TW", 2), ("CA", 1), ("GB", 1)]);
+        assert_eq!(one, other);
     }
 
     #[test]

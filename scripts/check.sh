@@ -108,7 +108,16 @@ EOF
 
 gate "build the harness bins"
 cargo build --release -q -p bench --bin throughput --bin chaos --bin gateway_fleet \
-    --bin swarm --bin lifecycle --bin latency
+    --bin swarm --bin lifecycle --bin latency --bin paper
+
+gate "paper artifacts (results/*.txt regenerate byte-identically)"
+# The committed files are written at IPFS_REPRO_JOBS=1; this run uses 4
+# workers, so it also checks that every artifact is jobs-invariant.
+IPFS_REPRO_SEED=2022 IPFS_REPRO_SCALE=small IPFS_REPRO_JOBS=4 ./target/release/paper \
+    --out "$TMP/paper" > /dev/null 2> /dev/null
+for f in "$TMP"/paper/*.txt; do
+    same_output "paper $(basename "$f" .txt) vs results/" "results/$(basename "$f")" "$f"
+done
 
 gate "knobs fail loudly (a rejected value exits 2)"
 if IPFS_REPRO_SCALE=Paper ./target/release/chaos --smoke > /dev/null 2> "$TMP/knob.err" ||
