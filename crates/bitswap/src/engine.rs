@@ -18,13 +18,26 @@
 //! ([`BitswapEngine::set_clock`]) so sessions can score per-peer response
 //! latency; without one, all samples read zero and peer selection falls
 //! back to join-shortest-queue order.
+//!
+//! Sessions are kept in creation order, and the oldest matching session
+//! always wins a routing decision, so the message sequence is a pure
+//! function of the call sequence. Two indexes keep routing from scanning
+//! every session the node ever ran (go-bitswap's session interest
+//! manager, cut down):
+//!
+//! - `wanting` holds exactly the sessions with outstanding wants. An
+//!   inbound HAVE, DONT_HAVE or BLOCK belongs to the first of them that
+//!   wants its CID; a session with no outstanding wants cannot hold one.
+//! - `by_peer` maps each peer to the sorted handles of the sessions whose
+//!   candidate list names it, removed candidates included. A disconnect
+//!   visits exactly those sessions.
 
 use crate::ledger::Ledger;
 use crate::message::Message;
 use crate::session::{Session, SessionConfig, SessionStats};
 use merkledag::{BlockStore, DagNode};
 use multiformats::{Cid, Multicodec, PeerId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Handle for a client fetch session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,7 +154,13 @@ impl MessageCounts {
 /// The per-node Bitswap engine (client sessions + server side + ledgers).
 #[derive(Debug, Clone, Default)]
 pub struct BitswapEngine {
-    sessions: HashMap<SessionHandle, Session>,
+    /// Live sessions; iteration order is creation order.
+    sessions: BTreeMap<SessionHandle, Session>,
+    /// Exactly the sessions with `outstanding() > 0` (kept by `sync`).
+    wanting: BTreeSet<SessionHandle>,
+    /// Peer -> sorted handles of the sessions whose candidate list names
+    /// it. Entries are never freed: the map is bounded by distinct peers.
+    by_peer: HashMap<PeerId, Vec<SessionHandle>>,
     next_session: u64,
     /// Driver-supplied clock in nanoseconds, for per-peer latency scoring.
     clock_nanos: u64,
@@ -189,10 +208,15 @@ impl BitswapEngine {
     ) -> (SessionHandle, Vec<EngineOutput>) {
         let handle = SessionHandle(self.next_session);
         self.next_session += 1;
-        self.sessions.insert(handle, Session::new(peers, cfg));
+        let session = Session::new(peers, cfg);
+        for peer in session.peer_ids() {
+            self.index_peer(peer, handle);
+        }
+        self.sessions.insert(handle, session);
         let mut out = Vec::new();
         self.want(handle, root, store, &mut out);
         self.check_complete(handle, &mut out);
+        self.sync(handle);
         (handle, out)
     }
 
@@ -209,7 +233,9 @@ impl BitswapEngine {
         let Some(session) = self.sessions.get_mut(&handle) else {
             return out;
         };
-        for (to, msg) in session.add_peer(peer) {
+        let msgs = session.add_peer(peer.clone());
+        self.index_peer(&peer, handle);
+        for (to, msg) in msgs {
             out.extend(self.send(to, msg));
         }
         out
@@ -253,6 +279,14 @@ impl BitswapEngine {
     pub fn cancel_session(&mut self, handle: SessionHandle) -> Vec<EngineOutput> {
         let mut out = Vec::new();
         if let Some(session) = self.sessions.remove(&handle) {
+            self.wanting.remove(&handle);
+            for peer in session.peer_ids() {
+                if let Some(handles) = self.by_peer.get_mut(peer) {
+                    if let Ok(i) = handles.binary_search(&handle) {
+                        handles.remove(i);
+                    }
+                }
+            }
             for (to, msg) in session.cancel() {
                 out.extend(self.send(to, msg));
             }
@@ -260,25 +294,22 @@ impl BitswapEngine {
         out
     }
 
-    /// A connection dropped (crash, churn, eviction): every session
-    /// re-queues the wants it had in flight at `peer` on its surviving
-    /// candidates. Wants that cannot be re-routed surface as
-    /// [`EngineOutput::WantFailed`].
-    pub fn peer_disconnected(&mut self, peer: &PeerId) -> Vec<EngineOutput> {
-        self.peer_disconnected_by_session(peer).into_iter().flat_map(|(_, outs)| outs).collect()
-    }
-
-    /// [`BitswapEngine::peer_disconnected`], keeping each session's
-    /// outputs attributed to its handle (in creation order, so callers
-    /// that map sessions back to operations — e.g. for per-op re-route
-    /// tracing — stay deterministic). Flattening the groups reproduces
-    /// `peer_disconnected` exactly.
+    /// A connection dropped (crash, churn, eviction): every session that
+    /// lists `peer` marks it removed and re-queues the wants it had in
+    /// flight there on its surviving candidates. Wants that cannot be
+    /// re-routed surface as [`EngineOutput::WantFailed`]. Each session's
+    /// outputs stay attributed to its handle, in creation order, so
+    /// callers that map sessions back to operations (e.g. for per-op
+    /// re-route tracing) stay deterministic.
     pub fn peer_disconnected_by_session(
         &mut self,
         peer: &PeerId,
     ) -> Vec<(SessionHandle, Vec<EngineOutput>)> {
         let mut grouped = Vec::new();
-        for handle in self.session_handles() {
+        // Completed sessions are visited too: the `removed` flag set here
+        // is what later makes them ignore a late HAVE from this peer.
+        let handles = self.by_peer.get(peer).cloned().unwrap_or_default();
+        for handle in handles {
             let now = self.clock_nanos;
             let Some(session) = self.sessions.get_mut(&handle) else {
                 continue;
@@ -338,13 +369,37 @@ impl BitswapEngine {
         vec![EngineOutput::Send { to, message }]
     }
 
-    /// Session handles in creation order — the deterministic scan order
-    /// for inbound client messages (a `HashMap` walk would leak hash-seed
-    /// order into the message sequence and break replay determinism).
-    fn session_handles(&self) -> Vec<SessionHandle> {
-        let mut handles: Vec<SessionHandle> = self.sessions.keys().copied().collect();
-        handles.sort_unstable();
-        handles
+    /// Records that `handle`'s candidate list names `peer`.
+    fn index_peer(&mut self, peer: &PeerId, handle: SessionHandle) {
+        let handles = match self.by_peer.get_mut(peer) {
+            Some(handles) => handles,
+            None => self.by_peer.entry(peer.clone()).or_default(),
+        };
+        if let Err(i) = handles.binary_search(&handle) {
+            handles.insert(i, handle);
+        }
+    }
+
+    /// Brings `handle`'s membership of `wanting` up to date. Only starting
+    /// a session and receiving a block add or resolve wants; HAVE,
+    /// DONT_HAVE, new peers and disconnects only move wants between
+    /// phases, so those two entry points are the only callers.
+    fn sync(&mut self, handle: SessionHandle) {
+        if self.sessions.get(&handle).is_some_and(|s| s.outstanding() > 0) {
+            self.wanting.insert(handle);
+        } else {
+            self.wanting.remove(&handle);
+        }
+    }
+
+    /// The oldest session with an outstanding want for `cid`.
+    fn wanted_by(&self, cid: &Cid) -> Option<SessionHandle> {
+        self.wanting.iter().copied().find(|h| self.sessions.get(h).is_some_and(|s| s.has_want(cid)))
+    }
+
+    /// The oldest session that already received `cid`.
+    fn delivered_to(&self, cid: &Cid) -> Option<SessionHandle> {
+        self.sessions.iter().find(|(_, s)| s.was_delivered(cid)).map(|(h, _)| *h)
     }
 
     /// Registers a want for `cid` in `handle`'s session, walking local
@@ -396,22 +451,12 @@ impl BitswapEngine {
 
     fn on_have(&mut self, from: &PeerId, cid: &Cid) -> Vec<EngineOutput> {
         let mut out = Vec::new();
-        let handles = self.session_handles();
-        let owner = handles
-            .iter()
-            .copied()
-            .find(|h| self.sessions.get(h).is_some_and(|s| s.has_want(cid)))
-            // A HAVE landing after its want resolved still proves the
-            // sender holds this DAG: route it to the session that fetched
-            // the CID, so the peer becomes ready and backlogged wants can
-            // engage it (otherwise slow HAVE responders are locked out of
-            // the whole transfer).
-            .or_else(|| {
-                handles
-                    .iter()
-                    .copied()
-                    .find(|h| self.sessions.get(h).is_some_and(|s| s.was_delivered(cid)))
-            });
+        // A HAVE landing after its want resolved still proves the sender
+        // holds this DAG: route it to the session that fetched the CID, so
+        // the peer becomes ready and backlogged wants can engage it
+        // (otherwise slow HAVE responders are locked out of the whole
+        // transfer).
+        let owner = self.wanted_by(cid).or_else(|| self.delivered_to(cid));
         if let Some(handle) = owner {
             let now = self.clock_nanos;
             if let Some(session) = self.sessions.get_mut(&handle) {
@@ -425,22 +470,19 @@ impl BitswapEngine {
 
     fn on_dont_have(&mut self, from: &PeerId, cid: &Cid) -> Vec<EngineOutput> {
         let mut out = Vec::new();
-        for handle in self.session_handles() {
-            let now = self.clock_nanos;
-            let Some(session) = self.sessions.get_mut(&handle) else {
-                continue;
-            };
-            if !session.has_want(cid) {
-                continue;
-            }
-            let (msgs, stalled) = session.on_dont_have(from, cid, now);
-            for (to, msg) in msgs {
-                out.extend(self.send(to, msg));
-            }
-            if stalled {
-                out.push(EngineOutput::WantFailed { session: handle, cid: cid.clone() });
-            }
-            break;
+        let now = self.clock_nanos;
+        let Some(handle) = self.wanted_by(cid) else {
+            return out;
+        };
+        let Some(session) = self.sessions.get_mut(&handle) else {
+            return out;
+        };
+        let (msgs, stalled) = session.on_dont_have(from, cid, now);
+        for (to, msg) in msgs {
+            out.extend(self.send(to, msg));
+        }
+        if stalled {
+            out.push(EngineOutput::WantFailed { session: handle, cid: cid.clone() });
         }
         out
     }
@@ -453,20 +495,11 @@ impl BitswapEngine {
         store: &mut S,
     ) -> Vec<EngineOutput> {
         let mut out = Vec::new();
-        let handles = self.session_handles();
-        let owner = handles
-            .iter()
-            .copied()
-            .find(|h| self.sessions.get(h).is_some_and(|s| s.has_want(&cid)));
-        let Some(handle) = owner else {
+        let Some(handle) = self.wanted_by(&cid) else {
             // Unsolicited or duplicate block: it will not be stored, so it
             // is dropped without paying for a hash. Attribute it to the
             // session that fetched this CID, falling back to the oldest.
-            let dup = handles
-                .iter()
-                .copied()
-                .find(|h| self.sessions.get(h).is_some_and(|s| s.was_delivered(&cid)))
-                .or(handles.first().copied());
+            let dup = self.delivered_to(&cid).or(self.sessions.keys().next().copied());
             if let Some(h) = dup {
                 if let Some(s) = self.sessions.get_mut(&h) {
                     s.count_duplicate();
@@ -500,6 +533,7 @@ impl BitswapEngine {
             }
         }
         self.check_complete(handle, &mut out);
+        self.sync(handle);
         out
     }
 
@@ -514,7 +548,11 @@ impl BitswapEngine {
 }
 
 #[cfg(test)]
+mod routing_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::routing_oracle::ScanEngine;
     use super::*;
     use bytes::Bytes;
     use merkledag::{DagBuilder, DagLayout, FixedSizeChunker, MemoryBlockStore};
@@ -522,6 +560,11 @@ mod tests {
 
     fn peer(seed: u64) -> PeerId {
         Keypair::from_seed(seed).peer_id()
+    }
+
+    /// Every session's disconnect outputs, flattened in creation order.
+    fn disconnect(engine: &mut BitswapEngine, peer: &PeerId) -> Vec<EngineOutput> {
+        engine.peer_disconnected_by_session(peer).into_iter().flat_map(|(_, outs)| outs).collect()
     }
 
     /// Drives a client engine against server engines until quiescent.
@@ -824,7 +867,7 @@ mod tests {
 
     #[test]
     fn crashed_peer_reroutes_inflight_wants() {
-        // Peer A wins the WANT-BLOCK and crashes; peer_disconnected must
+        // Peer A wins the WANT-BLOCK and crashes; the disconnect must
         // re-queue the want to peer B, and B's block completes the fetch.
         let data = Bytes::from_static(b"survivor");
         let cid = Cid::from_raw_data(&data);
@@ -833,7 +876,7 @@ mod tests {
         let (handle, _) = client.start_session(cid.clone(), vec![peer(10), peer(11)], &mut store);
         client.handle_inbound(&peer(10), Message::Have(cid.clone()), &mut store);
         client.handle_inbound(&peer(11), Message::Have(cid.clone()), &mut store);
-        let outs = client.peer_disconnected(&peer(10));
+        let outs = disconnect(&mut client, &peer(10));
         assert_eq!(
             outs,
             vec![EngineOutput::Send { to: peer(11), message: Message::WantBlock(cid.clone()) }]
@@ -850,24 +893,23 @@ mod tests {
     fn disconnect_by_session_groups_without_changing_the_flat_view() {
         // Two sessions both in flight at the crashing peer: the grouped
         // API attributes each re-route to its session, and flattening it
-        // reproduces peer_disconnected's exact output stream.
+        // reproduces the flat stream of the scan-routed oracle.
         let d1 = Bytes::from_static(b"first");
         let d2 = Bytes::from_static(b"second");
         let c1 = Cid::from_raw_data(&d1);
         let c2 = Cid::from_raw_data(&d2);
         let mut a = BitswapEngine::new();
-        let mut b = BitswapEngine::new();
+        let mut b = ScanEngine::default();
         let mut store_a = MemoryBlockStore::new();
         let mut store_b = MemoryBlockStore::new();
+        let cfg = SessionConfig::default();
         let (h1, _) = a.start_session(c1.clone(), vec![peer(10), peer(11)], &mut store_a);
         let (h2, _) = a.start_session(c2.clone(), vec![peer(10)], &mut store_a);
-        let (_, _) = b.start_session(c1.clone(), vec![peer(10), peer(11)], &mut store_b);
-        let (_, _) = b.start_session(c2.clone(), vec![peer(10)], &mut store_b);
-        for eng in [&mut a, &mut b] {
-            let store = &mut MemoryBlockStore::new();
-            eng.handle_inbound(&peer(10), Message::Have(c1.clone()), store);
-            eng.handle_inbound(&peer(11), Message::Have(c1.clone()), store);
-            eng.handle_inbound(&peer(10), Message::Have(c2.clone()), store);
+        b.start_session_with(c1.clone(), vec![peer(10), peer(11)], cfg, &mut store_b);
+        b.start_session_with(c2.clone(), vec![peer(10)], cfg, &mut store_b);
+        for (cid, from) in [(&c1, peer(10)), (&c1, peer(11)), (&c2, peer(10))] {
+            a.handle_inbound(&from, Message::Have(cid.clone()), &mut store_a);
+            b.handle_inbound(&from, Message::Have(cid.clone()), &mut store_b);
         }
         let grouped = a.peer_disconnected_by_session(&peer(10));
         let flat = b.peer_disconnected(&peer(10));
@@ -917,5 +959,54 @@ mod tests {
         assert_eq!(entry.received, 40); // the WANT_BLOCK
         assert_eq!(entry.sent, 540); // the BLOCK
         assert_eq!(entry.blocks, 1);
+    }
+
+    #[test]
+    fn late_have_after_disconnect_of_completed_session_is_ignored() {
+        // The disconnect must reach sessions that already completed: their
+        // `removed` flag is what keeps a late HAVE from the dead link from
+        // marking it responsive (and so from being carried into the next
+        // phase's candidates).
+        let data = Bytes::from_static(b"fetched before the crash");
+        let cid = Cid::from_raw_data(&data);
+        let mut client = BitswapEngine::new();
+        let mut store = MemoryBlockStore::new();
+        let (handle, _) = client.start_session(cid.clone(), vec![peer(10), peer(11)], &mut store);
+        client.handle_inbound(&peer(11), Message::Have(cid.clone()), &mut store);
+        let done =
+            client.handle_inbound(&peer(11), Message::Block { cid: cid.clone(), data }, &mut store);
+        assert!(done.contains(&EngineOutput::SessionComplete { session: handle }));
+        assert!(disconnect(&mut client, &peer(10)).is_empty(), "nothing was in flight at 10");
+        let late = client.handle_inbound(&peer(10), Message::Have(cid), &mut store);
+        assert!(late.is_empty(), "late HAVE from a disconnected peer: {late:?}");
+        assert_eq!(client.responsive_session_peers(handle), vec![peer(11)]);
+    }
+
+    #[test]
+    fn duplicate_block_after_cancel_goes_to_next_receiver_then_oldest() {
+        let data = Bytes::from_static(b"fetched twice");
+        let cid = Cid::from_raw_data(&data);
+        let block = || Message::Block { cid: cid.clone(), data: data.clone() };
+        let mut client = BitswapEngine::new();
+        let mut store = MemoryBlockStore::new();
+        let other = Cid::from_raw_data(b"still wanted");
+        let (oldest, _) = client.start_session(other, vec![peer(12)], &mut store);
+        let (first, _) = client.start_session(cid.clone(), vec![peer(10)], &mut store);
+        let (second, _) = client.start_session(cid.clone(), vec![peer(11)], &mut store);
+        // Each session wanting the block receives its own copy, oldest first.
+        let o1 = client.handle_inbound(&peer(10), block(), &mut store);
+        assert!(o1.contains(&EngineOutput::BlockStored { session: first, cid: cid.clone() }));
+        let o2 = client.handle_inbound(&peer(11), block(), &mut store);
+        assert!(o2.contains(&EngineOutput::BlockStored { session: second, cid: cid.clone() }));
+        // With the first receiver gone, a duplicate goes to the next session
+        // that received the CID...
+        client.cancel_session(first);
+        let dup = client.handle_inbound(&peer(10), block(), &mut store);
+        assert_eq!(dup, vec![EngineOutput::DuplicateBlock { session: second }]);
+        // ...and with none left, to the oldest session.
+        client.cancel_session(second);
+        let dup = client.handle_inbound(&peer(10), block(), &mut store);
+        assert_eq!(dup, vec![EngineOutput::DuplicateBlock { session: oldest }]);
+        assert_eq!(client.session_state(oldest).unwrap().duplicates, 1);
     }
 }

@@ -206,6 +206,12 @@ impl Session {
         self.peers.len()
     }
 
+    /// Every candidate peer in insertion order, removed ones included (the
+    /// engine's peer index mirrors this list).
+    pub(crate) fn peer_ids(&self) -> impl Iterator<Item = &PeerId> {
+        self.peers.iter().map(|p| &p.id)
+    }
+
     /// Drains the accumulated `(peer, latency_nanos)` response samples.
     pub fn take_latency_samples(&mut self) -> Vec<(PeerId, u64)> {
         std::mem::take(&mut self.latency_samples)
