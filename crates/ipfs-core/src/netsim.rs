@@ -4343,4 +4343,161 @@ mod tests {
         }
         assert!(labels.iter().any(|l| l.contains("@n")), "remote spans missing: {labels:?}");
     }
+
+    /// The store counters and the inbound DHT RPC count of every request
+    /// type, in a fixed order.
+    fn store_path_counters(net: &IpfsNetwork) -> Vec<(&'static str, u64)> {
+        [
+            names::DHT_RPC_RECV_FIND_NODE,
+            names::DHT_RPC_RECV_GET_PROVIDERS,
+            names::DHT_RPC_RECV_ADD_PROVIDER,
+            names::DHT_RPC_RECV_ADD_PROVIDER_BATCH,
+            names::DHT_RPC_RECV_PUT_PEER_RECORD,
+            names::DHT_RPC_RECV_PUT_VALUE,
+            names::DHT_RPC_RECV_GET_VALUE,
+            names::PROVIDER_RECORDS_STORED,
+            names::IPNS_RECORDS_STORED,
+            names::FAULT_MESSAGES_CUT,
+        ]
+        .into_iter()
+        .map(|name| (name, net.metrics.get(name)))
+        .collect()
+    }
+
+    /// Runs in 1 ms steps from `*t` until `in_flight` holds, then cuts the
+    /// publisher's region off for two seconds starting 1 ns later: every
+    /// cross-region store still in flight dies at delivery.
+    fn partition_stores_in_flight(
+        net: &mut IpfsNetwork,
+        t: &mut SimTime,
+        region: Region,
+        in_flight: impl Fn(&IpfsNetwork) -> bool,
+    ) {
+        while !in_flight(net) {
+            *t += SimDuration::from_millis(1);
+            net.run_until(*t);
+        }
+        let mut plan = FaultPlan::new();
+        plan.region_outage(*t + SimDuration::from_nanos(1), SimDuration::from_secs(2), region);
+        net.install_fault_plan(plan);
+    }
+
+    /// Pins the fire-and-forget store paths that no benchmark digest or
+    /// paper artifact covers: IPNS PUT_VALUE, and stores of every kind cut
+    /// in flight by a partition. The literals were recorded on the code
+    /// before these paths were refactored; a change that moves one changed
+    /// simulated behaviour and must not re-record it.
+    #[test]
+    fn fire_and_forget_stores_are_pinned() {
+        use crate::ipns::{IpnsRecord, IPNS_VALIDITY};
+        // Part one: an IPNS publish and resolve, which no benchmark
+        // workload or paper artifact runs.
+        let mut net = small_net(300, 51);
+        let [publisher, resolver] = net.vantage_ids(2)[..] else { panic!() };
+        let keypair = net.node(publisher).keypair().clone();
+        let record =
+            IpnsRecord::sign(&keypair, Cid::from_raw_data(b"pinned"), 1, net.now(), IPNS_VALIDITY);
+        net.publish_ipns(publisher, &record);
+        net.run_until_quiet();
+        net.resolve_ipns(resolver, &keypair.peer_id());
+        net.run_until_quiet();
+        let pr = net.ipns_publish_reports[0].clone();
+        let rr = net.ipns_resolve_reports[0].clone();
+        assert_eq!(net.events_processed, 211);
+        assert_eq!(
+            store_path_counters(&net),
+            [
+                ("dht_rpc_recv_find_node", 22),
+                ("dht_rpc_recv_get_providers", 0),
+                ("dht_rpc_recv_add_provider", 0),
+                ("dht_rpc_recv_add_provider_batch", 0),
+                ("dht_rpc_recv_put_peer_record", 0),
+                ("dht_rpc_recv_put_value", 19),
+                ("dht_rpc_recv_get_value", 2),
+                ("provider_records_stored", 0),
+                ("ipns_records_stored", 19),
+                ("fault_messages_cut", 0),
+            ]
+        );
+        assert!(pr.success && rr.success);
+        assert_eq!(
+            (pr.total.as_nanos(), pr.dht_walk.as_nanos(), pr.records_stored),
+            (8_073_140_134, 2_853_140_134, 19)
+        );
+        assert_eq!(rr.total.as_nanos(), 346_992_512);
+
+        // Part two: a provider publish, an IPNS publish and a reprovide
+        // sweep, each cut by a partition while its stores are in flight,
+        // so every store kind is dropped at delivery at least once.
+        let mut net = lifecycle_net(true);
+        let [provider] = net.vantage_ids(1)[..] else { panic!() };
+        let region = net.region(provider);
+        let mut t = net.now();
+        let cid = net.import_content(provider, &Bytes::from(vec![0x77; 300_000]));
+        let publish = net.publish(provider, cid);
+        partition_stores_in_flight(&mut net, &mut t, region, |net| {
+            matches!(
+                net.ops.get(&publish),
+                Some(OpState::Publish { phase: PublishPhase::RpcBatch { .. }, .. })
+            )
+        });
+        net.run_until_quiet();
+        let cut_publish = net.metrics.get(names::FAULT_MESSAGES_CUT);
+
+        let keypair = net.node(provider).keypair().clone();
+        let record =
+            IpnsRecord::sign(&keypair, Cid::from_raw_data(b"cut"), 1, net.now(), IPNS_VALIDITY);
+        let ipns = net.publish_ipns(provider, &record);
+        t = net.now();
+        partition_stores_in_flight(
+            &mut net,
+            &mut t,
+            region,
+            |net| matches!(net.ops.get(&ipns), Some(OpState::PublishIpns { outstanding, .. }) if *outstanding > 0),
+        );
+        net.run_until_quiet();
+        let cut_ipns = net.metrics.get(names::FAULT_MESSAGES_CUT) - cut_publish;
+
+        // The sweep timer fires one republish interval after the publish.
+        t = SimTime::ZERO + SimDuration::from_mins(59);
+        net.run_until(t);
+        partition_stores_in_flight(&mut net, &mut t, region, |net| {
+            net.ops
+                .values()
+                .any(|op| matches!(op, OpState::SweepBatch { outstanding, .. } if *outstanding > 0))
+        });
+        net.run_until_quiet();
+        let cut_sweep = net.metrics.get(names::FAULT_MESSAGES_CUT) - cut_publish - cut_ipns;
+        let pr = net.publish_reports[0].clone();
+        let ir = net.ipns_publish_reports[0].clone();
+        assert_eq!(net.metrics.get(names::PROVIDER_SWEEP_RUNS), 1);
+        assert_eq!(net.events_processed, 465);
+        assert_eq!(
+            store_path_counters(&net),
+            [
+                ("dht_rpc_recv_find_node", 55),
+                ("dht_rpc_recv_get_providers", 0),
+                ("dht_rpc_recv_add_provider", 2),
+                ("dht_rpc_recv_add_provider_batch", 1),
+                ("dht_rpc_recv_put_peer_record", 0),
+                ("dht_rpc_recv_put_value", 3),
+                ("dht_rpc_recv_get_value", 0),
+                ("provider_records_stored", 3),
+                ("ipns_records_stored", 3),
+                ("fault_messages_cut", 47),
+            ]
+        );
+        assert_eq!((cut_publish, cut_ipns, cut_sweep), (18, 16, 13));
+        assert!(pr.success && ir.success);
+        assert_eq!(
+            (pr.total.as_nanos(), pr.dht_walk.as_nanos(), pr.rpc_batch.as_nanos()),
+            (3_485_790_233, 3_367_029_431, 118_760_802)
+        );
+        assert_eq!(pr.records_stored, 20);
+        assert_eq!(
+            (ir.total.as_nanos(), ir.dht_walk.as_nanos(), ir.records_stored),
+            (8_749_044_931, 8_184_044_931, 17)
+        );
+        assert_eq!(net.now().as_nanos(), 3_656_926_093_197);
+    }
 }
