@@ -33,8 +33,9 @@ use kademlia::query::{QueryOutcome, QueryTarget};
 use kademlia::routing::PeerInfo;
 use kademlia::rpc::{Request, Response};
 use kademlia::Key;
+use merkledag::node::DagNode;
 use merkledag::BlockStore;
-use multiformats::{Cid, Keypair, Multiaddr, PeerId};
+use multiformats::{Cid, Keypair, Multiaddr, Multicodec, PeerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::latency::{BandwidthClass, LatencyModel, Region, VantagePoint};
@@ -400,6 +401,28 @@ fn bitswap_kind(message: &Message) -> usize {
 fn cid_low64(cid: &Cid) -> u64 {
     let key = cid.dht_key();
     u64::from_be_bytes(key[..8].try_into().unwrap())
+}
+
+/// Bytes of `root`'s DAG held in `store`: the summed length of its
+/// distinct blocks. A finished fetch verified every block against its CID,
+/// so the walk only decodes links and never re-hashes.
+fn dag_bytes(store: &mut impl BlockStore, root: &Cid) -> u64 {
+    let mut seen = HashSet::new();
+    let mut pending = vec![root.clone()];
+    let mut total = 0;
+    while let Some(cid) = pending.pop() {
+        if !seen.insert(cid.clone()) {
+            continue;
+        }
+        let Some(block) = store.get(&cid) else { continue };
+        total += block.len() as u64;
+        if cid.codec() == Multicodec::DagPb {
+            if let Ok(node) = DagNode::decode(&block) {
+                pending.extend(node.links.into_iter().map(|link| link.cid));
+            }
+        }
+    }
+    total
 }
 
 /// Index of a dial-failure class into [`HotMetrics::dial_fail`].
@@ -3060,7 +3083,7 @@ impl IpfsNetwork {
         let t_prov = t_provider_end.unwrap_or(t_bs);
         let t_peer = t_peer_end.unwrap_or(t_prov);
         let t_fetch0 = t_fetch_start.unwrap_or(t_peer);
-        let bytes = if success { self.nodes[node].node.store.stats().bytes } else { 0 };
+        let bytes = if success { dag_bytes(&mut self.nodes[node].node.store, &cid) } else { 0 };
         self.metrics.incr(if success { names::RETRIEVE_SUCCESS } else { names::RETRIEVE_FAILED });
         if success && via_bitswap {
             self.metrics.incr(names::RETRIEVE_VIA_BITSWAP);
@@ -4499,5 +4522,46 @@ mod tests {
             (8_749_044_931, 8_184_044_931, 17)
         );
         assert_eq!(net.now().as_nanos(), 3_656_926_093_197);
+    }
+
+    #[test]
+    fn retrieve_reports_the_size_of_its_own_dag() {
+        let mut net = small_net(300, 12);
+        let [provider, requester] = net.vantage_ids(2)[..] else { panic!() };
+        // Non-repeating bytes, so no two leaves share a block.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut payload = |len: usize| {
+            Bytes::from(
+                (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect::<Vec<u8>>(),
+            )
+        };
+        let small = net.import_content(provider, &payload(100_000));
+        let large = net.import_content(provider, &payload(700_000));
+        for cid in [&small, &large] {
+            net.publish(provider, cid.clone());
+            net.run_until_quiet();
+            net.retrieve(requester, cid.clone());
+            net.run_until_quiet();
+        }
+        let dag_bytes = |net: &mut IpfsNetwork, cid: &Cid| -> u64 {
+            let store = &mut net.node_mut(provider).store;
+            let blocks = merkledag::Resolver::new(store).block_list(cid).unwrap();
+            blocks.iter().map(|c| store.get(c).unwrap().len() as u64).sum()
+        };
+        let expected = dag_bytes(&mut net, &large);
+        let [first, second] = &net.retrieve_reports[..] else { panic!() };
+        assert!(first.success && second.success);
+        // A raw single-block object is its own payload; the larger one
+        // adds its root node to three leaves.
+        assert_eq!(first.bytes, 100_000);
+        assert_eq!(second.bytes, expected);
+        assert!(second.bytes > 700_000);
     }
 }

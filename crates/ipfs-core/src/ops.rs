@@ -128,7 +128,8 @@ pub struct RetrieveReport {
     pub peer_walk: SimDuration,
     /// Dial + content exchange (Figure 9f).
     pub fetch: SimDuration,
-    /// Bytes of content fetched.
+    /// Size of the retrieved DAG: the summed length of its distinct blocks
+    /// (0 when the retrieval failed).
     pub bytes: u64,
     /// Whether the content arrived and verified.
     pub success: bool,
