@@ -49,6 +49,26 @@ pub(super) enum Store {
     Value { key: Key, value: Arc<[u8]> },
 }
 
+/// The `count` servers XOR-closest to `key` among the `window` entries on
+/// either side of its position in `servers` (sorted by key), skipping `id`.
+fn nearest_in_window(
+    servers: &[(Key, NodeId)],
+    key: &Key,
+    id: NodeId,
+    window: usize,
+    count: usize,
+) -> impl Iterator<Item = NodeId> {
+    let pos = servers.partition_point(|(k, _)| k.0 < key.0);
+    let (lo, hi) = (pos.saturating_sub(window), (pos + window).min(servers.len()));
+    let mut near: Vec<(Distance, NodeId)> = servers[lo..hi]
+        .iter()
+        .filter(|(_, sid)| *sid != id)
+        .map(|(k, sid)| (k.distance(key), *sid))
+        .collect();
+    near.sort_by_key(|a| a.0);
+    near.into_iter().take(count).map(|(_, sid)| sid)
+}
+
 impl IpfsNetwork {
     /// Fills every node's routing table the way a converged network would
     /// have it: the k XOR-nearest servers (found via a numeric-neighbour
@@ -85,17 +105,7 @@ impl IpfsNetwork {
 
         for id in 0..self.nodes.len() {
             let own_key = self.nodes[id].node.info().key();
-            let pos = servers.partition_point(|(k, _)| k.0 < own_key.0);
-            let window = 3 * near.max(1);
-            let lo = pos.saturating_sub(window);
-            let hi = (pos + window).min(servers.len());
-            let mut candidates: Vec<(Distance, NodeId)> = servers[lo..hi]
-                .iter()
-                .filter(|(_, sid)| *sid != id)
-                .map(|(k, sid)| (k.distance(&own_key), *sid))
-                .collect();
-            candidates.sort_by_key(|a| a.0);
-            for (_, sid) in candidates.into_iter().take(near) {
+            for sid in nearest_in_window(&servers, &own_key, id, 3 * near.max(1), near) {
                 self.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
             }
             for _ in 0..random {
@@ -121,17 +131,7 @@ impl IpfsNetwork {
         // Reverse direction: make each server known (with addresses) to the
         // servers closest to its own key.
         for &(key, id) in &servers {
-            let pos = servers.partition_point(|(k, _)| k.0 < key.0);
-            let window = 2 * near.max(1);
-            let lo = pos.saturating_sub(window);
-            let hi = (pos + window).min(servers.len());
-            let mut hosts: Vec<(Distance, NodeId)> = servers[lo..hi]
-                .iter()
-                .filter(|(_, sid)| *sid != id)
-                .map(|(k, sid)| (k.distance(&key), *sid))
-                .collect();
-            hosts.sort_by_key(|a| a.0);
-            for (_, host) in hosts.into_iter().take(near) {
+            for host in nearest_in_window(&servers, &key, id, 2 * near.max(1), near) {
                 if self.nodes[host].is_server {
                     self.nodes[host].node.dht.add_peer(infos[id].clone(), true);
                 }
@@ -214,15 +214,11 @@ impl IpfsNetwork {
     /// sit in the scheduler.
     pub(super) fn arm_refresh_chains(&mut self) {
         let Some(interval) = self.cfg.table_refresh_interval else { return };
-        for (id, node) in self.nodes.iter_mut().enumerate() {
-            if !self.online[id] {
-                continue;
+        for id in 0..self.nodes.len() {
+            if self.online[id] {
+                let stagger = interval.as_nanos() * (id as u64 % 64) / 64;
+                self.schedule_refresh(id, SimDuration::from_nanos(stagger));
             }
-            let stagger = SimDuration::from_nanos(interval.as_nanos() * (id as u64 % 64) / 64);
-            node.refresh_timer = Some(self.queue.schedule_at_cancellable(
-                SimTime::ZERO + stagger,
-                NetEvent::RefreshTable { node: id },
-            ));
         }
     }
 
@@ -231,9 +227,7 @@ impl IpfsNetwork {
     pub(super) fn resume_refresh(&mut self, id: NodeId) {
         if let Some(interval) = self.cfg.table_refresh_interval {
             if self.nodes[id].refresh_timer.is_none() {
-                self.nodes[id].refresh_timer = Some(
-                    self.queue.schedule_cancellable(interval, NetEvent::RefreshTable { node: id }),
-                );
+                self.schedule_refresh(id, interval);
             }
         }
     }
@@ -243,6 +237,11 @@ impl IpfsNetwork {
         if let Some(t) = self.nodes[id].refresh_timer.take() {
             self.queue.cancel(t);
         }
+    }
+
+    fn schedule_refresh(&mut self, node: NodeId, after: SimDuration) {
+        let timer = self.queue.schedule_cancellable(after, NetEvent::RefreshTable { node });
+        self.nodes[node].refresh_timer = Some(timer);
     }
 
     /// One refresh tick: re-announce, expire provider records and re-arm.
@@ -259,8 +258,7 @@ impl IpfsNetwork {
         let expired = self.nodes[node].node.dht.expire_records(now);
         self.metrics.add(names::PROVIDER_RECORDS_EXPIRED, expired as u64);
         if let Some(interval) = self.cfg.table_refresh_interval {
-            self.nodes[node].refresh_timer =
-                Some(self.queue.schedule_cancellable(interval, NetEvent::RefreshTable { node }));
+            self.schedule_refresh(node, interval);
         }
     }
 
@@ -367,17 +365,8 @@ impl IpfsNetwork {
                 // The server's own view of the request — handler time plus
                 // the walk fan-out it computed — recorded as a child of the
                 // requester's rpc span, even if the response is later lost.
-                self.tracer.record_span(
-                    ctx,
-                    to,
-                    Some(from),
-                    "srv",
-                    req_name,
-                    response.forwarded_hops(),
-                    0,
-                    now,
-                    now + self.cfg.server_processing,
-                );
+                let (hops, end) = (response.forwarded_hops(), now + self.cfg.server_processing);
+                self.tracer.record_span(ctx, to, Some(from), "srv", req_name, hops, 0, now, end);
             }
             let delay = self.cfg.server_processing + self.one_way(to, from);
             if self.degraded_loss(to, from) {
@@ -515,13 +504,8 @@ impl IpfsNetwork {
             .collect();
         targets.sort_by_key(|a| a.0);
         for (_, id) in targets.into_iter().take(k) {
-            let from = provider_info.clone();
-            self.nodes[id].node.dht.handle_request(
-                &from,
-                true,
-                Request::AddProvider { key, provider: from.clone() },
-                now,
-            );
+            let request = Request::AddProvider { key, provider: Arc::clone(&provider_info) };
+            self.nodes[id].node.dht.handle_request(&provider_info, true, request, now);
         }
     }
 

@@ -306,17 +306,15 @@ impl IpfsNetwork {
                 EngineOutput::WantFailed { session, .. } => {
                     // Expected during the probe phase (neighbours lack the
                     // content); fatal during a fetch (provider reneged).
-                    let owner = self.exchange.session_owner.get(&(id, session)).copied();
-                    if let Some(op) = owner {
-                        let in_fetch = matches!(
-                            self.ops.get(&op),
-                            Some(OpState::Retrieve { phase: RetrievePhase::Fetch, .. })
-                        );
-                        if in_fetch {
-                            self.exchange.session_owner.remove(&(id, session));
-                            let now = self.now();
-                            self.finish_retrieve(now, op, false);
-                        }
+                    let Some(&op) = self.exchange.session_owner.get(&(id, session)) else {
+                        continue;
+                    };
+                    if matches!(
+                        self.ops.get(&op),
+                        Some(OpState::Retrieve { phase: RetrievePhase::Fetch, .. })
+                    ) {
+                        self.exchange.session_owner.remove(&(id, session));
+                        self.finish_retrieve(self.now(), op, false);
                     }
                 }
             }

@@ -94,30 +94,11 @@ pub(super) enum OpState {
 
 /// Deferred action extracted from a borrow of the op table.
 enum Action {
-    /// Fan a store out to every peer a Closest walk found.
-    Store {
-        node: NodeId,
-        store: Store,
-        peers: Vec<Arc<PeerInfo>>,
-    },
-    PublishFail,
-    SweepFail,
-    IpnsFail,
-    IpnsResolved {
-        value: Vec<u8>,
-    },
-    PeerWalk {
-        node: NodeId,
-        providers: Vec<PeerId>,
-    },
-    Fetch {
-        node: NodeId,
-        providers: Vec<Arc<PeerInfo>>,
-    },
-    JoinFetch {
-        node: NodeId,
-        provider: Arc<PeerInfo>,
-    },
+    Store { node: NodeId, store: Store, peers: Vec<Arc<PeerInfo>> },
+    IpnsResolved { value: Option<Vec<u8>> },
+    PeerWalk { node: NodeId, providers: Vec<PeerId> },
+    Fetch { node: NodeId, providers: Vec<Arc<PeerInfo>> },
+    JoinFetch { node: NodeId, provider: Arc<PeerInfo> },
     RetrieveFail,
     Nothing,
 }
@@ -142,6 +123,15 @@ fn dag_bytes(store: &mut impl BlockStore, root: &Cid) -> u64 {
         }
     }
     total
+}
+
+/// The peers a Closest walk found; empty when it found none or was not a
+/// Closest walk.
+fn closest_peers(outcome: QueryOutcome) -> Vec<Arc<PeerInfo>> {
+    match outcome {
+        QueryOutcome::Closest(peers) => peers,
+        _ => Vec::new(),
+    }
 }
 
 impl IpfsNetwork {
@@ -297,19 +287,15 @@ impl IpfsNetwork {
         // The 1 s timeout bounds *discovery*: if a neighbour has already
         // started delivering blocks, the transfer continues rather than
         // being cancelled mid-flight.
-        let in_progress = {
-            let Some(OpState::Retrieve { node, phase, probe_session, .. }) = self.ops.get(&op)
-            else {
-                return;
-            };
-            if *phase != RetrievePhase::BitswapProbe {
-                return; // already advanced (e.g. satisfied via Bitswap)
-            }
-            probe_session
-                .and_then(|s| self.nodes[*node].node.bitswap.session_state(s))
-                .map(|st| st.received > 0)
-                .unwrap_or(false)
+        let Some(OpState::Retrieve { node, phase, probe_session, .. }) = self.ops.get(&op) else {
+            return;
         };
+        if *phase != RetrievePhase::BitswapProbe {
+            return; // already advanced (e.g. satisfied via Bitswap)
+        }
+        let in_progress = probe_session
+            .and_then(|s| self.nodes[*node].node.bitswap.session_state(s))
+            .is_some_and(|st| st.received > 0);
         if in_progress {
             // Guard the continuing transfer like any fetch.
             self.queue.schedule(self.cfg.fetch_timeout, NetEvent::FetchTimeout { op });
@@ -369,43 +355,37 @@ impl IpfsNetwork {
                     *t_walk_end = Some(now);
                     *walk_rpcs = stats.rpcs_sent;
                     *walk_failures = stats.failures;
-                    match outcome {
-                        QueryOutcome::Closest(peers) if !peers.is_empty() => {
-                            *phase = PublishPhase::RpcBatch { outstanding: peers.len(), stored: 0 };
-                            let provider = Arc::clone(self.nodes[*node].node.info());
-                            let store = Store::Provider { key: Key::from_cid(cid), provider };
-                            Action::Store { node: *node, store, peers }
-                        }
-                        _ => Action::PublishFail,
+                    let peers = closest_peers(outcome);
+                    if !peers.is_empty() {
+                        *phase = PublishPhase::RpcBatch { outstanding: peers.len(), stored: 0 };
                     }
+                    let provider = Arc::clone(self.nodes[*node].node.info());
+                    let store = Store::Provider { key: Key::from_cid(cid), provider };
+                    Action::Store { node: *node, store, peers }
                 }
-                OpState::SweepBatch { node, keys, outstanding } => match outcome {
-                    QueryOutcome::Closest(peers) if !peers.is_empty() => {
-                        *outstanding = peers.len();
-                        // One batched ADD_PROVIDER per closest peer carries
-                        // every CID in the neighborhood — k messages for
-                        // the whole batch instead of k per CID.
-                        let provider = Arc::clone(self.nodes[*node].node.info());
-                        let store = Store::Batch { keys: Arc::clone(keys), provider };
-                        Action::Store { node: *node, store, peers }
-                    }
-                    _ => Action::SweepFail,
-                },
+                OpState::SweepBatch { node, keys, outstanding } => {
+                    let peers = closest_peers(outcome);
+                    *outstanding = peers.len();
+                    // One batched ADD_PROVIDER per closest peer carries every
+                    // CID in the neighborhood — k messages for the whole
+                    // batch instead of k per CID.
+                    let provider = Arc::clone(self.nodes[*node].node.info());
+                    let store = Store::Batch { keys: Arc::clone(keys), provider };
+                    Action::Store { node: *node, store, peers }
+                }
                 OpState::PublishIpns { node, name, value, t_walk_end, outstanding, .. } => {
                     *t_walk_end = Some(now);
-                    match outcome {
-                        QueryOutcome::Closest(peers) if !peers.is_empty() => {
-                            *outstanding = peers.len();
-                            let key = Key::from_peer(name);
-                            let store = Store::Value { key, value: Arc::clone(value) };
-                            Action::Store { node: *node, store, peers }
-                        }
-                        _ => Action::IpnsFail,
-                    }
+                    let peers = closest_peers(outcome);
+                    *outstanding = peers.len();
+                    let store =
+                        Store::Value { key: Key::from_peer(name), value: Arc::clone(value) };
+                    Action::Store { node: *node, store, peers }
                 }
-                OpState::ResolveIpns { .. } => match outcome {
-                    QueryOutcome::Value { value, .. } => Action::IpnsResolved { value },
-                    _ => Action::IpnsFail,
+                OpState::ResolveIpns { .. } => Action::IpnsResolved {
+                    value: match outcome {
+                        QueryOutcome::Value { value, .. } => Some(value),
+                        _ => None,
+                    },
                 },
                 OpState::Retrieve {
                     node,
@@ -455,16 +435,14 @@ impl IpfsNetwork {
                         if primary_carries {
                             *t_peer_end = Some(now);
                             *phase = RetrievePhase::Fetch;
-                            Action::Fetch {
-                                node: *node,
-                                providers: unique
-                                    .iter()
-                                    .filter(|r| !r.addrs.is_empty())
-                                    .map(|r| {
-                                        Arc::new(PeerInfo::new(r.provider.clone(), r.addrs.clone()))
-                                    })
-                                    .collect(),
-                            }
+                            let providers = unique
+                                .iter()
+                                .filter(|r| !r.addrs.is_empty())
+                                .map(|r| {
+                                    Arc::new(PeerInfo::new(r.provider.clone(), r.addrs.clone()))
+                                })
+                                .collect();
+                            Action::Fetch { node: *node, providers }
                         } else {
                             // Defer the address-book lookups to phase 2
                             // (they need a different borrow); stash intent.
@@ -474,29 +452,20 @@ impl IpfsNetwork {
                             }
                         }
                     }
-                    (RetrievePhase::PeerWalk, QueryOutcome::Peer(Some(info))) => {
+                    (RetrievePhase::PeerWalk | RetrievePhase::Fetch, QueryOutcome::Peer(found)) => {
                         *walks_outstanding = walks_outstanding.saturating_sub(1);
-                        *t_peer_end = Some(now);
-                        *phase = RetrievePhase::Fetch;
-                        Action::Fetch { node: *node, providers: vec![info] }
-                    }
-                    // A secondary provider's walk resolved after the swarm
-                    // started: dial it into the running session.
-                    (RetrievePhase::Fetch, QueryOutcome::Peer(Some(info))) => {
-                        *walks_outstanding = walks_outstanding.saturating_sub(1);
-                        Action::JoinFetch { node: *node, provider: info }
-                    }
-                    (RetrievePhase::PeerWalk, QueryOutcome::Peer(None)) => {
-                        *walks_outstanding = walks_outstanding.saturating_sub(1);
-                        if *walks_outstanding == 0 {
-                            Action::RetrieveFail
-                        } else {
-                            Action::Nothing
+                        match (found, *phase == RetrievePhase::PeerWalk) {
+                            (Some(info), true) => {
+                                *t_peer_end = Some(now);
+                                *phase = RetrievePhase::Fetch;
+                                Action::Fetch { node: *node, providers: vec![info] }
+                            }
+                            // A secondary provider's walk resolved after the
+                            // swarm started: dial it into the running session.
+                            (Some(info), _) => Action::JoinFetch { node: *node, provider: info },
+                            (None, true) if *walks_outstanding == 0 => Action::RetrieveFail,
+                            (None, _) => Action::Nothing,
                         }
-                    }
-                    (RetrievePhase::Fetch, QueryOutcome::Peer(None)) => {
-                        *walks_outstanding = walks_outstanding.saturating_sub(1);
-                        Action::Nothing
                     }
                     _ => Action::RetrieveFail,
                 },
@@ -507,6 +476,7 @@ impl IpfsNetwork {
             self.close_session(op, node, session, true);
         }
         match action {
+            Action::Store { peers, .. } if peers.is_empty() => self.finish_store_op(now, op, false),
             Action::Store { node, store, peers } => {
                 // Sweep maintenance is silent; publications enter their
                 // store batch.
@@ -519,20 +489,7 @@ impl IpfsNetwork {
                     self.send_store(op, node, &target.peer, store.clone());
                 }
             }
-            Action::PublishFail => self.finish_publish(now, op, false),
-            Action::SweepFail => {
-                // The walk found nobody to store at: these CIDs miss this
-                // refresh round and retry at the next sweep (their records
-                // survive — expiry is 24 h against a 12 h sweep cadence).
-                self.metrics.incr(names::PROVIDER_SWEEP_BATCH_FAILED);
-                self.ops.remove(&op);
-            }
-            Action::IpnsFail => match self.ops.get(&op) {
-                Some(OpState::PublishIpns { .. }) => self.finish_ipns_publish(now, op),
-                Some(OpState::ResolveIpns { .. }) => self.finish_ipns_resolve(now, op, None),
-                _ => {}
-            },
-            Action::IpnsResolved { value } => self.finish_ipns_resolve(now, op, Some(value)),
+            Action::IpnsResolved { value } => self.finish_ipns_resolve(now, op, value),
             Action::PeerWalk { node, providers } => self.resolve_providers(op, node, providers),
             Action::Fetch { node, providers } => {
                 for provider in &providers {
@@ -599,9 +556,8 @@ impl IpfsNetwork {
         }
     }
 
-    /// One store of `op` settled at the sender. The op completes when its
-    /// last store settles: a publication reports, a sweep batch ends
-    /// silently.
+    /// One store of `op` settled at the sender; the op ends when its last
+    /// store settles.
     pub(super) fn on_store_settled(&mut self, now: SimTime, op: OpId, ok: bool) {
         let done = match self.ops.get_mut(&op) {
             Some(OpState::Publish {
@@ -609,10 +565,8 @@ impl IpfsNetwork {
                 ..
             })
             | Some(OpState::PublishIpns { outstanding, stored, .. }) => {
+                *stored += usize::from(ok);
                 *outstanding -= 1;
-                if ok {
-                    *stored += 1;
-                }
                 *outstanding == 0
             }
             Some(OpState::SweepBatch { outstanding, .. }) => {
@@ -621,46 +575,52 @@ impl IpfsNetwork {
             }
             _ => false,
         };
-        if !done {
-            return;
+        if done {
+            self.finish_store_op(now, op, true);
         }
+    }
+
+    /// Ends a store op, once its last store settled or, with `settled`
+    /// false, when its walk found nobody to store at. A publication
+    /// reports; a sweep batch ends silently.
+    fn finish_store_op(&mut self, now: SimTime, op: OpId, settled: bool) {
         match self.ops.get(&op) {
-            Some(OpState::Publish { .. }) => self.finish_publish(now, op, true),
+            Some(OpState::Publish { .. }) => self.finish_publish(now, op, settled),
             Some(OpState::PublishIpns { .. }) => self.finish_ipns_publish(now, op),
-            _ => {
+            Some(OpState::SweepBatch { .. }) => {
+                if !settled {
+                    // These CIDs miss this refresh round and retry at the
+                    // next sweep (their records survive — expiry is 24 h
+                    // against a 12 h sweep cadence).
+                    self.metrics.incr(names::PROVIDER_SWEEP_BATCH_FAILED);
+                }
                 self.ops.remove(&op);
             }
+            _ => {}
         }
     }
 
     pub(super) fn on_session_complete(&mut self, op: OpId, session: SessionHandle) {
         let now = self.now();
-        let finish = {
-            let Some(OpState::Retrieve {
-                phase, probe_session, via_bitswap, t_bitswap_end, ..
-            }) = self.ops.get_mut(&op)
-            else {
-                return;
-            };
-            match phase {
-                RetrievePhase::BitswapProbe if *probe_session == Some(session) => {
-                    // A neighbour had the content: resolved via Bitswap.
-                    *via_bitswap = true;
-                    *t_bitswap_end = Some(now);
-                    true
-                }
-                RetrievePhase::Fetch => true,
-                _ => false,
+        let Some(OpState::Retrieve { phase, probe_session, via_bitswap, t_bitswap_end, .. }) =
+            self.ops.get_mut(&op)
+        else {
+            return;
+        };
+        let finish = match phase {
+            RetrievePhase::BitswapProbe if *probe_session == Some(session) => {
+                // A neighbour had the content: resolved via Bitswap.
+                *via_bitswap = true;
+                *t_bitswap_end = Some(now);
+                true
             }
+            RetrievePhase::Fetch => true,
+            _ => false,
         };
         if finish {
             self.finish_retrieve(now, op, true);
         }
     }
-
-    // ------------------------------------------------------------------
-    // Finalization
-    // ------------------------------------------------------------------
 
     fn finish_publish(&mut self, now: SimTime, op: OpId, success: bool) {
         let Some(OpState::Publish {
@@ -765,11 +725,8 @@ impl IpfsNetwork {
         };
         let t_walk = t_walk_end.unwrap_or(now);
         let ok = stored > 0;
-        self.metrics.incr(if ok {
-            names::IPNS_PUBLISH_SUCCESS
-        } else {
-            names::IPNS_PUBLISH_FAILED
-        });
+        let outcome = if ok { names::IPNS_PUBLISH_SUCCESS } else { names::IPNS_PUBLISH_FAILED };
+        self.metrics.incr(outcome);
         self.tracer.record_with(op, now, || TraceEventKind::OpFinished { success: ok });
         self.ipns_publish_reports.push(IpnsPublishReport {
             op,
@@ -795,11 +752,9 @@ impl IpfsNetwork {
             let _ = self.nodes[node].node.ipns.put(r.clone(), now);
         }
         let success = record.is_some();
-        self.metrics.incr(if success {
-            names::IPNS_RESOLVE_SUCCESS
-        } else {
-            names::IPNS_RESOLVE_FAILED
-        });
+        let outcome =
+            if success { names::IPNS_RESOLVE_SUCCESS } else { names::IPNS_RESOLVE_FAILED };
+        self.metrics.incr(outcome);
         self.tracer.record_with(op, now, || TraceEventKind::OpFinished { success });
         self.ipns_resolve_reports.push(IpnsResolveReport {
             op,

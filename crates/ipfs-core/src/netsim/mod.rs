@@ -431,10 +431,6 @@ impl IpfsNetwork {
         net
     }
 
-    // ------------------------------------------------------------------
-    // Accessors
-    // ------------------------------------------------------------------
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.queue.now()
@@ -526,10 +522,6 @@ impl IpfsNetwork {
         total / self.nodes.len() as u64
     }
 
-    // ------------------------------------------------------------------
-    // Run loops and dispatch
-    // ------------------------------------------------------------------
-
     /// Runs the simulation until `deadline` (inclusive of events at it).
     /// Scripted fault boundaries due within the window apply at their
     /// exact virtual instants, interleaved with event dispatch.
@@ -595,11 +587,8 @@ impl IpfsNetwork {
     /// which its neighbours' Bitswap sessions see as a disconnect.
     fn on_churn(&mut self, id: NodeId, online: bool) {
         self.online[id] = online;
-        self.metrics.incr_handle(if online {
-            self.hot.churn_online
-        } else {
-            self.hot.churn_offline
-        });
+        let counter = if online { self.hot.churn_online } else { self.hot.churn_offline };
+        self.metrics.incr_handle(counter);
         if online {
             self.announce_join(id);
             self.resume_refresh(id);

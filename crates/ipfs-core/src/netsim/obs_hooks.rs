@@ -234,17 +234,8 @@ impl IpfsNetwork {
     ) {
         let Some(origin) = self.tracer.origin(op) else { return };
         let tid = dtrace::trace_id(origin, op);
-        self.tracer.record_span(
-            TraceCtx { trace_id: tid, parent_span: dtrace::root_span(tid) },
-            gateway_node,
-            None,
-            "gw",
-            detail,
-            bytes,
-            0,
-            start,
-            end,
-        );
+        let ctx = TraceCtx { trace_id: tid, parent_span: dtrace::root_span(tid) };
+        self.tracer.record_span(ctx, gateway_node, None, "gw", detail, bytes, 0, start, end);
     }
 
     /// The node id a trace event names for `peer` (`usize::MAX` when the
@@ -300,17 +291,8 @@ impl IpfsNetwork {
                 EngineOutput::WantFailed { cid, .. } => (None, "want_failed", cid),
                 _ => continue,
             };
-            self.tracer.record_span(
-                ctx,
-                node,
-                target,
-                "bs",
-                detail,
-                cid_low64(cid),
-                dead as u64,
-                now,
-                now,
-            );
+            let want = cid_low64(cid);
+            self.tracer.record_span(ctx, node, target, "bs", detail, want, dead as u64, now, now);
         }
     }
 }

@@ -59,12 +59,10 @@ impl IpfsNetwork {
         // The node is dialable iff it is not NAT'ed (its `is_server`
         // ground truth) and currently online.
         let reachable = self.nodes[id].is_server && self.online[id];
-        let helpers: Vec<NodeId> = (0..self.nodes.len())
-            .filter(|&h| h != id && self.is_dialable(h))
-            .take(probes)
-            .collect();
+        let helpers =
+            (0..self.nodes.len()).filter(|&h| h != id && self.is_dialable(h)).take(probes).count();
         let mut verdict = AutonatVerdict::Undecided;
-        for _h in helpers {
+        for _ in 0..helpers {
             verdict = state.record(reachable);
             if verdict != AutonatVerdict::Undecided {
                 break;
@@ -82,14 +80,10 @@ impl IpfsNetwork {
     /// beyond the cap.
     fn prune_connections(&mut self, id: NodeId) {
         while self.nodes[id].connections.len() > self.cfg.max_connections {
-            match self.nodes[id].connections.lru() {
-                Some(v) => {
-                    self.nodes[id].connections.remove(v);
-                    self.nodes[v].connections.remove(id);
-                    self.metrics.incr_handle(self.hot.conn_prunes);
-                }
-                None => break,
-            }
+            let Some(v) = self.nodes[id].connections.lru() else { break };
+            self.nodes[id].connections.remove(v);
+            self.nodes[v].connections.remove(id);
+            self.metrics.incr_handle(self.hot.conn_prunes);
         }
     }
 
