@@ -130,7 +130,7 @@ gate "PDES equivalence (serial vs sharded digest gate)"
 # The region-sharded engine must reproduce the serial total order exactly:
 # a digest run (event counts, (time,key) order fingerprints, metrics
 # fingerprints, bytes/node — no wall-clock values) must be byte-identical
-# at IPFS_REPRO_SHARDS=1 (the exact serial path) and =6.
+# at IPFS_REPRO_SHARDS=1 (the exact serial path) and =6, tracing off.
 IPFS_REPRO_SHARDS=1 ./target/release/throughput --smoke --digest \
     > "$TMP/digest_shards1.txt" 2> /dev/null
 IPFS_REPRO_SHARDS=6 ./target/release/throughput --smoke --digest \
@@ -139,13 +139,12 @@ same_output "throughput --smoke --digest, IPFS_REPRO_SHARDS=1 vs =6" \
     "$TMP/digest_shards1.txt" "$TMP/digest_shards6.txt"
 
 gate "dtrace equivalence (tracing on/off digest gate)"
-# Distributed tracing + the flight recorder observe, never perturb: a
-# digest run must be byte-identical with IPFS_REPRO_DTRACE unset and =1.
-./target/release/throughput --smoke --digest > "$TMP/digest_dtrace_off.txt" 2> /dev/null
-IPFS_REPRO_DTRACE=1 ./target/release/throughput --smoke --digest \
-    > "$TMP/digest_dtrace_on.txt" 2> /dev/null
-same_output "throughput --smoke --digest, IPFS_REPRO_DTRACE unset vs =1" \
-    "$TMP/digest_dtrace_off.txt" "$TMP/digest_dtrace_on.txt"
+# Distributed tracing + the flight recorder observe, never perturb: the
+# sharded digest run above must be byte-identical with IPFS_REPRO_DTRACE=1.
+IPFS_REPRO_SHARDS=6 IPFS_REPRO_DTRACE=1 ./target/release/throughput --smoke --digest \
+    > "$TMP/digest_shards6_dtrace.txt" 2> /dev/null
+same_output "throughput --smoke --digest, IPFS_REPRO_SHARDS=6, IPFS_REPRO_DTRACE unset vs =1" \
+    "$TMP/digest_shards6.txt" "$TMP/digest_shards6_dtrace.txt"
 
 gate "dtrace overhead (tracing throughput budget, both sides measured in this run)"
 # The always-on flight recorder plus full tracing must keep the smoke sim
