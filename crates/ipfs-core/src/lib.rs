@@ -24,7 +24,12 @@
 //!   (§2.3).
 //! - [`node`] — one IPFS node: identity + DHT + Bitswap + blockstore.
 //! - [`netsim`] — the network simulation driver: delivers RPCs with
-//!   geo latency, models dial timeouts, churn, and connection state.
+//!   geo latency, models dial timeouts, churn, and connection state. One
+//!   private module per protocol layer: `transport` (dials, connection
+//!   manager, DCUtR, AutoNAT), `dht` (bootstrap, refresh, query RPCs,
+//!   fire-and-forget stores), `exchange` (Bitswap sessions), `reprovide`
+//!   (republish chains and the sweep), `faults`, `lifecycle` (publish,
+//!   retrieve and IPNS ops) and `obs_hooks` (hot metrics, tracer glue).
 //! - [`ops`] — the publish/retrieve operation state machines and their
 //!   phase-by-phase timing reports (the data behind Figures 9 and 10).
 //! - [`pinning`] — pinning services: third-party hosts that publish on
