@@ -17,10 +17,24 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The Bitswap driver's state beyond the nodes' own engines.
-#[derive(Default)]
 pub(super) struct Exchange {
     /// Which operation owns each Bitswap session.
     session_owner: HashMap<(NodeId, SessionHandle), OpId>,
+    /// When each node's uplink finishes serializing the blocks it has
+    /// already committed to send. Concurrent BLOCK transfers from one
+    /// sender queue behind each other here (`sample_transfer` prices each
+    /// message in isolation), so a swarm's aggregate goodput scales with
+    /// the number of uplinks it draws from — the physics the swarm bench
+    /// measures. Control messages are negligible and skip the queue, and
+    /// an isolated single block sees zero wait, keeping the
+    /// single-provider path's timing (and RNG stream) unchanged.
+    uplink_free_at: Vec<SimTime>,
+}
+
+impl Exchange {
+    pub(super) fn new(nodes: usize) -> Exchange {
+        Exchange { session_owner: HashMap::new(), uplink_free_at: vec![SimTime::ZERO; nodes] }
+    }
 }
 
 impl IpfsNetwork {
@@ -350,9 +364,9 @@ impl IpfsNetwork {
         // `sample_transfer` already prices this block's own serialization;
         // the queue adds only the wait for earlier committed blocks.
         let now = self.now();
-        let start = self.nodes[id].uplink_free_at.max(now);
+        let start = self.exchange.uplink_free_at[id].max(now);
         let tx = SimDuration::from_secs_f64((data.len() as f64 * 8.0) / from_bw.up_bps() as f64);
-        self.nodes[id].uplink_free_at = start + tx;
+        self.exchange.uplink_free_at[id] = start + tx;
         // The serve span a remote peer contributes to the requester's
         // trace: this block's serialization at the sender's uplink, with
         // the queue wait behind earlier blocks kept in `b`.

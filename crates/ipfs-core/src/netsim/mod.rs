@@ -227,15 +227,6 @@ struct SimNode {
     /// at churn-off); the next rejoin runs it immediately, mirroring
     /// go-ipfs's reprovide-on-startup sweep.
     sweep_deferred: bool,
-    /// When this node's uplink finishes serializing the blocks it has
-    /// already committed to send. Concurrent BLOCK transfers from one
-    /// sender queue behind each other here (`sample_transfer` prices each
-    /// message in isolation), so a swarm's aggregate goodput scales with
-    /// the number of uplinks it draws from — the physics the swarm bench
-    /// measures. Control messages are negligible and skip the queue, and
-    /// an isolated single block sees zero wait, keeping the
-    /// single-provider path's timing (and RNG stream) unchanged.
-    uplink_free_at: SimTime,
 }
 
 impl SimNode {
@@ -250,7 +241,6 @@ impl SimNode {
             provided: BTreeMap::new(),
             sweep_timer: None,
             sweep_deferred: false,
-            uplink_free_at: SimTime::ZERO,
         }
     }
 }
@@ -404,6 +394,7 @@ impl IpfsNetwork {
 
         let mut metrics = MetricsRegistry::new();
         let hot = HotMetrics::resolve(&mut metrics);
+        let exchange = Exchange::new(nodes.len());
         let mut net = IpfsNetwork {
             queue,
             rng,
@@ -414,7 +405,7 @@ impl IpfsNetwork {
             ops: HashMap::new(),
             next_op: 0,
             dht: DhtState::default(),
-            exchange: Exchange::default(),
+            exchange,
             publish_reports: Vec::new(),
             retrieve_reports: Vec::new(),
             ipns_publish_reports: Vec::new(),
