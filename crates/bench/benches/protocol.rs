@@ -81,7 +81,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                     size: 300,
                     nat_fraction: 0.4,
                     horizon: SimDuration::from_hours(2),
-                    ..Default::default()
                 },
                 99,
             );

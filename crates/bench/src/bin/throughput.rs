@@ -125,7 +125,6 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
             size: cell.population,
             nat_fraction: 0.455,
             horizon: SimDuration::from_hours(8),
-            ..Default::default()
         },
         seed,
     );

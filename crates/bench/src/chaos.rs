@@ -80,7 +80,6 @@ fn network(cfg: &ChaosConfig, seed: u64, vantages: &[VantagePoint]) -> IpfsNetwo
             size: cfg.population,
             nat_fraction: 0.455,
             horizon: SimDuration::from_hours(12),
-            ..Default::default()
         },
         seed,
     );
@@ -403,7 +402,6 @@ fn scenario_provider_crash(cfg: &ChaosConfig, seed: u64) -> CellOutput {
                 size: cfg.population,
                 nat_fraction: 0.3,
                 horizon: SimDuration::from_hours(6),
-                ..Default::default()
             },
             seed,
         );
@@ -506,10 +504,9 @@ fn scenario_provider_crash(cfg: &ChaosConfig, seed: u64) -> CellOutput {
 /// heal. The series rides along in [`CellOutput::timeseries`].
 fn scenario_gateway_dip(cfg: &ChaosConfig, seed: u64) -> CellOutput {
     use gateway::workload::{GatewayWorkload, WorkloadConfig};
-    use gateway::{Gateway, GatewayConfig};
+    use gateway::{FleetConfig, GatewayFleet};
     use ipfs_core::obs::names;
     let mut net = network(cfg, seed, &[VantagePoint::UsWest1]);
-    let [gw_node] = net.vantage_ids(1)[..] else { unreachable!() };
     let workload = GatewayWorkload::generate(WorkloadConfig {
         catalog_size: (cfg.catalog * 20).max(60),
         users: (cfg.gateway_requests / 8).max(40),
@@ -517,10 +514,10 @@ fn scenario_gateway_dip(cfg: &ChaosConfig, seed: u64) -> CellOutput {
         seed,
         ..Default::default()
     });
-    let mut gw = Gateway::new(gw_node, GatewayConfig::default());
+    let mut fleet = GatewayFleet::new(&net.vantage_ids(1), FleetConfig::default());
     let providers: Vec<NodeId> =
         net.server_ids().into_iter().filter(|&i| net.is_dialable(i)).take(20).collect();
-    gw.install_catalog(&mut net, &workload, &providers);
+    fleet.install_catalog(&mut net, &workload, &providers);
 
     // Cut the gateway's region (NA-West) for hours 8–10 of the day; the
     // gateway keeps serving cache hits but network fetches die.
@@ -533,7 +530,7 @@ fn scenario_gateway_dip(cfg: &ChaosConfig, seed: u64) -> CellOutput {
     // Bucket every request into 2-hour windows of a TimeSeries: the dip
     // and the recovery fall out of the per-window hit-rate ratio.
     let mut ts = TimeSeries::new(SimDuration::from_hours(2));
-    for e in gw.serve_all(&mut net, &workload) {
+    for e in fleet.serve_all(&mut net, &workload).into_iter().map(|e| e.entry) {
         ts.incr(e.at, names::GATEWAY_REQUESTS);
         if e.success {
             ts.incr(e.at, names::GATEWAY_OK);
@@ -590,7 +587,6 @@ fn scenario_reprovider_churn(cfg: &ChaosConfig, seed: u64) -> CellOutput {
             size: cfg.population,
             nat_fraction: 0.455,
             horizon: SimDuration::from_hours(12),
-            ..Default::default()
         },
         seed,
     );

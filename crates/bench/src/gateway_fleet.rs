@@ -163,7 +163,6 @@ fn run_cell(spec: &CellSpec, cfg: &FleetBenchConfig, seed: u64) -> CellOutput {
             size: cfg.population,
             nat_fraction: 0.455,
             horizon: SimDuration::from_hours(26),
-            ..Default::default()
         },
         seed,
     );

@@ -191,7 +191,6 @@ fn run_cell(
             size: cfg.population,
             nat_fraction: 0.455,
             horizon: SimDuration::from_hours(12),
-            ..Default::default()
         },
         seed,
     );

@@ -86,7 +86,6 @@ fn lifecycle_network(
             size: population,
             nat_fraction: 0.455,
             horizon: SimDuration::from_hours(12),
-            ..Default::default()
         },
         seed,
     );

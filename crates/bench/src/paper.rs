@@ -17,12 +17,10 @@ use crate::stats::{
     Summary,
 };
 use bytes::Bytes;
-use crawler::{
-    ChurnMonitor, CrawlConfig, Crawler, MonitorConfig, SessionObservation, UptimeSummary,
-};
+use crawler::{ChurnMonitor, Crawler, MonitorConfig, SessionObservation, UptimeSummary};
 use gateway::log::RequestBins;
 use gateway::workload::{GatewayWorkload, Referrer, WorkloadConfig};
-use gateway::{AccessLogEntry, Gateway, GatewayConfig, ServedBy};
+use gateway::{AccessLogEntry, FleetConfig, GatewayConfig, GatewayFleet, ServedBy};
 use ipfs_core::{DhtPerfConfig, DhtPerfExperiment, DhtPerfResults, IpfsNetwork, NetworkConfig};
 use ipfs_core::{NodeConfig, NodeId, RetrieveReport};
 use simnet::geodb::{Country, HostInfo, CLOUD_PROVIDERS, NAMED_ASES};
@@ -169,9 +167,9 @@ pub struct Inputs {
     monitor: OnceCell<Monitor>,
 }
 
-/// A gateway after serving a whole workload, and its access log.
+/// A one-gateway fleet after serving a whole workload, and its access log.
 struct GatewayDay {
-    gateway: Gateway,
+    fleet: GatewayFleet,
     log: Vec<AccessLogEntry>,
 }
 
@@ -296,12 +294,15 @@ fn serve_day(
 ) -> GatewayDay {
     let mut net =
         IpfsNetwork::from_population(pop, &[VantagePoint::UsWest1], NetworkConfig::default(), seed);
-    let mut gateway = Gateway::new(net.vantage_ids(1)[0], config);
+    let mut fleet = GatewayFleet::new(
+        &net.vantage_ids(1),
+        FleetConfig { gateway: config, ..Default::default() },
+    );
     let providers: Vec<NodeId> =
         net.server_ids().into_iter().filter(|&i| net.is_dialable(i)).take(providers).collect();
-    gateway.install_catalog(&mut net, workload, &providers);
-    let log = gateway.serve_all(&mut net, workload);
-    GatewayDay { gateway, log }
+    fleet.install_catalog(&mut net, workload, &providers);
+    let log = fleet.serve_all(&mut net, workload).into_iter().map(|e| e.entry).collect();
+    GatewayDay { fleet, log }
 }
 
 /// The hosts a peer advertises addresses on: its own and, when multihomed,
@@ -359,7 +360,7 @@ fn fig04a_crawl_timeseries(w: &Inputs, out: &mut String) -> fmt::Result {
         NetworkConfig::default(),
         w.run.seed,
     );
-    let crawler = Crawler::new(CrawlConfig::default());
+    let crawler = Crawler::new();
 
     let mut rows = Vec::new();
     for _ in 0..rounds {
@@ -1111,7 +1112,7 @@ fn fig11_gateway_analysis(w: &Inputs, out: &mut String) -> fmt::Result {
 /// Requests served   46.0 %       40.2 %           13.8 %
 /// ```
 fn tab5_gateway_cache_tiers(w: &Inputs, out: &mut String) -> fmt::Result {
-    let GatewayDay { gateway, log } = w.gateway_day();
+    let GatewayDay { fleet, log } = w.gateway_day();
     let total_requests = log.len() as f64;
     let total_bytes: u64 = log.iter().map(|e| e.bytes).sum();
     let paper = [
@@ -1148,7 +1149,7 @@ fn tab5_gateway_cache_tiers(w: &Inputs, out: &mut String) -> fmt::Result {
         out,
         "combined cache tiers serve {:.1} % of requests (paper: >80 %); nginx lifetime hit rate {:.1} %",
         100.0 * combined,
-        100.0 * gateway.nginx.hit_rate()
+        100.0 * fleet.gateways[0].nginx.hit_rate()
     )
 }
 

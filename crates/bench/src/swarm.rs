@@ -119,7 +119,6 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
             size: cfg.population,
             nat_fraction: 0.3,
             horizon: SimDuration::from_hours(6),
-            ..Default::default()
         },
         seed,
     );

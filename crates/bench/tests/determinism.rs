@@ -19,12 +19,7 @@ fn replication_cell(cell: usize) -> Vec<String> {
     let k = ks[cell];
     let seed = 2022;
     let pop = Population::generate(
-        PopulationConfig {
-            size: 400,
-            nat_fraction: 0.455,
-            horizon: SimDuration::from_hours(6),
-            ..Default::default()
-        },
+        PopulationConfig { size: 400, nat_fraction: 0.455, horizon: SimDuration::from_hours(6) },
         seed,
     );
     let mut net = IpfsNetwork::from_population(

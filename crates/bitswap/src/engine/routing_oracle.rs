@@ -389,7 +389,6 @@ mod tests {
                         let cfg = SessionConfig {
                             duplicate_factor: if dup { 2 } else { 1 },
                             max_inflight_per_peer: budget,
-                            ..SessionConfig::default()
                         };
                         let ids: Vec<PeerId> = picks.iter().map(|&i| peers[i].clone()).collect();
                         let root = self.roots[root % self.roots.len()].clone();

@@ -25,6 +25,15 @@
 use crate::message::Message;
 use multiformats::{Cid, PeerId};
 
+/// Maximum number of candidate peers a WANT-HAVE is broadcast to
+/// (go-bitswap's `BROADCAST_LIVE_WANTS_LIMIT`).
+const BROADCAST_LIMIT: usize = 64;
+const _: () = assert!(BROADCAST_LIMIT >= 1);
+
+/// Weight of the newest latency sample in the exponentially-decayed
+/// per-peer response score (`score = alpha*sample + (1-alpha)*score`).
+const EWMA_ALPHA: f64 = 0.5;
+
 /// Tuning knobs for a session (the paper's §3.2 exchange plus the
 /// go-bitswap session extensions).
 #[derive(Debug, Clone, Copy)]
@@ -33,12 +42,6 @@ pub struct SessionConfig {
     /// every block exactly once; higher values trade duplicate traffic for
     /// tail-latency robustness (go-bitswap's "duplicate factor").
     pub duplicate_factor: usize,
-    /// Maximum number of candidate peers a WANT-HAVE is broadcast to
-    /// (go-bitswap's `BROADCAST_LIVE_WANTS_LIMIT`).
-    pub broadcast_limit: usize,
-    /// Weight of the newest latency sample in the exponentially-decayed
-    /// per-peer response score (`score = alpha*sample + (1-alpha)*score`).
-    pub ewma_alpha: f64,
     /// Cap on WANT-BLOCKs outstanding at any one peer when the swarm has
     /// several candidates (go-bitswap's live-want trickle). Wants beyond
     /// the aggregate budget wait in a backlog and are dispatched as blocks
@@ -50,12 +53,7 @@ pub struct SessionConfig {
 
 impl Default for SessionConfig {
     fn default() -> SessionConfig {
-        SessionConfig {
-            duplicate_factor: 1,
-            broadcast_limit: 64,
-            ewma_alpha: 0.5,
-            max_inflight_per_peer: 4,
-        }
+        SessionConfig { duplicate_factor: 1, max_inflight_per_peer: 4 }
     }
 }
 
@@ -357,7 +355,7 @@ impl Session {
                     .peers
                     .iter()
                     .filter(|p| !p.removed)
-                    .take(self.cfg.broadcast_limit.max(1))
+                    .take(BROADCAST_LIMIT)
                     .map(|p| p.id.clone())
                     .collect();
                 for p in &pending {
@@ -572,14 +570,13 @@ impl Session {
                 }
             }
         }
-        let alpha = self.cfg.ewma_alpha;
         if let Some(p) = self.peer_mut(from) {
             p.blocks += 1;
             if let Some(s) = sample {
                 p.score_nanos = if p.samples == 0 {
                     s as f64
                 } else {
-                    alpha * s as f64 + (1.0 - alpha) * p.score_nanos
+                    EWMA_ALPHA * s as f64 + (1.0 - EWMA_ALPHA) * p.score_nanos
                 };
                 p.samples += 1;
             }
@@ -611,7 +608,7 @@ impl Session {
             .peers
             .iter()
             .filter(|p| !p.removed)
-            .take(self.cfg.broadcast_limit.max(1))
+            .take(BROADCAST_LIMIT)
             .map(|p| p.id.clone())
             .collect();
         let any_ready = self.peers.iter().any(|p| p.ready());

@@ -6,30 +6,16 @@ use simnet::geodb::Country;
 use simnet::{Population, SimDuration, SimTime};
 use std::collections::{HashSet, VecDeque};
 
-/// Crawler parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CrawlConfig {
-    /// Number of bootstrap peers to start from (IPFS ships six well-known
-    /// bootstrappers, §4.1).
-    pub bootstrap_count: usize,
-    /// Concurrent crawl workers (the real crawler is massively parallel).
-    pub concurrency: usize,
-    /// Cost model: time to dial + drain one peer's buckets.
-    pub per_peer_visit: SimDuration,
-    /// Cost model: time burned on a failed dial.
-    pub per_peer_timeout: SimDuration,
-}
-
-impl Default for CrawlConfig {
-    fn default() -> Self {
-        CrawlConfig {
-            bootstrap_count: 6,
-            concurrency: 1_000,
-            per_peer_visit: SimDuration::from_millis(800),
-            per_peer_timeout: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Number of bootstrap peers to start from (IPFS ships six well-known
+/// bootstrappers, §4.1).
+const BOOTSTRAP_COUNT: usize = 6;
+/// Concurrent crawl workers (the real crawler is massively parallel).
+const CONCURRENCY: u64 = 1_000;
+const _: () = assert!(CONCURRENCY >= 1);
+/// Cost model: time to dial + drain one peer's buckets.
+const PER_PEER_VISIT: SimDuration = SimDuration::from_millis(800);
+/// Cost model: time burned on a failed dial.
+const PER_PEER_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// A peer discovered during one crawl.
 #[derive(Debug, Clone)]
@@ -80,14 +66,13 @@ impl CrawlSnapshot {
 }
 
 /// The crawler.
-pub struct Crawler {
-    cfg: CrawlConfig,
-}
+#[derive(Debug, Default)]
+pub struct Crawler;
 
 impl Crawler {
     /// Creates a crawler.
-    pub fn new(cfg: CrawlConfig) -> Crawler {
-        Crawler { cfg }
+    pub fn new() -> Crawler {
+        Crawler
     }
 
     /// Crawls the network: breadth-first k-bucket enumeration starting
@@ -101,7 +86,7 @@ impl Crawler {
             .server_ids()
             .into_iter()
             .filter(|&id| net.is_dialable(id))
-            .take(self.cfg.bootstrap_count)
+            .take(BOOTSTRAP_COUNT)
             .collect();
 
         let mut seen: HashSet<NodeId> = HashSet::new();
@@ -139,9 +124,9 @@ impl Crawler {
         }
 
         // Duration under the concurrency cost model.
-        let total_work = self.cfg.per_peer_visit.as_nanos() * visits
-            + self.cfg.per_peer_timeout.as_nanos() * timeouts;
-        let duration = SimDuration::from_nanos(total_work / self.cfg.concurrency.max(1) as u64);
+        let total_work =
+            PER_PEER_VISIT.as_nanos() * visits + PER_PEER_TIMEOUT.as_nanos() * timeouts;
+        let duration = SimDuration::from_nanos(total_work / CONCURRENCY);
 
         CrawlSnapshot { started_at, duration, peers, dialable, undialable }
     }
@@ -192,12 +177,7 @@ mod tests {
 
     fn build(n: usize, seed: u64) -> (IpfsNetwork, Population) {
         let pop = Population::generate(
-            PopulationConfig {
-                size: n,
-                nat_fraction: 0.4,
-                horizon: SimDuration::from_hours(8),
-                ..Default::default()
-            },
+            PopulationConfig { size: n, nat_fraction: 0.4, horizon: SimDuration::from_hours(8) },
             seed,
         );
         let net = IpfsNetwork::from_population(
@@ -212,7 +192,7 @@ mod tests {
     #[test]
     fn crawl_discovers_the_online_network_and_accumulates() {
         let (mut net, pop) = build(800, 1);
-        let crawler = Crawler::new(CrawlConfig::default());
+        let crawler = Crawler::new();
 
         // A single crawl reaches nearly every *currently online* server
         // (they all sit in each other's buckets); servers that have never
@@ -253,7 +233,7 @@ mod tests {
         // §2.3: clients never enter routing tables, so a crawl cannot see
         // them.
         let (net, pop) = build(500, 2);
-        let snap = Crawler::new(CrawlConfig::default()).crawl(&net, &pop);
+        let snap = Crawler::new().crawl(&net, &pop);
         for p in &snap.peers {
             if let Some(simpeer) = pop.peers.get(p.node) {
                 assert!(!simpeer.nat, "NAT'ed peer leaked into the crawl");
@@ -264,7 +244,7 @@ mod tests {
     #[test]
     fn dialable_fraction_tracks_churn() {
         let (mut net, pop) = build(600, 3);
-        let crawler = Crawler::new(CrawlConfig::default());
+        let crawler = Crawler::new();
         let snap0 = crawler.crawl(&net, &pop);
         // Later in the horizon, some peers have churned offline; the crawl
         // still finds them in buckets but cannot dial them.
@@ -278,7 +258,7 @@ mod tests {
     #[test]
     fn metadata_is_attached() {
         let (net, pop) = build(300, 4);
-        let snap = Crawler::new(CrawlConfig::default()).crawl(&net, &pop);
+        let snap = Crawler::new().crawl(&net, &pop);
         let with_cloud = snap.peers.iter().filter(|p| p.cloud.is_some()).count();
         let multihomed = snap.peers.iter().filter(|p| p.secondary_country.is_some()).count();
         // Both features exist in a 300-peer population w.h.p.

@@ -23,5 +23,5 @@
 pub mod crawl;
 pub mod monitor;
 
-pub use crawl::{CrawlConfig, CrawlSnapshot, CrawledPeer, Crawler};
+pub use crawl::{CrawlSnapshot, CrawledPeer, Crawler};
 pub use monitor::{ChurnMonitor, MonitorConfig, SessionObservation, UptimeSummary};

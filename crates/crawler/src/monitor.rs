@@ -21,27 +21,23 @@ use ipfs_core::MetricsRegistry;
 use simnet::geodb::Country;
 use simnet::{Population, SimDuration, SimTime};
 
+/// Minimum probe interval (30 s).
+const MIN_INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// Maximum probe interval (15 min).
+const MAX_INTERVAL: SimDuration = SimDuration::from_mins(15);
+/// Interval as a fraction of observed uptime (0.5).
+const UPTIME_FACTOR: f64 = 0.5;
+
 /// Monitor parameters (paper defaults).
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
-    /// Minimum probe interval (30 s).
-    pub min_interval: SimDuration,
-    /// Maximum probe interval (15 min).
-    pub max_interval: SimDuration,
-    /// Interval as a fraction of observed uptime (0.5).
-    pub uptime_factor: f64,
     /// Total measurement window.
     pub window: SimDuration,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig {
-            min_interval: SimDuration::from_secs(30),
-            max_interval: SimDuration::from_mins(15),
-            uptime_factor: 0.5,
-            window: SimDuration::from_hours(48),
-        }
+        MonitorConfig { window: SimDuration::from_hours(48) }
     }
 }
 
@@ -128,17 +124,16 @@ impl ChurnMonitor {
                         session_start = Some(t);
                         last_up = t;
                         up_probes += 1;
-                        self.cfg.min_interval
+                        MIN_INTERVAL
                     }
                     (true, Some(start)) => {
                         last_up = t;
                         up_probes += 1;
                         // Adaptive interval: 0.5x observed uptime, clamped.
                         let observed = t.since(start);
-                        let next = SimDuration::from_secs_f64(
-                            observed.as_secs_f64() * self.cfg.uptime_factor,
-                        );
-                        next.max(self.cfg.min_interval).min(self.cfg.max_interval)
+                        let next =
+                            SimDuration::from_secs_f64(observed.as_secs_f64() * UPTIME_FACTOR);
+                        next.max(MIN_INTERVAL).min(MAX_INTERVAL)
                     }
                     (false, Some(start)) => {
                         // Session ended somewhere between last_up and t.
@@ -150,9 +145,9 @@ impl ChurnMonitor {
                             in_first_half: start < half,
                         });
                         session_start = None;
-                        self.cfg.min_interval
+                        MIN_INTERVAL
                     }
-                    (false, None) => self.cfg.min_interval,
+                    (false, None) => MIN_INTERVAL,
                 };
                 t += interval;
             }

@@ -17,8 +17,9 @@
 //!   providers only.
 //!
 //! Everything is deterministic: the ring is seeded splitmix hashing, and
-//! requests are processed in arrival order exactly as a single gateway
-//! would, so fleet cells stay byte-identical under parallel bench runs.
+//! requests are processed in arrival order, so fleet cells stay
+//! byte-identical under parallel bench runs. A lone gateway is a fleet of
+//! one: [`GatewayFleet::serve`] is the only serve loop.
 
 use crate::admission::{cid_key, mix};
 use crate::gateway::{Gateway, GatewayConfig};

@@ -12,13 +12,13 @@
 //!   CID is still in flight do not trigger a second backend fetch — they
 //!   queue on the leader and complete when it does;
 //! - **negative caching**: a failed retrieval is remembered for
-//!   [`GatewayConfig::negative_ttl`], and repeat requests for the known-bad
+//!   `NEGATIVE_TTL` (60 s), and repeat requests for the known-bad
 //!   CID are answered immediately without hammering the DHT.
 
 use crate::admission::{cid_key, TinyLfu, TinyLfuConfig};
 use crate::cache::LruWebCache;
 use crate::log::AccessLogEntry;
-use crate::workload::{CatalogObject, GatewayRequest, GatewayWorkload};
+use crate::workload::{GatewayRequest, GatewayWorkload};
 use bytes::Bytes;
 use ipfs_core::obs::names;
 use ipfs_core::{IpfsNetwork, MetricsRegistry, NodeId};
@@ -38,7 +38,7 @@ pub enum ServedBy {
     /// A full P2P retrieval ("Non Cached").
     Network,
     /// A remembered failure: the CID failed to retrieve within the last
-    /// [`GatewayConfig::negative_ttl`], so the gateway answers the error
+    /// `NEGATIVE_TTL` (60 s), so the gateway answers the error
     /// immediately instead of retrying the network.
     NegativeCache,
 }
@@ -65,38 +65,38 @@ pub enum AdmissionPolicy {
     TinyLfu,
 }
 
+/// Node-store service latency (paper: "consistently ... below 24 ms",
+/// median 8 ms).
+const NODE_STORE_LATENCY: SimDuration = SimDuration::from_millis(8);
+
+/// Estimated edge bandwidth used to convert object size into the
+/// serialization component of non-cached latency (see
+/// [`crate::workload::CatalogObject::size`] for why stub payloads are
+/// fetched but full sizes accounted).
+const EDGE_BANDWIDTH_BPS: u64 = 200_000_000;
+
+/// How long a failed retrieval is remembered in the negative cache.
+const NEGATIVE_TTL: SimDuration = SimDuration::from_secs(60);
+
 /// Gateway configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GatewayConfig {
     /// nginx cache capacity in bytes. Table 5's ≈46 % nginx hit rate
     /// emerges from this capacity against the workload's Zipf skew.
     pub nginx_capacity_bytes: u64,
-    /// Node-store service latency (paper: "consistently ... below 24 ms",
-    /// median 8 ms).
-    pub node_store_latency: SimDuration,
-    /// Estimated edge bandwidth used to convert object size into the
-    /// serialization component of non-cached latency (see
-    /// [`crate::workload::CatalogObject::size`] for why stub payloads are
-    /// fetched but full sizes accounted).
-    pub edge_bandwidth_bps: u64,
     /// nginx-tier admission policy.
     pub admission: AdmissionPolicy,
     /// TinyLFU sketch dimensions (only used when `admission` is
     /// [`AdmissionPolicy::TinyLfu`]).
     pub tinylfu: TinyLfuConfig,
-    /// How long a failed retrieval is remembered in the negative cache.
-    pub negative_ttl: SimDuration,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             nginx_capacity_bytes: 1_200_000_000, // ~1.2 GB
-            node_store_latency: SimDuration::from_millis(8),
-            edge_bandwidth_bps: 200_000_000,
             admission: AdmissionPolicy::Lru,
             tinylfu: TinyLfuConfig::default(),
-            negative_ttl: SimDuration::from_secs(60),
         }
     }
 }
@@ -153,7 +153,7 @@ fn content_size(net: &mut IpfsNetwork, node: NodeId, cid: &Cid) -> u64 {
 impl Gateway {
     /// Creates a gateway bridged through `node` (an always-online DHT
     /// server in `net`, e.g. a vantage node).
-    pub fn new(node: NodeId, cfg: GatewayConfig) -> Gateway {
+    pub(crate) fn new(node: NodeId, cfg: GatewayConfig) -> Gateway {
         Gateway {
             node,
             nginx: LruWebCache::new(cfg.nginx_capacity_bytes),
@@ -164,32 +164,6 @@ impl Gateway {
             negative: HashMap::new(),
             evictions_reported: 0,
             cfg,
-        }
-    }
-
-    /// Installs the workload's catalog: pinned objects go into the
-    /// gateway's node store; every object (pinned or not) is stored at a
-    /// provider in the population and announced via provider records.
-    pub fn install_catalog(
-        &mut self,
-        net: &mut IpfsNetwork,
-        workload: &GatewayWorkload,
-        providers: &[NodeId],
-    ) {
-        assert!(!providers.is_empty(), "need at least one provider node");
-        for (i, obj) in workload.objects.iter().enumerate() {
-            let payload = Bytes::from(CatalogObject::stub_payload(i));
-            if obj.pinned {
-                let root = net.node_mut(self.node).add_content(&payload).root;
-                debug_assert_eq!(root, obj.cid);
-                net.node_mut(self.node).store.pin(root);
-                self.pinned.insert(obj.cid.clone());
-            } else {
-                let provider = providers[i % providers.len()];
-                let root = net.node_mut(provider).add_content(&payload).root;
-                debug_assert_eq!(root, obj.cid);
-                net.seed_provider_record(provider, &obj.cid);
-            }
         }
     }
 
@@ -267,8 +241,8 @@ impl Gateway {
             let size = size_hint.unwrap_or_else(|| content_size(net, self.node, cid));
             self.promote(cid, size);
             return TierOutcome {
-                latency: self.cfg.node_store_latency,
-                completed_at: start + self.cfg.node_store_latency,
+                latency: NODE_STORE_LATENCY,
+                completed_at: start + NODE_STORE_LATENCY,
                 served_by: ServedBy::NodeStore,
                 success: true,
             };
@@ -288,8 +262,7 @@ impl Gateway {
         let size = size_hint
             .or_else(|| report.success.then(|| content_size(net, self.node, cid)))
             .unwrap_or(0);
-        let ser =
-            SimDuration::from_secs_f64(size as f64 * 8.0 / self.cfg.edge_bandwidth_bps as f64);
+        let ser = SimDuration::from_secs_f64(size as f64 * 8.0 / EDGE_BANDWIDTH_BPS as f64);
         let latency = report.total + ser;
         let completed_at = start + latency;
         // The gateway's own tiers join the op's distributed trace (no-ops
@@ -318,7 +291,7 @@ impl Gateway {
         } else {
             self.metrics.incr(names::GATEWAY_NETWORK_FAILURES);
             self.metrics.incr(names::GATEWAY_NEGATIVE_INSERTS);
-            self.negative.insert(cid.clone(), completed_at + self.cfg.negative_ttl);
+            self.negative.insert(cid.clone(), completed_at + NEGATIVE_TTL);
         }
         self.inflight
             .insert(cid.clone(), Inflight { completes_at: completed_at, success: report.success });
@@ -350,19 +323,16 @@ impl Gateway {
         }
     }
 
-    /// Serves one request, advancing the network as needed, and returns
+    /// Serves one request whose arrival the network clock has already
+    /// reached ([`crate::GatewayFleet::serve`] advances it), and returns
     /// the log entry (`at` = arrival, `completed_at` = actual serve time).
-    pub fn serve(
+    pub(crate) fn serve(
         &mut self,
         net: &mut IpfsNetwork,
         workload: &GatewayWorkload,
         request: &GatewayRequest,
     ) -> AccessLogEntry {
         let obj = &workload.objects[request.object];
-        // Advance virtual time to the request's arrival.
-        if net.now() < request.at {
-            net.run_until(request.at);
-        }
         let out = self.serve_cid(net, &obj.cid, Some(obj.size), request.at);
         self.sync_eviction_metric();
         AccessLogEntry {
@@ -403,33 +373,26 @@ impl Gateway {
         }
         Some((cid, resolution.total + out.latency, out.served_by))
     }
-
-    /// Serves an entire workload, returning the full access log.
-    pub fn serve_all(
-        &mut self,
-        net: &mut IpfsNetwork,
-        workload: &GatewayWorkload,
-    ) -> Vec<AccessLogEntry> {
-        workload.requests.iter().map(|r| self.serve(net, workload, r)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{FleetConfig, GatewayFleet};
     use crate::workload::WorkloadConfig;
     use ipfs_core::NetworkConfig;
     use simnet::latency::VantagePoint;
     use simnet::{Population, PopulationConfig};
 
-    fn setup(requests: usize, catalog: usize) -> (IpfsNetwork, Gateway, GatewayWorkload) {
+    /// A network with a one-gateway fleet on its `UsWest1` vantage, the
+    /// catalog installed.
+    fn setup_with(
+        requests: usize,
+        catalog: usize,
+        gateway: GatewayConfig,
+    ) -> (IpfsNetwork, GatewayFleet, GatewayWorkload) {
         let pop = Population::generate(
-            PopulationConfig {
-                size: 300,
-                nat_fraction: 0.3,
-                horizon: SimDuration::from_hours(30),
-                ..Default::default()
-            },
+            PopulationConfig { size: 300, nat_fraction: 0.3, horizon: SimDuration::from_hours(30) },
             3,
         );
         let mut net = IpfsNetwork::from_population(
@@ -445,18 +408,33 @@ mod tests {
             requests,
             ..Default::default()
         });
-        let mut gw = Gateway::new(gw_node, GatewayConfig::default());
+        let mut fleet =
+            GatewayFleet::new(&[gw_node], FleetConfig { gateway, ..Default::default() });
         // Providers: stable dialable population peers.
         let providers: Vec<NodeId> =
             net.server_ids().into_iter().filter(|&i| net.is_dialable(i)).take(20).collect();
-        gw.install_catalog(&mut net, &workload, &providers);
-        (net, gw, workload)
+        fleet.install_catalog(&mut net, &workload, &providers);
+        (net, fleet, workload)
+    }
+
+    fn setup(requests: usize, catalog: usize) -> (IpfsNetwork, GatewayFleet, GatewayWorkload) {
+        setup_with(requests, catalog, GatewayConfig::default())
+    }
+
+    /// Serves the whole workload, returning the gateway's access log.
+    fn serve_all(
+        net: &mut IpfsNetwork,
+        fleet: &mut GatewayFleet,
+        workload: &GatewayWorkload,
+    ) -> Vec<AccessLogEntry> {
+        fleet.serve_all(net, workload).into_iter().map(|e| e.entry).collect()
     }
 
     #[test]
     fn tiers_serve_as_expected() {
-        let (mut net, mut gw, workload) = setup(300, 50);
-        let log = gw.serve_all(&mut net, &workload);
+        let (mut net, mut fleet, workload) = setup(300, 50);
+        let log = serve_all(&mut net, &mut fleet, &workload);
+        let gw = &fleet.gateways[0];
         assert_eq!(log.len(), 300);
         let count = |t: ServedBy| log.iter().filter(|e| e.served_by == t).count();
         let nginx = count(ServedBy::NginxCache);
@@ -483,9 +461,10 @@ mod tests {
 
     #[test]
     fn network_fetches_record_gateway_spans_in_the_distributed_trace() {
-        let (mut net, mut gw, workload) = setup(120, 40);
+        let (mut net, mut fleet, workload) = setup(120, 40);
         net.set_trace_config(ipfs_core::TraceConfig::collecting());
-        gw.serve_all(&mut net, &workload);
+        serve_all(&mut net, &mut fleet, &workload);
+        let gw = &fleet.gateways[0];
         assert!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES) > 0);
         let frags = net.dtrace_fragments();
         let has = |d: &str| frags.iter().any(|f| f.label == "gw" && f.detail == d);
@@ -503,8 +482,8 @@ mod tests {
 
     #[test]
     fn nginx_hits_have_zero_latency_node_store_8ms() {
-        let (mut net, mut gw, workload) = setup(200, 40);
-        let log = gw.serve_all(&mut net, &workload);
+        let (mut net, mut fleet, workload) = setup(200, 40);
+        let log = serve_all(&mut net, &mut fleet, &workload);
         for e in &log {
             match e.served_by {
                 ServedBy::NginxCache | ServedBy::NegativeCache => {
@@ -529,15 +508,15 @@ mod tests {
 
     #[test]
     fn repeat_requests_promote_to_cache() {
-        let (mut net, mut gw, workload) = setup(1, 10);
+        let (mut net, mut fleet, workload) = setup(1, 10);
         // Serve the same object twice: network (or node store) first,
         // nginx afterwards. The repeat arrives after the first completes —
         // a same-instant repeat would (correctly) coalesce via singleflight.
         let req = &workload.requests[0];
-        let first = gw.serve(&mut net, &workload, req);
+        let first = fleet.serve(&mut net, &workload, req).entry;
         let mut later = req.clone();
         later.at = first.completed_at + SimDuration::from_secs(1);
-        let second = gw.serve(&mut net, &workload, &later);
+        let second = fleet.serve(&mut net, &workload, &later).entry;
         assert_ne!(first.served_by, ServedBy::NginxCache);
         if first.success {
             assert_eq!(second.served_by, ServedBy::NginxCache);
@@ -551,8 +530,8 @@ mod tests {
         // `request.at.max(net.now().min(request.at + 600s))`, which
         // recorded neither arrival nor completion. `at` must be the exact
         // arrival; `completed_at` the actual serve time.
-        let (mut net, mut gw, workload) = setup(250, 40);
-        let log = gw.serve_all(&mut net, &workload);
+        let (mut net, mut fleet, workload) = setup(250, 40);
+        let log = serve_all(&mut net, &mut fleet, &workload);
         let mut network_served = 0;
         for (e, r) in log.iter().zip(&workload.requests) {
             assert_eq!(e.at, r.at, "at must be the request's arrival time");
@@ -569,7 +548,7 @@ mod tests {
     fn singleflight_coalesces_concurrent_misses() {
         // k concurrent misses on one CID → exactly 1 network fetch,
         // k log entries, waiters accounted at the leader's completion.
-        let (mut net, mut gw, workload) = setup(1, 30);
+        let (mut net, mut fleet, workload) = setup(1, 30);
         let idx = workload.objects.iter().position(|o| !o.pinned).expect("an unpinned object");
         let base = workload.requests[0].clone();
         let k = 5;
@@ -580,12 +559,13 @@ mod tests {
                 // All k arrivals land inside the leader's multi-second
                 // retrieval window.
                 r.at = base.at + SimDuration::from_millis(i as u64);
-                gw.serve(&mut net, &workload, &r)
+                fleet.serve(&mut net, &workload, &r).entry
             })
             .collect();
+        let metrics = &fleet.gateways[0].metrics;
         assert_eq!(entries.len(), k);
-        assert_eq!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES), 1, "one backend fetch");
-        assert_eq!(gw.metrics.get(names::GATEWAY_SINGLEFLIGHT_WAITERS), (k - 1) as u64);
+        assert_eq!(metrics.get(names::GATEWAY_NETWORK_FETCHES), 1, "one backend fetch");
+        assert_eq!(metrics.get(names::GATEWAY_SINGLEFLIGHT_WAITERS), (k - 1) as u64);
         for e in &entries {
             assert_eq!(e.served_by, ServedBy::Network);
             assert_eq!(e.success, entries[0].success);
@@ -601,14 +581,15 @@ mod tests {
             let mut r = base.clone();
             r.object = idx;
             r.at = entries[0].completed_at + SimDuration::from_secs(1);
-            let after = gw.serve(&mut net, &workload, &r);
+            let after = fleet.serve(&mut net, &workload, &r).entry;
             assert_eq!(after.served_by, ServedBy::NginxCache);
         }
     }
 
     #[test]
     fn failed_fetches_are_negatively_cached() {
-        let (mut net, mut gw, _) = setup(1, 10);
+        let (mut net, mut fleet, _) = setup(1, 10);
+        let gw = &mut fleet.gateways[0];
         // A CID nobody provides: the retrieval fails.
         let missing = Cid::from_raw_data(b"no-such-object-anywhere");
         let at1 = net.now();
@@ -626,7 +607,7 @@ mod tests {
         assert_eq!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES), 1, "no refetch inside TTL");
         assert_eq!(gw.metrics.get(names::GATEWAY_NEGATIVE_HITS), 1);
         // Past the TTL the gateway tries the network again.
-        let at3 = out1.completed_at + gw.cfg.negative_ttl + SimDuration::from_secs(2);
+        let at3 = out1.completed_at + NEGATIVE_TTL + SimDuration::from_secs(2);
         let out3 = gw.serve_cid(&mut net, &missing, Some(10_000), at3);
         assert_eq!(out3.served_by, ServedBy::Network);
         assert_eq!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES), 2, "retries after expiry");
@@ -638,14 +619,13 @@ mod tests {
         // equal the cache's lifetime eviction count *and* survive merging
         // (merge adds, so a gauge written with set() would double-count or
         // overwrite).
-        let (mut net, mut gw, workload) = setup(80, 40);
         let small = GatewayConfig { nginx_capacity_bytes: 2_000_000, ..GatewayConfig::default() };
-        gw.nginx = LruWebCache::new(small.nginx_capacity_bytes);
-        gw.cfg = small;
+        let (mut net, mut fleet, workload) = setup_with(80, 40, small);
         let half = workload.requests.len() / 2;
         for r in &workload.requests[..half] {
-            gw.serve(&mut net, &workload, r);
+            fleet.serve(&mut net, &workload, r);
         }
+        let gw = &mut fleet.gateways[0];
         assert!(gw.nginx.evictions > 0, "tiny cache must evict");
         assert_eq!(gw.metrics.get(names::GATEWAY_NGINX_EVICTIONS), gw.nginx.evictions);
         // The aggregation pattern fleets and parallel bench cells use:
@@ -656,8 +636,9 @@ mod tests {
         other.add(names::GATEWAY_NGINX_EVICTIONS, 123);
         gw.metrics.merge(&other);
         for r in &workload.requests[half..] {
-            gw.serve(&mut net, &workload, r);
+            fleet.serve(&mut net, &workload, r);
         }
+        let gw = &fleet.gateways[0];
         assert!(gw.nginx.evictions > 1, "more traffic must keep evicting");
         assert_eq!(
             gw.metrics.get(names::GATEWAY_NGINX_EVICTIONS),
@@ -669,7 +650,8 @@ mod tests {
     #[test]
     fn ipns_requests_resolve_and_serve() {
         use ipfs_core::ipns::{IpnsRecord, IPNS_VALIDITY};
-        let (mut net, mut gw, _) = setup(307, 1);
+        let (mut net, mut fleet, _) = setup(307, 1);
+        let gw = &mut fleet.gateways[0];
         // A publisher (population server) puts up content + an IPNS name.
         let publisher =
             net.server_ids().into_iter().find(|&i| net.is_dialable(i) && i != gw.node).unwrap();
@@ -702,8 +684,8 @@ mod tests {
     #[test]
     fn non_cached_latency_dominates() {
         // Table 5: non-cached median ≈ 4 s vs 8 ms node store.
-        let (mut net, mut gw, workload) = setup(400, 80);
-        let log = gw.serve_all(&mut net, &workload);
+        let (mut net, mut fleet, workload) = setup(400, 80);
+        let log = serve_all(&mut net, &mut fleet, &workload);
         let mut net_lat: Vec<f64> = log
             .iter()
             .filter(|e| e.served_by == ServedBy::Network && e.success)
@@ -721,34 +703,33 @@ mod tests {
         // Direct policy comparison on the gateway: a tiny nginx tier, a
         // hot object, then a scan of cold objects. Under TinyLFU the hot
         // object must still be nginx-resident afterwards.
-        let (mut net, mut gw, workload) = setup(1, 60);
         let lfu_cfg = GatewayConfig {
             nginx_capacity_bytes: 3_000_000,
             admission: AdmissionPolicy::TinyLfu,
             ..GatewayConfig::default()
         };
-        gw.nginx = LruWebCache::new(lfu_cfg.nginx_capacity_bytes);
-        gw.cfg = lfu_cfg;
+        let (mut net, mut fleet, workload) = setup_with(1, 60, lfu_cfg);
         let hot = workload.objects.iter().position(|o| o.pinned).expect("a pinned object");
         let base = workload.requests[0].clone();
-        let serve_obj = |gw: &mut Gateway, net: &mut IpfsNetwork, obj: usize| {
+        let serve_obj = |fleet: &mut GatewayFleet, net: &mut IpfsNetwork, obj: usize| {
             let mut r = base.clone();
             r.object = obj;
             r.at = net.now();
-            gw.serve(net, &workload, &r)
+            fleet.serve(net, &workload, &r)
         };
         // Warm the hot object into nginx with repeated hits.
         for _ in 0..10 {
-            serve_obj(&mut gw, &mut net, hot);
+            serve_obj(&mut fleet, &mut net, hot);
         }
-        assert!(gw.nginx.contains(&workload.objects[hot].cid));
+        assert!(fleet.gateways[0].nginx.contains(&workload.objects[hot].cid));
         // Scan every pinned cold object once (pinned → NodeStore backend,
         // fast and deterministic; each tries to enter nginx once).
         for (i, o) in workload.objects.iter().enumerate() {
             if i != hot && o.pinned {
-                serve_obj(&mut gw, &mut net, i);
+                serve_obj(&mut fleet, &mut net, i);
             }
         }
+        let gw = &fleet.gateways[0];
         assert!(
             gw.nginx.contains(&workload.objects[hot].cid),
             "TinyLFU must keep the hot object resident through the scan"

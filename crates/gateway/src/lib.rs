@@ -13,7 +13,8 @@
 //! - [`gateway`] — the multi-tier gateway bound to a simulated network,
 //!   with singleflight coalescing and negative caching.
 //! - [`fleet`] — N gateways behind a deterministic load balancer with
-//!   health-based failover.
+//!   health-based failover; a lone gateway is a fleet of one, so this is
+//!   the one serve loop.
 //! - [`workload`] — the diurnal, Zipf-popularity request generator
 //!   calibrated to the paper's gateway trace (§4.2: 7.1 M requests, 101 k
 //!   users, 274 k unique CIDs, 6.57 TB; Figures 4b, 6, 11; Table 5),

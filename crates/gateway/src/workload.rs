@@ -19,6 +19,13 @@ use simnet::geodb::{Country, GeoDb};
 use simnet::latency::lognormal;
 use simnet::{SimDuration, SimTime};
 
+/// Zipf popularity exponent for objects.
+const ZIPF_S: f64 = 0.9;
+/// Median object size in bytes (paper: 664.59 kB).
+const MEDIAN_OBJECT_BYTES: f64 = 664_590.0;
+/// Log-normal sigma of object sizes (2.3 puts ≈79 % of mass >100 kB).
+const SIZE_SIGMA: f64 = 2.3;
+
 /// Workload dimensions. Defaults are the paper's trace scaled by ~1/100
 /// (so a full day simulates quickly while keeping every distribution).
 #[derive(Debug, Clone, Copy)]
@@ -29,14 +36,8 @@ pub struct WorkloadConfig {
     pub users: usize,
     /// Total requests over the day (paper: 7.1 M).
     pub requests: usize,
-    /// Zipf popularity exponent for objects.
-    pub zipf_s: f64,
     /// Trace duration.
     pub duration: SimDuration,
-    /// Median object size in bytes (paper: 664.59 kB).
-    pub median_object_bytes: f64,
-    /// Log-normal sigma of object sizes (2.3 puts ≈79 % of mass >100 kB).
-    pub size_sigma: f64,
     /// Fraction of the catalog pinned into the gateway's node store by the
     /// Web3/NFT storage initiatives (§3.4).
     pub pinned_fraction: f64,
@@ -71,10 +72,7 @@ impl Default for WorkloadConfig {
             catalog_size: 2_740,
             users: 1_010,
             requests: 71_000,
-            zipf_s: 0.9,
             duration: SimDuration::from_hours(24),
-            median_object_bytes: 664_590.0,
-            size_sigma: 2.3,
             pinned_fraction: 0.62,
             seed: 7,
             shock: None,
@@ -181,7 +179,7 @@ impl GatewayWorkload {
         let mut objects = Vec::with_capacity(config.catalog_size);
         for i in 0..config.catalog_size {
             let payload = CatalogObject::stub_payload(i);
-            let size = (config.median_object_bytes * lognormal(&mut rng, 0.0, config.size_sigma))
+            let size = (MEDIAN_OBJECT_BYTES * lognormal(&mut rng, 0.0, SIZE_SIGMA))
                 .clamp(200.0, 16.0 * 1024.0 * 1024.0 * 1024.0) as u64;
             objects.push(CatalogObject {
                 cid: Cid::from_raw_data(&payload),
@@ -195,7 +193,7 @@ impl GatewayWorkload {
             (0..config.users).map(|_| geodb.sample_user_country(&mut rng)).collect();
 
         // --- Zipf CDF over objects ---
-        let zipf_cdf = zipf_cdf(config.catalog_size, config.zipf_s);
+        let zipf_cdf = zipf_cdf(config.catalog_size, ZIPF_S);
         let user_cdf = zipf_cdf_short(config.users, 0.8);
 
         // --- requests ---

@@ -11,6 +11,7 @@
 //! The output feeds Table 1 (operation counts), Table 4 (per-region
 //! percentiles), Figure 9 (delay CDFs) and Figure 10 (retrieval stretch).
 
+use crate::config::DHT_PERF_OBJECT_SIZE;
 use crate::netsim::{IpfsNetwork, NetworkConfig};
 use crate::ops::{PublishReport, RetrieveReport};
 use bytes::Bytes;
@@ -29,8 +30,6 @@ pub struct DhtPerfConfig {
     pub nat_fraction: f64,
     /// Iterations *per publishing region* (the paper ran ~547).
     pub iterations_per_region: usize,
-    /// Benchmark object size (paper: 0.5 MB).
-    pub object_size: usize,
     /// Master seed.
     pub seed: u64,
     /// Network-level configuration.
@@ -43,7 +42,6 @@ impl Default for DhtPerfConfig {
             population: 2_000,
             nat_fraction: 0.455,
             iterations_per_region: 20,
-            object_size: 512 * 1024,
             seed: 42,
             network: NetworkConfig::default(),
         }
@@ -111,7 +109,6 @@ impl DhtPerfExperiment {
                 size: cfg.population,
                 nat_fraction: cfg.nat_fraction,
                 horizon: SimDuration::from_secs(est_secs),
-                ..Default::default()
             },
             cfg.seed,
         );
@@ -123,7 +120,7 @@ impl DhtPerfExperiment {
             for (vi, &publisher) in vantage_ids.iter().enumerate() {
                 let vp = VantagePoint::ALL[vi];
                 // Fresh, unique object per iteration (new CID each time).
-                let mut data = vec![0u8; cfg.object_size];
+                let mut data = vec![0u8; DHT_PERF_OBJECT_SIZE];
                 let tag = (round * 6 + vi) as u64;
                 data[..8].copy_from_slice(&tag.to_be_bytes());
                 data[8] = 0xA5;

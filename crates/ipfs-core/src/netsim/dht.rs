@@ -5,6 +5,9 @@
 
 use super::obs_hooks::request_kind;
 use super::{IpfsNetwork, NetEvent, NodeId};
+use crate::config::{
+    BOOTSTRAP_NEAR_PEERS, BOOTSTRAP_RANDOM_PEERS, RPC_TIMEOUT, SERVER_PROCESSING, STALE_DIAL_PROB,
+};
 use crate::obs::dtrace::TraceCtx;
 use crate::obs::{names, TraceEventKind, TraceLevel};
 use crate::ops::OpId;
@@ -78,8 +81,7 @@ impl IpfsNetwork {
     /// to *its* key — the effect a real node's join-time self-lookup has —
     /// so peer walks (§3.2) can resolve PeerIDs to addresses.
     pub(super) fn oracle_bootstrap(&mut self) {
-        let near = self.cfg.bootstrap_near_peers;
-        let random = self.cfg.bootstrap_random_peers;
+        let near = BOOTSTRAP_NEAR_PEERS;
         // Which peers may appear in routing tables: servers only (§2.3),
         // unless the client/server-split ablation is on.
         let include_clients = self.cfg.clients_in_routing_tables;
@@ -105,10 +107,10 @@ impl IpfsNetwork {
 
         for id in 0..self.nodes.len() {
             let own_key = self.nodes[id].node.info().key();
-            for sid in nearest_in_window(&servers, &own_key, id, 3 * near.max(1), near) {
+            for sid in nearest_in_window(&servers, &own_key, id, 3 * near, near) {
                 self.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
             }
-            for _ in 0..random {
+            for _ in 0..BOOTSTRAP_RANDOM_PEERS {
                 let (_, sid) = servers[self.rng.random_range(0..servers.len())];
                 if sid != id {
                     self.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
@@ -131,7 +133,7 @@ impl IpfsNetwork {
         // Reverse direction: make each server known (with addresses) to the
         // servers closest to its own key.
         for &(key, id) in &servers {
-            for host in nearest_in_window(&servers, &key, id, 2 * near.max(1), near) {
+            for host in nearest_in_window(&servers, &key, id, 2 * near, near) {
                 if self.nodes[host].is_server {
                     self.nodes[host].node.dht.add_peer(infos[id].clone(), true);
                 }
@@ -149,7 +151,7 @@ impl IpfsNetwork {
         if servers.is_empty() {
             return;
         }
-        let near = self.cfg.bootstrap_near_peers.max(1);
+        let near = BOOTSTRAP_NEAR_PEERS;
         let info = Arc::clone(self.nodes[id].node.info());
         let own_key = info.key(); // cached SHA-256 of the PeerID
         let pos = servers.partition_point(|(k, ..)| k.0 < own_key.0);
@@ -194,7 +196,7 @@ impl IpfsNetwork {
         }
         // (b) Refresh own table: nearby + random online servers.
         let mut to_add: Vec<usize> = nearby.into_iter().map(|(_, j)| j).collect();
-        for _ in 0..self.cfg.bootstrap_random_peers / 3 {
+        for _ in 0..BOOTSTRAP_RANDOM_PEERS / 3 {
             let j = self.rng.random_range(0..self.dht.sorted_servers.len());
             let sid = self.dht.sorted_servers[j].1;
             if sid != id && reachable(self, sid) {
@@ -325,10 +327,7 @@ impl IpfsNetwork {
                 }
                 // Guard in case the target churns offline before arrival
                 // (or the request was lost to a degraded link).
-                self.queue.schedule(
-                    self.cfg.node.rpc_timeout,
-                    NetEvent::RpcFail { node: from, query, peer: to },
-                );
+                self.queue.schedule(RPC_TIMEOUT, NetEvent::RpcFail { node: from, query, peer: to });
             }
             None => {
                 let (delay, class) = self.sample_fail_delay();
@@ -365,10 +364,10 @@ impl IpfsNetwork {
                 // The server's own view of the request — handler time plus
                 // the walk fan-out it computed — recorded as a child of the
                 // requester's rpc span, even if the response is later lost.
-                let (hops, end) = (response.forwarded_hops(), now + self.cfg.server_processing);
+                let (hops, end) = (response.forwarded_hops(), now + SERVER_PROCESSING);
                 self.tracer.record_span(ctx, to, Some(from), "srv", req_name, hops, 0, now, end);
             }
-            let delay = self.cfg.server_processing + self.one_way(to, from);
+            let delay = SERVER_PROCESSING + self.one_way(to, from);
             if self.degraded_loss(to, from) {
                 return; // requester's guard timeout will fire
             }
@@ -442,7 +441,7 @@ impl IpfsNetwork {
     /// timeout — the source of Figure 9c's spikes. The stale-connection
     /// draw comes before the dial, which always runs.
     pub(super) fn send_store(&mut self, op: OpId, from: NodeId, to: &PeerId, store: Store) {
-        let stale = self.rng.random_range(0.0..1.0) < self.cfg.stale_dial_prob;
+        let stale = self.rng.random_range(0.0..1.0) < STALE_DIAL_PROB;
         match (stale, self.dial(from, to)) {
             (false, Some((target, connect_delay))) => {
                 let delay = connect_delay + self.one_way(from, target);

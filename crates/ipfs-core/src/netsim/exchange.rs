@@ -6,6 +6,7 @@
 use super::lifecycle::OpState;
 use super::obs_hooks::bitswap_kind;
 use super::{IpfsNetwork, NetEvent, NodeId};
+use crate::config::FETCH_TIMEOUT;
 use crate::obs::dtrace::TraceCtx;
 use crate::obs::{names, TraceEventKind, TraceLevel};
 use crate::ops::{OpId, RetrievePhase};
@@ -116,7 +117,7 @@ impl IpfsNetwork {
         for provider in providers {
             match self.dial_provider(op, node, &provider.peer, now) {
                 Ok(()) if !guard_armed => {
-                    self.queue.schedule(self.cfg.fetch_timeout, NetEvent::FetchTimeout { op });
+                    self.queue.schedule(FETCH_TIMEOUT, NetEvent::FetchTimeout { op });
                     self.tracer.record_with(op, now, || TraceEventKind::TimerArmed {
                         timer: "fetch_guard",
                     });
@@ -129,7 +130,7 @@ impl IpfsNetwork {
         if !guard_armed {
             // Every provider unreachable: the retrieval fails once the
             // slowest dial timeout has burned.
-            let delay = fail_delays.into_iter().max().unwrap_or(self.cfg.fetch_timeout);
+            let delay = fail_delays.into_iter().max().unwrap_or(FETCH_TIMEOUT);
             self.queue.schedule(delay, NetEvent::FetchTimeout { op });
         }
     }
@@ -348,7 +349,7 @@ impl IpfsNetwork {
         let (from, to) = (&self.nodes[id], &self.nodes[target]);
         let (from_region, from_bw) = (from.region, from.bandwidth);
         let (to_region, to_bw) = (to.region, to.bandwidth);
-        let delay = self.cfg.latency.sample_transfer(
+        let delay = self.latency.sample_transfer(
             &mut self.rng,
             message.wire_size(),
             from_region,

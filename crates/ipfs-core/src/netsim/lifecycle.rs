@@ -5,6 +5,7 @@
 
 use super::dht::Store;
 use super::{IpfsNetwork, NetEvent, NodeId};
+use crate::config::{BITSWAP_PROBE_TIMEOUT, FETCH_TIMEOUT};
 use crate::ipns::IpnsRecord;
 use crate::obs::{names, TraceEventKind};
 use crate::ops::{
@@ -272,8 +273,7 @@ impl IpfsNetwork {
             Some(OpState::Retrieve { phase: RetrievePhase::BitswapProbe, .. })
         );
         if still_probing {
-            self.queue
-                .schedule(self.cfg.bitswap_probe_timeout, NetEvent::BitswapProbeTimeout { op });
+            self.queue.schedule(BITSWAP_PROBE_TIMEOUT, NetEvent::BitswapProbeTimeout { op });
             self.tracer
                 .record_with(op, t0, || TraceEventKind::TimerArmed { timer: "bitswap_probe" });
             if self.cfg.parallel_dht_and_bitswap {
@@ -298,7 +298,7 @@ impl IpfsNetwork {
             .is_some_and(|st| st.received > 0);
         if in_progress {
             // Guard the continuing transfer like any fetch.
-            self.queue.schedule(self.cfg.fetch_timeout, NetEvent::FetchTimeout { op });
+            self.queue.schedule(FETCH_TIMEOUT, NetEvent::FetchTimeout { op });
             return;
         }
         self.metrics.incr(names::BITSWAP_PROBE_TIMEOUTS);

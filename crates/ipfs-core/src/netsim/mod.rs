@@ -37,7 +37,7 @@ mod reprovide;
 mod tests;
 mod transport;
 
-use crate::config::{NodeConfig, TimeoutModel};
+use crate::config::NodeConfig;
 use crate::conn::ConnSet;
 use crate::node::IpfsNode;
 use crate::obs::dtrace::TraceCtx;
@@ -74,12 +74,6 @@ const VANTAGE_KEY_BASE: u64 = 0xFFFF_0000_0000_0000;
 pub struct NetworkConfig {
     /// Per-node protocol configuration.
     pub node: NodeConfig,
-    /// Transport timeout model (drives the Figure 9c spikes).
-    pub timeouts: TimeoutModel,
-    /// Geo latency/bandwidth model.
-    pub latency: LatencyModel,
-    /// Server-side request processing time.
-    pub server_processing: SimDuration,
     /// Whether provider records carry fresh addresses. go-ipfs v0.10
     /// expires provider addresses quickly, so the paper observed two DHT
     /// walks per retrieval (Figure 9e); `false` reproduces that.
@@ -90,10 +84,6 @@ pub struct NetworkConfig {
     /// Ablation (§6.4): launch the DHT walk in parallel with the
     /// opportunistic Bitswap probe instead of waiting out the 1 s timeout.
     pub parallel_dht_and_bitswap: bool,
-    /// Oracle-bootstrap: number of numerically-near peers per table.
-    pub bootstrap_near_peers: usize,
-    /// Oracle-bootstrap: number of random far peers per table.
-    pub bootstrap_random_peers: usize,
     /// Republish provider records every 12 h (§3.1).
     pub auto_republish: bool,
     /// Keyspace-ordered reprovide sweep (go-ipfs's accelerated DHT
@@ -106,22 +96,10 @@ pub struct NetworkConfig {
     /// the per-CID chains (the reference path the lifecycle bench and
     /// proptests compare against).
     pub reprovide_sweep: bool,
-    /// Keyspace granularity of one sweep batch: provided CIDs are
-    /// grouped by the top `reprovide_batch_bits` bits of their DHT key,
-    /// one Closest walk per non-empty group. 8 bits ≈ 256 neighborhoods
-    /// across the keyspace — coarser (fewer bits) amortizes more CIDs
-    /// per walk but targets each store set less precisely.
-    pub reprovide_batch_bits: u8,
     /// Ablation (§6.4): disable the DHT client/server split — NAT'ed
     /// clients enter routing tables as if they were servers (pre-v0.5
     /// behaviour), so walks waste time dialing unreachable peers.
     pub clients_in_routing_tables: bool,
-    /// Guard timeout for a content fetch.
-    pub fetch_timeout: SimDuration,
-    /// The opportunistic-Bitswap probe window (§3.2's 1 s timeout before
-    /// falling back to the DHT). A knob rather than a constant so the
-    /// probe/DHT trade-off is explorable.
-    pub bitswap_probe_timeout: SimDuration,
     /// Session duplicate factor: how many peers a live want is raced
     /// across as WANT-BLOCK. 1 fetches each block exactly once (no
     /// redundancy, go-bitswap's default posture); higher trades duplicate
@@ -130,13 +108,6 @@ pub struct NetworkConfig {
     /// How many provider records from the DHT walk seed the fetch swarm
     /// (go-bitswap dials a handful of providers, not just the first).
     pub max_fetch_providers: usize,
-    /// Probability that the connection to a walk-discovered peer is gone
-    /// by the time the ADD_PROVIDER batch fires, forcing a fresh dial that
-    /// fails with a transport timeout. This models what §6.1 observed:
-    /// "the spike at 5 s is caused by dial timeouts ... the spike at 45 s
-    /// ... by the handshake timeout of the Websocket transport". 53.7 % of
-    /// the paper's batches exceeded 5 s, i.e. ≥1 of 20 stores timed out.
-    pub stale_dial_prob: f64,
     /// Connection-manager cap: oldest warm connections are pruned beyond
     /// this (go-libp2p's connection manager; its pruning is one reason
     /// publish batches re-dial, §6.1).
@@ -175,23 +146,14 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             node: NodeConfig::default(),
-            timeouts: TimeoutModel::default(),
-            latency: LatencyModel::default(),
-            server_processing: SimDuration::from_millis(3),
             provider_records_carry_addrs: false,
             retriever_becomes_provider: false,
             parallel_dht_and_bitswap: false,
-            bootstrap_near_peers: 20,
-            bootstrap_random_peers: 60,
             auto_republish: false,
             reprovide_sweep: true,
-            reprovide_batch_bits: 8,
             clients_in_routing_tables: false,
-            fetch_timeout: SimDuration::from_secs(120),
-            bitswap_probe_timeout: SimDuration::from_secs(1),
             duplicate_factor: 1,
             max_fetch_providers: 8,
-            stale_dial_prob: 0.045,
             max_connections: 900,
             conn_idle_timeout: SimDuration::from_secs(120),
             enable_dcutr: false,
@@ -299,6 +261,8 @@ pub struct IpfsNetwork {
     queue: EventQueue<NetEvent>,
     rng: StdRng,
     cfg: NetworkConfig,
+    /// Geo latency/bandwidth model.
+    latency: LatencyModel,
     nodes: Vec<SimNode>,
     /// Liveness by node id, the single source of truth. Dense and apart
     /// from [`SimNode`], so the join announcement's neighbourhood filter
@@ -399,6 +363,7 @@ impl IpfsNetwork {
             queue,
             rng,
             cfg,
+            latency: LatencyModel::default(),
             nodes,
             online,
             peer_index,

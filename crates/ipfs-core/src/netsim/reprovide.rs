@@ -5,6 +5,7 @@
 
 use super::lifecycle::OpState;
 use super::{IpfsNetwork, NetEvent, NodeId};
+use crate::config::REPROVIDE_BATCH_BITS;
 use crate::obs::names;
 use bytes::Bytes;
 use kademlia::query::QueryTarget;
@@ -105,7 +106,7 @@ impl IpfsNetwork {
 
     /// The keyspace-ordered reprovide sweep: walks `id`'s provided CIDs in
     /// DHT-key order, groups them into keyspace neighborhoods by the top
-    /// [`super::NetworkConfig::reprovide_batch_bits`] bits of their key,
+    /// [`REPROVIDE_BATCH_BITS`] bits of their key,
     /// and runs one Closest walk per non-empty neighborhood, storing the
     /// whole group with batched ADD_PROVIDER RPCs — one walk + k messages
     /// per *neighborhood* instead of per CID. This is the maintenance loop
@@ -135,12 +136,11 @@ impl IpfsNetwork {
         self.metrics.add(names::PROVIDER_REPUBLISHES, kept);
         // Group by keyspace prefix. BTreeMap iteration hands over the keys
         // already sorted, so each group is a contiguous, ordered run.
-        let bits = u32::from(self.cfg.reprovide_batch_bits.min(16));
         let mut batches: Vec<Vec<Key>> = Vec::new();
         let mut last_prefix: Option<u16> = None;
         for key in sim.provided.keys() {
             let wide = u16::from_be_bytes([key.0[0], key.0[1]]);
-            let prefix = if bits == 0 { 0 } else { wide >> (16 - bits) };
+            let prefix = wide >> (16 - REPROVIDE_BATCH_BITS);
             if last_prefix != Some(prefix) {
                 last_prefix = Some(prefix);
                 batches.push(Vec::new());

@@ -15,12 +15,7 @@ use simnet::PopulationConfig;
 
 pub(super) fn small_net(n: usize, seed: u64) -> IpfsNetwork {
     let pop = Population::generate(
-        PopulationConfig {
-            size: n,
-            nat_fraction: 0.3,
-            horizon: SimDuration::from_hours(6),
-            ..Default::default()
-        },
+        PopulationConfig { size: n, nat_fraction: 0.3, horizon: SimDuration::from_hours(6) },
         seed,
     );
     IpfsNetwork::from_population(
@@ -33,12 +28,7 @@ pub(super) fn small_net(n: usize, seed: u64) -> IpfsNetwork {
 
 pub(super) fn lifecycle_net(sweep: bool) -> IpfsNetwork {
     let pop = Population::generate(
-        PopulationConfig {
-            size: 150,
-            nat_fraction: 0.3,
-            horizon: SimDuration::from_hours(12),
-            ..Default::default()
-        },
+        PopulationConfig { size: 150, nat_fraction: 0.3, horizon: SimDuration::from_hours(12) },
         23,
     );
     let cfg = NetworkConfig {
@@ -60,12 +50,7 @@ pub(super) fn lifecycle_net(sweep: bool) -> IpfsNetwork {
 #[test]
 fn connection_manager_prunes_lru() {
     let pop = Population::generate(
-        PopulationConfig {
-            size: 60,
-            nat_fraction: 0.0,
-            horizon: SimDuration::from_hours(2),
-            ..Default::default()
-        },
+        PopulationConfig { size: 60, nat_fraction: 0.0, horizon: SimDuration::from_hours(2) },
         42,
     );
     let cfg = NetworkConfig { max_connections: 5, ..Default::default() };
@@ -88,12 +73,7 @@ fn dcutr_lets_nat_peers_host_content() {
     // carry the relay addrs), a NAT'ed peer can serve.
     let build = |dcutr: bool| {
         let pop = Population::generate(
-            PopulationConfig {
-                size: 300,
-                nat_fraction: 0.5,
-                horizon: SimDuration::from_hours(8),
-                ..Default::default()
-            },
+            PopulationConfig { size: 300, nat_fraction: 0.5, horizon: SimDuration::from_hours(8) },
             41,
         );
         let cfg = NetworkConfig {
@@ -168,12 +148,7 @@ fn offline_nodes_leave_no_pending_timers() {
     // only the currently-online population may hold pending timers
     // once every scheduled session has played out.
     let pop = Population::generate(
-        PopulationConfig {
-            size: 60,
-            nat_fraction: 0.3,
-            horizon: SimDuration::from_hours(2),
-            ..Default::default()
-        },
+        PopulationConfig { size: 60, nat_fraction: 0.3, horizon: SimDuration::from_hours(2) },
         21,
     );
     let cfg = NetworkConfig {
@@ -214,12 +189,7 @@ fn table_refresh_keeps_tables_fresher() {
     // server's table is higher than without refresh.
     let build = |refresh: bool, seed: u64| {
         let pop = Population::generate(
-            PopulationConfig {
-                size: 500,
-                nat_fraction: 0.4,
-                horizon: SimDuration::from_hours(8),
-                ..Default::default()
-            },
+            PopulationConfig { size: 500, nat_fraction: 0.4, horizon: SimDuration::from_hours(8) },
             seed,
         );
         let cfg = NetworkConfig {
@@ -283,12 +253,7 @@ fn single_provider_fetch_identical_across_session_knobs() {
     // timing — or the event count — at all.
     let run = |cfg: NetworkConfig| {
         let pop = Population::generate(
-            PopulationConfig {
-                size: 300,
-                nat_fraction: 0.3,
-                horizon: SimDuration::from_hours(6),
-                ..Default::default()
-            },
+            PopulationConfig { size: 300, nat_fraction: 0.3, horizon: SimDuration::from_hours(6) },
             31,
         );
         let mut net = IpfsNetwork::from_population(
@@ -322,12 +287,7 @@ fn swarm_fetch_draws_blocks_from_multiple_providers() {
     // Five providers announce the same 2 MiB DAG; the requester's
     // session must fan the fetch out instead of draining one uplink.
     let pop = Population::generate(
-        PopulationConfig {
-            size: 300,
-            nat_fraction: 0.3,
-            horizon: SimDuration::from_hours(6),
-            ..Default::default()
-        },
+        PopulationConfig { size: 300, nat_fraction: 0.3, horizon: SimDuration::from_hours(6) },
         33,
     );
     // Records carry multiaddrs so every discovered provider is dialed
@@ -519,12 +479,7 @@ mod availability_timeline {
         n_cids: usize,
     ) -> Vec<bool> {
         let pop = Population::generate(
-            PopulationConfig {
-                size: 60,
-                nat_fraction: 0.3,
-                horizon: SimDuration::from_hours(30),
-                ..Default::default()
-            },
+            PopulationConfig { size: 60, nat_fraction: 0.3, horizon: SimDuration::from_hours(30) },
             seed,
         );
         let cfg = NetworkConfig {
@@ -832,12 +787,7 @@ fn determinism_same_seed_same_reports() {
 fn eu_retrieval_faster_than_africa_on_average() {
     // Table 4's regional ordering must emerge from the latency model.
     let pop = Population::generate(
-        PopulationConfig {
-            size: 600,
-            nat_fraction: 0.3,
-            horizon: SimDuration::from_hours(12),
-            ..Default::default()
-        },
+        PopulationConfig { size: 600, nat_fraction: 0.3, horizon: SimDuration::from_hours(12) },
         11,
     );
     let mut net = IpfsNetwork::from_population(
@@ -956,12 +906,7 @@ fn resolving_unknown_name_fails_cleanly() {
 #[test]
 fn retriever_becomes_provider_republished() {
     let pop = Population::generate(
-        PopulationConfig {
-            size: 200,
-            nat_fraction: 0.3,
-            horizon: SimDuration::from_hours(6),
-            ..Default::default()
-        },
+        PopulationConfig { size: 200, nat_fraction: 0.3, horizon: SimDuration::from_hours(6) },
         21,
     );
     let cfg = NetworkConfig { retriever_becomes_provider: true, ..Default::default() };

@@ -4,6 +4,9 @@
 
 use super::obs_hooks::dial_class_kind;
 use super::{IpfsNetwork, NodeId};
+use crate::config::{
+    DIAL_TIMEOUT, FAST_REFUSE_DELAY, FAST_REFUSE_SHARE, WEBSOCKET_SHARE, WEBSOCKET_TIMEOUT,
+};
 use crate::obs::{names, DialClass};
 use crate::{AutonatState, AutonatVerdict};
 use kademlia::behaviour::DhtMode;
@@ -171,7 +174,7 @@ impl IpfsNetwork {
     pub(super) fn one_way(&mut self, a: NodeId, b: NodeId) -> SimDuration {
         let ra = self.nodes[a].region;
         let rb = self.nodes[b].region;
-        let base = self.cfg.latency.sample_one_way(&mut self.rng, ra, rb);
+        let base = self.latency.sample_one_way(&mut self.rng, ra, rb);
         self.inflate_latency(base, ra, rb)
     }
 
@@ -197,13 +200,12 @@ impl IpfsNetwork {
     pub(super) fn sample_fail_delay(&mut self) -> (SimDuration, DialClass) {
         let x: f64 = self.rng.random_range(0.0..1.0);
         let overhead = SimDuration::from_millis(self.rng.random_range(20..300));
-        let t = &self.cfg.timeouts;
-        let (delay, class) = if x < t.fast_refuse_share {
-            (t.fast_refuse_delay + overhead, DialClass::FastRefuse)
-        } else if x < t.fast_refuse_share + t.websocket_share {
-            (t.websocket_timeout + overhead, DialClass::Websocket45s)
+        let (delay, class) = if x < FAST_REFUSE_SHARE {
+            (FAST_REFUSE_DELAY + overhead, DialClass::FastRefuse)
+        } else if x < FAST_REFUSE_SHARE + WEBSOCKET_SHARE {
+            (WEBSOCKET_TIMEOUT + overhead, DialClass::Websocket45s)
         } else {
-            (t.dial_timeout + overhead, DialClass::Timeout5s)
+            (DIAL_TIMEOUT + overhead, DialClass::Timeout5s)
         };
         self.metrics.incr_handle(self.hot.dials_failed);
         self.metrics.incr_handle(self.hot.dial_fail[dial_class_kind(class)]);

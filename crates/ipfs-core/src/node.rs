@@ -8,7 +8,7 @@
 //! uploaded to any external server" (§3.1).
 
 use crate::addrbook::AddressBook;
-use crate::config::NodeConfig;
+use crate::config::{NodeConfig, ADDRBOOK_CAPACITY, CHUNK_SIZE};
 use crate::ipns::{ipns_value_selector, IpnsStore};
 use bitswap::BitswapEngine;
 use bytes::Bytes;
@@ -66,7 +66,7 @@ impl IpfsNode {
             dht,
             bitswap: BitswapEngine::new(),
             store: MemoryBlockStore::new(),
-            addr_book: AddressBook::new(config.addrbook_capacity),
+            addr_book: AddressBook::new(ADDRBOOK_CAPACITY),
             ipns: IpnsStore::new(),
             config,
         }
@@ -90,7 +90,7 @@ impl IpfsNode {
     /// Imports content into the local store: chunk (256 kiB), build the
     /// Merkle DAG, return the root CID (Figure 3, step 1). No network I/O.
     pub fn add_content(&mut self, data: &Bytes) -> BuildReport {
-        let chunker = merkledag::FixedSizeChunker::new(self.config.chunk_size);
+        let chunker = merkledag::FixedSizeChunker::new(CHUNK_SIZE);
         DagBuilder::new(&mut self.store)
             .add_with_chunker(data, &chunker)
             .expect("local import cannot fail")

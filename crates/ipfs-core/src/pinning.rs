@@ -103,12 +103,7 @@ mod tests {
 
     fn net(seed: u64) -> IpfsNetwork {
         let pop = Population::generate(
-            PopulationConfig {
-                size: 350,
-                nat_fraction: 0.5,
-                horizon: SimDuration::from_hours(8),
-                ..Default::default()
-            },
+            PopulationConfig { size: 350, nat_fraction: 0.5, horizon: SimDuration::from_hours(8) },
             seed,
         );
         IpfsNetwork::from_population(

@@ -31,6 +31,7 @@
 //! changes nothing across shard counts. The result's order/metrics
 //! fingerprints are therefore byte-identical for any `shards` in 1..=10.
 
+use crate::config::SHARDSIM_TICK;
 use crate::obs::dtrace::{fragment_span, FlightRing, SpanFragment, NO_PEER};
 use faultsim::{FaultEvent, FaultPlan};
 use rand::rngs::StdRng;
@@ -209,7 +210,6 @@ impl RegionEvent for Ev {
 struct World {
     seed: u64,
     latency: LatencyModel,
-    tick: SimDuration,
     ops_per_tick: u32,
     /// Churn toggles per region per tick, precomputed from `churn_prob`.
     churn_toggles: [u32; Region::COUNT],
@@ -457,8 +457,6 @@ pub struct ShardSimConfig {
     pub seed: u64,
     /// Virtual run length.
     pub duration: SimDuration,
-    /// Workload pulse interval per region.
-    pub tick: SimDuration,
     /// Publish/retrieve ops started per region per tick.
     pub ops_per_tick: u32,
     /// Per-tick probability that any given node toggles on/offline.
@@ -485,7 +483,6 @@ impl Default for ShardSimConfig {
             workers: None,
             seed: 2022,
             duration: SimDuration::from_secs(60),
-            tick: SimDuration::from_millis(200),
             ops_per_tick: 8,
             churn_prob: 0.0005,
             nat_fraction: 0.455,
@@ -650,7 +647,7 @@ impl ShardSim {
         // instant; seed order (region order) is part of the input.
         for &r in &active_regions {
             let offset = SimDuration::from_nanos(
-                cfg.tick.as_nanos() * (r as u64 + 1) / Region::COUNT as u64,
+                SHARDSIM_TICK.as_nanos() * (r as u64 + 1) / Region::COUNT as u64,
             );
             engine.seed_event(SimTime::ZERO + offset, Ev::Tick { region: r });
         }
@@ -658,7 +655,6 @@ impl ShardSim {
         let world = World {
             seed: cfg.seed,
             latency,
-            tick: cfg.tick,
             ops_per_tick: cfg.ops_per_tick,
             churn_toggles,
             start,
@@ -804,7 +800,7 @@ fn handle(world: &World, st: &mut ShardState, ctx: &mut ShardCtx<'_, Ev>, at: Si
                 }
             }
 
-            ctx.schedule(world.tick, Ev::Tick { region: r });
+            ctx.schedule(SHARDSIM_TICK, Ev::Tick { region: r });
         }
 
         Ev::Rpc { kind, to, walker, wregion, slot, gen, rpc_no, target, .. } => {
@@ -1252,7 +1248,6 @@ mod tests {
             shards,
             seed,
             duration: SimDuration::from_secs(secs),
-            tick: SimDuration::from_millis(200),
             ops_per_tick: 3,
             ..ShardSimConfig::default()
         }

@@ -15,6 +15,20 @@ use crate::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Fraction of peers advertising addresses in multiple countries (paper
+/// §5.1: 8.8 %).
+const MULTIHOMING_FRACTION: f64 = 0.088;
+/// Fraction of peers that pile onto a shared "super IP" (PeerID rotation /
+/// large NAT pools; drives Figure 7c's tail).
+const SHARED_IP_FRACTION: f64 = 0.05;
+/// Fraction of peers that reuse another ordinary peer's IP (multiple nodes
+/// in one household / on one server — Figure 7c's mid-range: the paper
+/// finds 7.7 % of IPs host more than one PeerID).
+const IP_REUSE_FRACTION: f64 = 0.09;
+/// Number of distinct super IPs absorbing the shared fraction.
+const SHARED_IP_POOL: usize = 10;
+const _: () = assert!(SHARED_IP_POOL >= 1);
+
 /// Configuration for population generation.
 #[derive(Debug, Clone, Copy)]
 pub struct PopulationConfig {
@@ -23,33 +37,13 @@ pub struct PopulationConfig {
     /// Fraction of peers behind NATs — these join as DHT clients and are
     /// never dialable (paper §2.3 / §5.1: 45.5 % always unreachable).
     pub nat_fraction: f64,
-    /// Fraction of peers advertising addresses in multiple countries
-    /// (paper §5.1: 8.8 %).
-    pub multihoming_fraction: f64,
-    /// Fraction of peers that pile onto a shared "super IP" (PeerID
-    /// rotation / large NAT pools; drives Figure 7c's tail).
-    pub shared_ip_fraction: f64,
-    /// Fraction of peers that reuse another ordinary peer's IP (multiple
-    /// nodes in one household / on one server — Figure 7c's mid-range:
-    /// the paper finds 7.7 % of IPs host more than one PeerID).
-    pub ip_reuse_fraction: f64,
-    /// Number of distinct super IPs absorbing the shared fraction.
-    pub shared_ip_pool: usize,
     /// Simulated horizon the churn schedules must cover.
     pub horizon: SimDuration,
 }
 
 impl Default for PopulationConfig {
     fn default() -> Self {
-        PopulationConfig {
-            size: 10_000,
-            nat_fraction: 0.455,
-            multihoming_fraction: 0.088,
-            shared_ip_fraction: 0.05,
-            ip_reuse_fraction: 0.09,
-            shared_ip_pool: 10,
-            horizon: SimDuration::from_hours(24),
-        }
+        PopulationConfig { size: 10_000, nat_fraction: 0.455, horizon: SimDuration::from_hours(24) }
     }
 }
 
@@ -107,20 +101,17 @@ impl Population {
         let churn = ChurnModel;
 
         // Pre-draw the super-IP pool.
-        let super_hosts: Vec<HostInfo> = (0..config.shared_ip_pool)
-            .map(|i| geodb.sample_host(&mut rng, u32::MAX - i as u32))
-            .collect();
+        let super_hosts: Vec<HostInfo> =
+            (0..SHARED_IP_POOL).map(|i| geodb.sample_host(&mut rng, u32::MAX - i as u32)).collect();
 
         let mut peers = Vec::with_capacity(config.size);
         for index in 0..config.size {
-            let use_shared =
-                rng.random_range(0.0..1.0) < config.shared_ip_fraction && !super_hosts.is_empty();
-            let host = if use_shared {
+            let host = if rng.random_range(0.0..1.0) < SHARED_IP_FRACTION {
                 // Zipf-ish preference for the first super IPs.
                 let h = rng.random_range(0.0..1.0f64);
                 let idx = ((h * h) * super_hosts.len() as f64) as usize;
                 super_hosts[idx.min(super_hosts.len() - 1)]
-            } else if !peers.is_empty() && rng.random_range(0.0..1.0) < config.ip_reuse_fraction {
+            } else if !peers.is_empty() && rng.random_range(0.0..1.0) < IP_REUSE_FRACTION {
                 // Another node on an already-seen host (same IP).
                 let donor: &SimPeer = &peers[rng.random_range(0..peers.len())];
                 donor.host
@@ -128,7 +119,7 @@ impl Population {
                 geodb.sample_host(&mut rng, index as u32)
             };
             let nat = rng.random_range(0.0..1.0) < config.nat_fraction;
-            let secondary_host = if rng.random_range(0.0..1.0) < config.multihoming_fraction {
+            let secondary_host = if rng.random_range(0.0..1.0) < MULTIHOMING_FRACTION {
                 Some(geodb.sample_host(&mut rng, (index as u32) ^ 0x8000_0000))
             } else {
                 None

@@ -10,14 +10,13 @@
 //! ```
 
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
-use gateway::{Gateway, GatewayConfig, ServedBy};
+use gateway::{FleetConfig, GatewayFleet, ServedBy};
 use ipfs_examples::example_network;
 use simnet::latency::VantagePoint;
 
 fn main() {
     println!("building the network and a US-west gateway...");
     let (mut net, ids) = example_network(600, &[VantagePoint::UsWest1], 23);
-    let gw_node = ids[0];
 
     let workload = GatewayWorkload::generate(WorkloadConfig {
         catalog_size: 400,
@@ -26,7 +25,7 @@ fn main() {
         seed: 23,
         ..Default::default()
     });
-    let mut gw = Gateway::new(gw_node, GatewayConfig::default());
+    let mut gw = GatewayFleet::new(&ids, FleetConfig::default());
     let providers: Vec<_> =
         net.server_ids().into_iter().filter(|&i| net.is_dialable(i)).take(25).collect();
     gw.install_catalog(&mut net, &workload, &providers);
@@ -36,7 +35,7 @@ fn main() {
         workload.objects.iter().filter(|o| o.pinned).count()
     );
 
-    let log = gw.serve_all(&mut net, &workload);
+    let log: Vec<_> = gw.serve_all(&mut net, &workload).into_iter().map(|e| e.entry).collect();
 
     // Show a few individual requests end-to-end.
     println!("sample requests:");

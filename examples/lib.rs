@@ -14,12 +14,7 @@ pub fn example_network(
     seed: u64,
 ) -> (IpfsNetwork, Vec<NodeId>) {
     let pop = Population::generate(
-        PopulationConfig {
-            size: peers,
-            nat_fraction: 0.455,
-            horizon: SimDuration::from_hours(24),
-            ..Default::default()
-        },
+        PopulationConfig { size: peers, nat_fraction: 0.455, horizon: SimDuration::from_hours(24) },
         seed,
     );
     let net = IpfsNetwork::from_population(&pop, vantages, NetworkConfig::default(), seed);

@@ -9,7 +9,7 @@
 //! cargo run --release -p ipfs-examples --bin network_census
 //! ```
 
-use crawler::{ChurnMonitor, CrawlConfig, Crawler, MonitorConfig};
+use crawler::{ChurnMonitor, Crawler, MonitorConfig};
 use ipfs_core::{IpfsNetwork, NetworkConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
@@ -18,12 +18,7 @@ use std::collections::HashMap;
 fn main() {
     println!("generating a 2000-peer population and network...");
     let pop = Population::generate(
-        PopulationConfig {
-            size: 2_000,
-            nat_fraction: 0.455,
-            horizon: SimDuration::from_hours(12),
-            ..Default::default()
-        },
+        PopulationConfig { size: 2_000, nat_fraction: 0.455, horizon: SimDuration::from_hours(12) },
         31,
     );
     let mut net = IpfsNetwork::from_population(
@@ -34,7 +29,7 @@ fn main() {
     );
 
     // --- crawl every 30 minutes for three hours ---
-    let crawler = Crawler::new(CrawlConfig::default());
+    let crawler = Crawler::new();
     println!("\ncrawl series (every 30 min, like §4.1):");
     println!("  t(h)   peers  dialable  undialable  est.duration");
     for _ in 0..6 {
@@ -76,12 +71,7 @@ fn main() {
     // --- churn monitoring (§5.3) ---
     println!("\nrunning the adaptive churn monitor over 48 h of schedules...");
     let pop48 = Population::generate(
-        PopulationConfig {
-            size: 2_000,
-            nat_fraction: 0.455,
-            horizon: SimDuration::from_hours(48),
-            ..Default::default()
-        },
+        PopulationConfig { size: 2_000, nat_fraction: 0.455, horizon: SimDuration::from_hours(48) },
         31,
     );
     let (observations, summaries) = ChurnMonitor::new(MonitorConfig::default()).run(&pop48);

@@ -74,6 +74,22 @@ if [ "$ENV_FILES" != "crates/bench/src/runner.rs " ]; then
     exit 1
 fi
 
+gate "config-surface budget (settable library config fields)"
+# A config field exists only where a shipped caller sets a non-default
+# value; calibration values no caller varies are documented constants
+# (DESIGN.md §7). This counts the pub fields of every top-level
+# `pub struct *Config` / `*Model` under crates/*/src, outside crates/bench.
+# A change that needs a new knob raises the number and says why.
+CONFIG_FIELDS="$(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort |
+    xargs awk '/^pub struct [A-Za-z0-9_]*(Config|Model) [{]/ { inside = 1; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^    pub / { n++ }
+        END { print n + 0 }')"
+if [ "$CONFIG_FIELDS" -ne 69 ]; then
+    echo "config-surface budget: expected 69 settable config fields, found $CONFIG_FIELDS" >&2
+    exit 1
+fi
+
 gate "cargo test"
 cargo test -q
 

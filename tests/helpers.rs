@@ -22,12 +22,7 @@ pub fn test_network_with(
     cfg: NetworkConfig,
 ) -> (IpfsNetwork, Vec<NodeId>) {
     let pop = Population::generate(
-        PopulationConfig {
-            size: peers,
-            nat_fraction: 0.455,
-            horizon: SimDuration::from_hours(36),
-            ..Default::default()
-        },
+        PopulationConfig { size: peers, nat_fraction: 0.455, horizon: SimDuration::from_hours(36) },
         seed,
     );
     let net = IpfsNetwork::from_population(&pop, vantages, cfg, seed);

@@ -5,15 +5,16 @@ use std::collections::HashMap;
 
 use faultsim::FaultPlan;
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
-use gateway::{FleetConfig, Gateway, GatewayConfig, GatewayFleet, LbPolicy, ServedBy};
+use gateway::{AccessLogEntry, FleetConfig, GatewayFleet, LbPolicy, ServedBy};
 use integration_tests::test_network;
 use ipfs_core::obs::names;
 use simnet::latency::VantagePoint;
 use simnet::{SimDuration, SimTime};
 
-fn setup(seed: u64, requests: usize) -> (ipfs_core::IpfsNetwork, Gateway, GatewayWorkload) {
+/// A network with a one-gateway fleet on its `UsWest1` vantage, the
+/// catalog installed.
+fn setup(seed: u64, requests: usize) -> (ipfs_core::IpfsNetwork, GatewayFleet, GatewayWorkload) {
     let (mut net, ids) = test_network(400, &[VantagePoint::UsWest1], seed);
-    let gw_node = ids[0];
     let workload = GatewayWorkload::generate(WorkloadConfig {
         catalog_size: 150,
         users: 80,
@@ -21,17 +22,26 @@ fn setup(seed: u64, requests: usize) -> (ipfs_core::IpfsNetwork, Gateway, Gatewa
         seed,
         ..Default::default()
     });
-    let mut gw = Gateway::new(gw_node, GatewayConfig::default());
+    let mut gw = GatewayFleet::new(&ids, FleetConfig::default());
     let providers: Vec<_> =
         net.server_ids().into_iter().filter(|&i| net.is_dialable(i)).take(20).collect();
     gw.install_catalog(&mut net, &workload, &providers);
     (net, gw, workload)
 }
 
+/// Serves the whole workload, returning the gateway's access log.
+fn serve_all(
+    net: &mut ipfs_core::IpfsNetwork,
+    gw: &mut GatewayFleet,
+    workload: &GatewayWorkload,
+) -> Vec<AccessLogEntry> {
+    gw.serve_all(net, workload).into_iter().map(|e| e.entry).collect()
+}
+
 #[test]
 fn full_day_of_traffic_serves_cleanly() {
     let (mut net, mut gw, workload) = setup(301, 600);
-    let log = gw.serve_all(&mut net, &workload);
+    let log = serve_all(&mut net, &mut gw, &workload);
     assert_eq!(log.len(), 600);
     // Log entries are time-ordered like an nginx access log.
     for pair in log.windows(2) {
@@ -48,7 +58,7 @@ fn full_day_of_traffic_serves_cleanly() {
 #[test]
 fn latency_ordering_between_tiers() {
     let (mut net, mut gw, workload) = setup(302, 500);
-    let log = gw.serve_all(&mut net, &workload);
+    let log = serve_all(&mut net, &mut gw, &workload);
     let median = |t: ServedBy| {
         let mut v: Vec<f64> = log
             .iter()
@@ -76,9 +86,9 @@ fn gateway_offloads_network_over_time() {
     // As the cache warms, the network share of traffic must fall (the
     // demand-aggregation argument of §6.3).
     let (mut net, mut gw, workload) = setup(303, 800);
-    let log = gw.serve_all(&mut net, &workload);
+    let log = serve_all(&mut net, &mut gw, &workload);
     let half = log.len() / 2;
-    let share = |slice: &[gateway::AccessLogEntry]| {
+    let share = |slice: &[AccessLogEntry]| {
         slice.iter().filter(|e| e.served_by == ServedBy::Network).count() as f64
             / slice.len() as f64
     };
@@ -116,7 +126,7 @@ fn pinned_content_survives_gateway_gc() {
     let pinned_cids: Vec<_> =
         workload.objects.iter().filter(|o| o.pinned).map(|o| o.cid.clone()).collect();
     assert!(!pinned_cids.is_empty());
-    let node = net.node_mut(gw.node);
+    let node = net.node_mut(gw.gateways[0].node);
     node.store.gc();
     for cid in &pinned_cids {
         assert!(merkledag::BlockStore::has(&node.store, cid), "pinned object lost in GC");
@@ -126,7 +136,7 @@ fn pinned_content_survives_gateway_gc() {
 #[test]
 fn diurnal_request_times_preserved_in_log() {
     let (mut net, mut gw, workload) = setup(306, 400);
-    let log = gw.serve_all(&mut net, &workload);
+    let log = serve_all(&mut net, &mut gw, &workload);
     for (entry, req) in log.iter().zip(&workload.requests) {
         assert_eq!(entry.user, req.user);
         // `at` is the request's arrival instant, exactly as the workload

@@ -1,19 +1,14 @@
 //! Measurement-tooling integration: the crawler and churn monitor against
 //! ground truth (paper §4.1, §5).
 
-use crawler::{ChurnMonitor, CrawlConfig, Crawler, MonitorConfig};
+use crawler::{ChurnMonitor, Crawler, MonitorConfig};
 use ipfs_core::{IpfsNetwork, NetworkConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
 fn census_setup(seed: u64) -> (IpfsNetwork, Population) {
     let pop = Population::generate(
-        PopulationConfig {
-            size: 900,
-            nat_fraction: 0.455,
-            horizon: SimDuration::from_hours(24),
-            ..Default::default()
-        },
+        PopulationConfig { size: 900, nat_fraction: 0.455, horizon: SimDuration::from_hours(24) },
         seed,
     );
     let net = IpfsNetwork::from_population(
@@ -28,7 +23,7 @@ fn census_setup(seed: u64) -> (IpfsNetwork, Population) {
 #[test]
 fn crawler_coverage_against_ground_truth() {
     let (net, pop) = census_setup(401);
-    let snap = Crawler::new(CrawlConfig::default()).crawl(&net, &pop);
+    let snap = Crawler::new().crawl(&net, &pop);
     // At t=0 routing tables hold the currently-online servers (a live
     // network's tables are traffic-fresh); the crawl must find nearly all
     // of them and nothing beyond the server set.
@@ -48,7 +43,7 @@ fn crawler_coverage_against_ground_truth() {
 #[test]
 fn crawl_dialable_fraction_drops_with_churn_then_recovers_shape() {
     let (mut net, pop) = census_setup(402);
-    let crawler = Crawler::new(CrawlConfig::default());
+    let crawler = Crawler::new();
     let mut fractions = Vec::new();
     for _ in 0..10 {
         fractions.push(crawler.crawl(&net, &pop).dialable_fraction());
@@ -71,12 +66,9 @@ fn monitor_summary_consistent_with_crawl() {
     // Peers the monitor calls never-reachable must be NAT'ed or never
     // online — and can never show up as dialable in a crawl.
     let (net, pop) = census_setup(403);
-    let (_, summaries) = ChurnMonitor::new(MonitorConfig {
-        window: SimDuration::from_hours(24),
-        ..Default::default()
-    })
-    .run(&pop);
-    let snap = Crawler::new(CrawlConfig::default()).crawl(&net, &pop);
+    let (_, summaries) =
+        ChurnMonitor::new(MonitorConfig { window: SimDuration::from_hours(24) }).run(&pop);
+    let snap = Crawler::new().crawl(&net, &pop);
     for s in &summaries {
         if !s.never_reachable {
             continue;
@@ -103,7 +95,7 @@ fn monitor_observations_anchored_in_true_online_time() {
         PopulationConfig { size: 300, horizon: SimDuration::from_hours(24), ..Default::default() },
         404,
     );
-    let cfg = MonitorConfig { window: SimDuration::from_hours(24), ..Default::default() };
+    let cfg = MonitorConfig { window: SimDuration::from_hours(24) };
     let (observations, _) = ChurnMonitor::new(cfg).run(&pop);
     assert!(!observations.is_empty());
     for o in &observations {
@@ -124,7 +116,7 @@ fn monitor_observations_anchored_in_true_online_time() {
 #[test]
 fn crawl_census_matches_population_marginals() {
     let (net, pop) = census_setup(405);
-    let snap = Crawler::new(CrawlConfig::default()).crawl(&net, &pop);
+    let snap = Crawler::new().crawl(&net, &pop);
     // Country shares in the crawl roughly track the population (the crawl
     // sees servers only, but country assignment is NAT-independent).
     let us_crawl = snap.peers.iter().filter(|p| p.country == simnet::geodb::Country::US).count()
