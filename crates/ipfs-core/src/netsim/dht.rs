@@ -44,9 +44,9 @@ pub(super) enum Store {
     /// One ADD_PROVIDER (§3.1).
     Provider { key: Key, provider: Arc<PeerInfo> },
     /// A reprovide-sweep ADD_PROVIDER carrying every key of one keyspace
-    /// neighbourhood. The keys stay shared by all of the batch's stores
-    /// until each arrives.
-    Batch { keys: Arc<Vec<Key>>, provider: Arc<PeerInfo> },
+    /// neighbourhood. The keys stay shared by all of the batch's stores,
+    /// and by the record stores they reach.
+    Batch { keys: Arc<[Key]>, provider: Arc<PeerInfo> },
     /// One PUT_VALUE of an IPNS record (§3.3), shared by all of the
     /// publish's stores.
     Value { key: Key, value: Arc<[u8]> },
@@ -470,7 +470,7 @@ impl IpfsNetwork {
             Store::Provider { key, provider } => (Request::AddProvider { key, provider }, 1),
             Store::Batch { keys, provider } => {
                 let records = keys.len() as u64;
-                (Request::AddProviderBatch { keys: Arc::unwrap_or_clone(keys), provider }, records)
+                (Request::AddProviderBatch { keys, provider }, records)
             }
             Store::Value { key, value } => (Request::PutValue { key, value: value.to_vec() }, 1),
         };

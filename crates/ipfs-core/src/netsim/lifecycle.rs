@@ -87,7 +87,7 @@ pub(super) enum OpState {
         node: NodeId,
         /// DHT keys of the CIDs in this keyspace neighborhood, in key
         /// order; shared with every batched store the walk fans out to.
-        keys: Arc<Vec<Key>>,
+        keys: Arc<[Key]>,
         /// Batched stores still in flight.
         outstanding: usize,
     },

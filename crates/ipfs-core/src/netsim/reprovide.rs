@@ -13,7 +13,6 @@ use kademlia::Key;
 use merkledag::BlockStore;
 use multiformats::Cid;
 use simnet::{SimDuration, TimerId};
-use std::sync::Arc;
 
 /// Lifecycle state of one provided CID on its providing node.
 pub(super) struct ProvidedEntry {
@@ -152,7 +151,7 @@ impl IpfsNetwork {
             self.metrics.incr(names::PROVIDER_SWEEP_BATCHES);
             let op = self.new_op();
             self.ops
-                .insert(op, OpState::SweepBatch { node: id, keys: Arc::new(keys), outstanding: 0 });
+                .insert(op, OpState::SweepBatch { node: id, keys: keys.into(), outstanding: 0 });
             self.tracer.start_op(op, id);
             // One walk toward the neighborhood's first key serves every
             // CID in the batch: within a 2^-bits slice of the keyspace,

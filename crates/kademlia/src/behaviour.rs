@@ -256,9 +256,7 @@ impl DhtBehaviour {
                 None // fire and forget (§3.1)
             }
             Request::AddProviderBatch { keys, provider } => {
-                for key in keys {
-                    self.store.add_provider_shared(key, &provider, now);
-                }
+                self.store.add_batch(&keys, &provider, now);
                 None // fire and forget, one message for the whole batch
             }
             Request::PutPeerRecord { addrs } => {
@@ -444,17 +442,17 @@ mod tests {
     #[test]
     fn add_provider_batch_stores_every_key() {
         let mut s = server(1);
-        let keys: Vec<Key> =
+        let keys: Arc<[Key]> =
             (0u64..5).map(|n| Key::from_cid(&Cid::from_raw_data(&n.to_be_bytes()))).collect();
         let provider = info(3);
         let resp = s.handle_request(
             &info(2),
             true,
-            Request::AddProviderBatch { keys: keys.clone(), provider: Arc::clone(&provider) },
+            Request::AddProviderBatch { keys: Arc::clone(&keys), provider: Arc::clone(&provider) },
             SimTime::ZERO,
         );
         assert!(resp.is_none(), "ADD_PROVIDER_BATCH is fire-and-forget");
-        for k in &keys {
+        for k in keys.iter() {
             assert_eq!(s.store().providers(k, SimTime::ZERO).len(), 1);
         }
         assert_eq!(s.store().provider_entry_count(), 5);

@@ -4,12 +4,62 @@
 //! SHA-256 of its binary representation (paper §2.3). Distance between keys
 //! is their bitwise XOR interpreted as an unsigned 256-bit integer
 //! (Kademlia's XOR metric).
+//!
+//! [`KeyMap`] is a `HashMap` keyed by [`Key`] whose hasher skips SipHash:
+//! a key is already a SHA-256 digest, so keyed hashing against flooding
+//! buys nothing, and [`KeyHasher`] only has to spread structured keys
+//! (`Key::from_bytes`) as well as it spreads digests.
 
 use multiformats::{Cid, PeerId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A 256-bit key in the DHT keyspace.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key(pub [u8; 32]);
+
+/// Hashes the 32 key bytes and nothing else (no length prefix).
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
+
+/// A `HashMap` keyed by [`Key`], hashed by [`KeyHasher`]. Its iteration
+/// order is the hasher's, not the keyspace's: callers that iterate one only
+/// sum over it.
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
+/// The [`KeyMap`] hasher: folds the input in 8-byte words and finishes
+/// with murmur3's 64-bit mixer. The fold alone is Fx, whose multiplies
+/// only carry upward, so a high byte would never reach the low bits that
+/// pick a bucket; the mixer spreads every input bit over all 64 (both the
+/// bucket index and hashbrown's top-7-bit tag).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut chunks = bytes.chunks_exact(8);
+        for word in &mut chunks {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+        }
+        for &byte in chunks.remainder() {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(byte)).wrapping_mul(K);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
 
 /// An XOR distance between two keys (totally ordered, big-endian).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -155,6 +205,37 @@ mod tests {
         let mut b = [0u8; 32];
         b[1] = 0x10;
         assert_eq!(Distance(b).leading_zeros(), 11);
+    }
+
+    /// For each byte position, 16 base keys × 256 values of that byte:
+    /// 4 096 keys that differ only there must fill at least half of a
+    /// 4 096-bucket table (random placement fills ≈ 63 %). Half the bases
+    /// are structured `Key::from_bytes` keys, where a weak hash — an Fx
+    /// fold that lets high bytes drop off the low bits — collapses.
+    #[test]
+    fn hasher_spreads_structured_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let mut bases: Vec<[u8; 32]> = vec![[0; 32], [0xff; 32]];
+        bases.push(std::array::from_fn(|i| i as u8));
+        bases.push(std::array::from_fn(|i| if i % 8 == 7 { 1 } else { 0 }));
+        bases.push(std::array::from_fn(|i| if i == 0 { 0x80 } else { 0 }));
+        bases.push(std::array::from_fn(|i| if i == 31 { 1 } else { 0 }));
+        bases.push(std::array::from_fn(|i| 0xaa ^ i as u8));
+        bases.push(std::array::from_fn(|i| (i as u8).wrapping_mul(37)));
+        bases.extend((0u64..8).map(|n| Key::from_cid(&Cid::from_raw_data(&n.to_be_bytes())).0));
+        assert_eq!(bases.len(), 16);
+        for pos in 0..32 {
+            let mut buckets = std::collections::HashSet::new();
+            for base in &bases {
+                for byte in 0..=255u8 {
+                    let mut bytes = *base;
+                    bytes[pos] = byte;
+                    buckets.insert(build.hash_one(Key::from_bytes(bytes)) & 0xfff);
+                }
+            }
+            assert!(buckets.len() >= 2_048, "byte {pos}: {} buckets", buckets.len());
+        }
     }
 
     #[test]

@@ -21,24 +21,38 @@
 //!   held inline in the map entry while its key has one provider and
 //!   spilled to a `Vec`, in first-stored order, only for two or more.
 //!   [`ProviderRecord`] is the wire/API shape, materialised on reads.
-//! - **Deadlines.** One min-heap of `(deadline, key, provider index)`, so
+//! - **Deadlines.** Two min-heaps, drained together in deadline order, so
 //!   [`RecordStore::expire`] costs O(due deadlines · log pending) instead
-//!   of O(stored records). A heap rather than a timing wheel because
-//!   expiry only ever asks for "earliest first" — no horizon, so back-dated
-//!   and far-future `received_at` are ordinary entries — and because the
-//!   typical DHT server holds a handful of records: an idle store
-//!   allocates nothing.
+//!   of O(stored records). A single-record add queues one
+//!   `(deadline, key, provider index)` (48 B). A batched add
+//!   ([`RecordStore::add_batch`], the reprovide sweep's ADD_PROVIDER)
+//!   queues one `(deadline, provider index, keys)` for the whole batch
+//!   (32 B plus the key slice, which is the batch's own `Arc<[Key]>` when
+//!   every key needed a deadline). Heaps rather than a timing wheel
+//!   because expiry only ever asks for "earliest first" — no horizon, so
+//!   back-dated and far-future `received_at` are ordinary entries — and
+//!   because the typical DHT server holds a handful of records: an idle
+//!   store allocates nothing.
+//! - **Hashing.** The per-key maps are [`KeyMap`]s: a key is already a
+//!   SHA-256 digest, so they skip SipHash. Only
+//!   [`RecordStore::bytes_estimate`] iterates them, and it only sums.
 //!
 //! # Invariant: a queued deadline at or before every record's expiry
 //!
-//! Every live record has at least one queued deadline naming its
-//! `(key, provider index)` that is no later than `received_at + expiry`,
-//! and in the steady state exactly one. The first store queues it. A
-//! refresh forward in time (the 12 h republish) moves `received_at` in
-//! place and queues nothing: the queued deadline now falls early, and when
-//! it pops [`RecordStore::expire`] re-arms it at the live expiry time.
-//! Only a back-dated refresh, whose new expiry precedes the queued
-//! deadline, pushes a second entry.
+//! Every live record has at least one queued deadline — a single entry
+//! naming its `(key, provider index)`, or a batch entry naming its
+//! provider index with its key in the slice — that is no later than
+//! `received_at + expiry`, and in the steady state exactly one. The first
+//! store queues it, one per record or one per batch. A refresh forward in
+//! time (the 12 h republish) moves `received_at` in place and queues
+//! nothing: the queued deadline now falls early, and when it pops
+//! [`RecordStore::expire`] re-arms it. A single entry re-arms at its
+//! record's live expiry; a batch entry re-arms once, for the keys still
+//! live, at the earliest of their live expiries (the exact expiry of each
+//! when, as in the sweep, one batch refreshed them all). Only a back-dated
+//! refresh, whose new expiry precedes the queued deadline, pushes another
+//! entry — and a batch pushes at most one entry however many of its keys
+//! need a deadline.
 //!
 //! A popped deadline decides nothing by itself: removal is decided by the
 //! live record's own `received_at`, exactly as a full scan would. That is
@@ -47,7 +61,7 @@
 //! key, or finds the new provider's record and removes it only if that
 //! record is itself expired (else it re-arms a harmless duplicate).
 
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 use crate::routing::PeerInfo;
 use multiformats::{Multiaddr, PeerId};
 use simnet::{SimDuration, SimTime};
@@ -108,6 +122,20 @@ pub struct ValueRecord {
 /// `Reverse` turns the max-heap into earliest-deadline-first.
 type Deadline = Reverse<(SimTime, Key, u32)>;
 
+/// A queued expiry deadline for every `(key, provider index)` record of one
+/// batch. The key slice only breaks ties of `(deadline, provider)`.
+type BatchDeadline = Reverse<(SimTime, u32, Arc<[Key]>)>;
+
+/// What a due deadline finds for the `(key, provider index)` it names.
+enum Due {
+    /// No such record: a twin deadline removed it, or it never was.
+    Gone,
+    /// The record expired and was removed.
+    Removed,
+    /// The record is live (refreshed since); it expires at this time.
+    Live(SimTime),
+}
+
 /// A provider record as stored: the key is the map key and the provider a
 /// handle into the store's intern table.
 #[derive(Debug, Clone, Copy)]
@@ -121,8 +149,8 @@ impl Stored {
         now.since(self.received_at) < expiry
     }
 
-    fn deadline(&self, key: Key, expiry: SimDuration) -> Deadline {
-        Reverse((self.received_at.saturating_add(expiry), key, self.provider))
+    fn expires_at(&self, expiry: SimDuration) -> SimTime {
+        self.received_at.saturating_add(expiry)
     }
 }
 
@@ -225,14 +253,15 @@ impl Interner {
 /// Storage for provider, peer, and value records held by one DHT server.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
-    providers: HashMap<Key, Slot>,
+    providers: KeyMap<Slot>,
     interned: Interner,
     deadlines: BinaryHeap<Deadline>,
+    batch_deadlines: BinaryHeap<BatchDeadline>,
     /// Live provider records across all keys.
     live: usize,
     expiry: SimDuration,
     peers: HashMap<PeerId, PeerRecord>,
-    values: HashMap<Key, ValueRecord>,
+    values: KeyMap<ValueRecord>,
     /// Lifetime counters for diagnostics.
     pub stored_provider_records: u64,
     /// Lifetime count of peer records stored.
@@ -258,13 +287,14 @@ impl RecordStore {
     /// length).
     pub fn with_expiry(expiry: SimDuration) -> RecordStore {
         RecordStore {
-            providers: HashMap::new(),
+            providers: KeyMap::default(),
             interned: Interner::default(),
             deadlines: BinaryHeap::new(),
+            batch_deadlines: BinaryHeap::new(),
             live: 0,
             expiry,
             peers: HashMap::new(),
-            values: HashMap::new(),
+            values: KeyMap::default(),
             stored_provider_records: 0,
             stored_peer_records: 0,
             stored_value_records: 0,
@@ -295,7 +325,45 @@ impl RecordStore {
     /// shared handle (the ADD_PROVIDER RPCs): the store keeps a reference
     /// to `provider` instead of copying its PeerID and addresses per key.
     pub fn add_provider_shared(&mut self, key: Key, provider: &Arc<PeerInfo>, now: SimTime) {
-        let idx = match self.interned.index.get(&provider.peer) {
+        let idx = self.intern_shared(provider);
+        self.store_record(key, idx, now);
+    }
+
+    /// [`RecordStore::add_provider_shared`] for every key of one batched
+    /// ADD_PROVIDER: interns `provider` once for the whole batch and queues
+    /// at most one deadline — naming `keys` itself when every key needs
+    /// one (a new record or a back-dated refresh), else a slice of just
+    /// the keys that do.
+    pub fn add_batch(&mut self, keys: &Arc<[Key]>, provider: &Arc<PeerInfo>, now: SimTime) {
+        // Interning with no record to follow would leak the slab slot:
+        // only the last record's expiry releases one.
+        if keys.is_empty() {
+            return;
+        }
+        let idx = self.intern_shared(provider);
+        // The keys that need a deadline, copied out only once some key
+        // turns out not to.
+        let mut subset: Option<Vec<Key>> = None;
+        for (i, &key) in keys.iter().enumerate() {
+            let needs = self.file(key, idx, now);
+            match &mut subset {
+                None if !needs => subset = Some(keys[..i].to_vec()),
+                Some(due) if needs => due.push(key),
+                _ => {}
+            }
+        }
+        let keys = match subset {
+            None => Arc::clone(keys),
+            Some(due) if due.is_empty() => return,
+            Some(due) => due.into(),
+        };
+        self.batch_deadlines.push(Reverse((now.saturating_add(self.expiry), idx, keys)));
+    }
+
+    /// The intern-table index of a provider arriving as a shared handle;
+    /// a handle with different addresses replaces the held one.
+    fn intern_shared(&mut self, provider: &Arc<PeerInfo>) -> u32 {
+        match self.interned.index.get(&provider.peer) {
             Some(&idx) => {
                 let held = &mut self.interned.get_mut(idx).info;
                 if !Arc::ptr_eq(held, provider) && held.addrs != provider.addrs {
@@ -304,11 +372,19 @@ impl RecordStore {
                 idx
             }
             None => self.interned.insert(Arc::clone(provider)),
-        };
-        self.store_record(key, idx, now);
+        }
     }
 
     fn store_record(&mut self, key: Key, provider: u32, received_at: SimTime) {
+        if self.file(key, provider, received_at) {
+            let at = received_at.saturating_add(self.expiry);
+            self.deadlines.push(Reverse((at, key, provider)));
+        }
+    }
+
+    /// Stores or refreshes one record; returns whether it needs a deadline
+    /// queued: a new record, or a refresh back-dated before its queued one.
+    fn file(&mut self, key: Key, provider: u32, received_at: SimTime) -> bool {
         let record = Stored { received_at, provider };
         match self.providers.entry(key) {
             Entry::Vacant(vacant) => {
@@ -319,20 +395,16 @@ impl RecordStore {
                 match slot.records_mut().iter_mut().find(|r| r.provider == provider) {
                     Some(live) => {
                         let was = std::mem::replace(&mut live.received_at, received_at);
-                        if received_at < was {
-                            // Back-dated: the queued deadline is now too late.
-                            self.deadlines.push(record.deadline(key, self.expiry));
-                        }
-                        return;
+                        return received_at < was;
                     }
                     None => slot.push(record),
                 }
             }
         }
-        self.deadlines.push(record.deadline(key, self.expiry));
         self.interned.get_mut(provider).records += 1;
         self.live += 1;
         self.stored_provider_records += 1;
+        true
     }
 
     /// Returns unexpired provider records for `key` at time `now`.
@@ -377,35 +449,75 @@ impl RecordStore {
     /// Peer records persist (they are refreshed on every connection in
     /// practice).
     ///
-    /// Pops every deadline that is due and removes the records whose
-    /// *live* `received_at` is at least the expiry old — exactly the
-    /// records a full scan of the table would remove. A due deadline whose
-    /// record was refreshed since is re-armed at the record's live expiry.
+    /// Pops every deadline that is due, single and batch alike in deadline
+    /// order, and removes the records whose *live* `received_at` is at
+    /// least the expiry old — exactly the records a full scan of the table
+    /// would remove. A due deadline whose records were refreshed since is
+    /// re-armed: a single one at its record's live expiry, a batch one
+    /// once, for its live keys, at the earliest of their live expiries.
     pub fn expire(&mut self, now: SimTime) -> usize {
         let mut removed = 0;
         // Queued after the loop, so a re-armed deadline that saturated at
         // the end of time cannot pop again within this call.
         let mut rearmed = Vec::new();
-        while self.deadlines.peek().is_some_and(|Reverse((deadline, ..))| *deadline <= now) {
-            let Reverse((_, key, provider)) = self.deadlines.pop().expect("peeked a deadline");
-            // Stale if the record is gone (a back-dated twin removed it).
-            let Entry::Occupied(mut entry) = self.providers.entry(key) else { continue };
-            let records = entry.get().records();
-            let Some(pos) = records.iter().position(|r| r.provider == provider) else { continue };
-            let record = records[pos];
-            if record.is_live(now, self.expiry) {
-                rearmed.push(record.deadline(key, self.expiry));
-                continue;
+        let mut rearmed_batches = Vec::new();
+        loop {
+            let single = self.deadlines.peek().map(|Reverse((at, ..))| *at);
+            let batch = self.batch_deadlines.peek().map(|Reverse((at, ..))| *at);
+            if batch.is_some_and(|b| b <= now && single.is_none_or(|s| b < s)) {
+                let Reverse((_, provider, keys)) =
+                    self.batch_deadlines.pop().expect("peeked a deadline");
+                let mut live = Vec::new();
+                let mut next = SimTime::MAX;
+                for &key in keys.iter() {
+                    match self.settle(key, provider, now) {
+                        Due::Gone => {}
+                        Due::Removed => removed += 1,
+                        Due::Live(at) => {
+                            live.push(key);
+                            next = next.min(at);
+                        }
+                    }
+                }
+                if !live.is_empty() {
+                    let keys = if live.len() == keys.len() { keys } else { live.into() };
+                    rearmed_batches.push(Reverse((next, provider, keys)));
+                }
+            } else if single.is_some_and(|s| s <= now) {
+                let Reverse((_, key, provider)) = self.deadlines.pop().expect("peeked a deadline");
+                match self.settle(key, provider, now) {
+                    Due::Gone => {}
+                    Due::Removed => removed += 1,
+                    Due::Live(at) => rearmed.push(Reverse((at, key, provider))),
+                }
+            } else {
+                break;
             }
-            if !entry.get_mut().remove(pos) {
-                entry.remove();
-            }
-            self.interned.release(provider);
-            self.live -= 1;
-            removed += 1;
         }
         self.deadlines.extend(rearmed);
+        self.batch_deadlines.extend(rearmed_batches);
         removed
+    }
+
+    /// Settles one due `(key, provider index)`: removes the record if it
+    /// has expired by its live `received_at`.
+    fn settle(&mut self, key: Key, provider: u32, now: SimTime) -> Due {
+        // Gone if a back-dated twin deadline removed it already.
+        let Entry::Occupied(mut entry) = self.providers.entry(key) else { return Due::Gone };
+        let records = entry.get().records();
+        let Some(pos) = records.iter().position(|r| r.provider == provider) else {
+            return Due::Gone;
+        };
+        let record = records[pos];
+        if record.is_live(now, self.expiry) {
+            return Due::Live(record.expires_at(self.expiry));
+        }
+        if !entry.get_mut().remove(pos) {
+            entry.remove();
+        }
+        self.interned.release(provider);
+        self.live -= 1;
+        Due::Removed
     }
 
     /// Number of live provider-record entries (across all keys).
@@ -415,7 +527,8 @@ impl RecordStore {
 
     /// Estimated resident bytes of the provider table, for memory-per-node
     /// accounting: one map entry per key, the spill lists' capacity, the
-    /// pending deadlines, and each interned provider once. A logical
+    /// pending deadlines (a batch one with its key slice), and each
+    /// interned provider once. A logical
     /// estimate of the layout above — it ignores allocator and hash-table
     /// slack, so it is a pure function of the store's contents.
     pub fn bytes_estimate(&self) -> u64 {
@@ -428,9 +541,14 @@ impl RecordStore {
             + size_of::<(PeerId, u32)>()
             + size_of::<PeerInfo>()
             + 2 * 32;
+        /// A key slice's allocation beyond its keys: the two `Arc` counts.
+        const SLICE_HEADER: usize = 2 * size_of::<usize>();
         let mut total = size_of::<RecordStore>()
             + self.providers.len() * size_of::<(Key, Slot)>()
             + self.deadlines.len() * size_of::<Deadline>();
+        for Reverse((_, _, keys)) in &self.batch_deadlines {
+            total += size_of::<BatchDeadline>() + SLICE_HEADER + size_of_val(&**keys);
+        }
         for slot in self.providers.values() {
             if let Slot::Many(rs) = slot {
                 total += rs.capacity() * size_of::<Stored>();
@@ -509,14 +627,17 @@ mod tests {
     }
 
     impl Oracle {
-        fn add(&mut self, record: ProviderRecord) {
+        /// Returns whether the add is new or a back-dated refresh: the adds
+        /// that may queue a deadline.
+        fn add(&mut self, record: ProviderRecord) -> bool {
             let ProviderRecord { key, provider, addrs, received_at } = record;
             self.addrs.insert(provider.clone(), addrs);
             match self.rows.iter_mut().find(|(k, p, _)| *k == key && *p == provider) {
-                Some(row) => row.2 = received_at,
+                Some(row) => received_at < std::mem::replace(&mut row.2, received_at),
                 None => {
                     self.rows.push((key, provider, received_at));
                     self.stored += 1;
+                    true
                 }
             }
         }
@@ -644,9 +765,11 @@ mod tests {
                 sets.into_iter().map(|addrs| Arc::new(PeerInfo::new(peer(p), addrs))).collect()
             })
             .collect();
-        // One step: (op, key, provider, address set, hour, minute); op 4
-        // expires, 0–1 add by value, 2–3 add by shared handle, and every
-        // step reads each key back. Few keys and providers so refreshes,
+        // One step: (op, key, provider, address set, hour, minute, batch);
+        // op 4 expires, 0–1 add by value, 2–3 add by shared handle, 5 adds
+        // the batch's 0–8 keys (repeats allowed) under one shared key slice
+        // and handle, and every step reads each key back. The oracle
+        // applies a batch as one add per key. Few keys and providers so refreshes,
         // several providers per key, address changes and providers whose
         // last record expired (their slab index freed, then reused) are
         // all common; times are unordered across steps, so `received_at`
@@ -654,7 +777,10 @@ mod tests {
         proptest!(ProptestConfig::with_cases(64), |(
             expiry_hours in 1u64..48,
             steps in proptest::collection::vec(
-                (0u8..5, 0u64..12, 1usize..5, 0usize..3, 0u64..120, 0u64..60),
+                (
+                    (0u8..6, 0u64..12, 1usize..5, 0usize..3, 0u64..120, 0u64..60),
+                    proptest::collection::vec(0u64..12, 0..=8),
+                ),
                 1..200,
             ),
         )| {
@@ -663,7 +789,10 @@ mod tests {
             let mut oracle =
                 Oracle { rows: Vec::new(), addrs: HashMap::new(), expiry, stored: 0 };
             let mut slab_high_water = 0;
-            for (op, k, provider, addr_set, hour, minute) in steps {
+            // Adds that stored a record or back-dated one — a batch counts
+            // once however many of its keys did: each may queue one deadline.
+            let mut queued_bound = 0;
+            for ((op, k, provider, addr_set, hour, minute), batch) in steps {
                 let t = SimTime::ZERO + SimDuration::from_secs(hour * 3600 + minute * 60);
                 let info = &infos[provider][addr_set];
                 let r = ProviderRecord {
@@ -676,13 +805,23 @@ mod tests {
                     4 => prop_assert_eq!(store.expire(t), oracle.expire(t)),
                     0 | 1 => {
                         store.add_provider(r.clone());
-                        oracle.add(r);
+                        queued_bound += usize::from(oracle.add(r));
+                    }
+                    5 => {
+                        let keys: Arc<[Key]> = batch.iter().map(|&k| key(k)).collect();
+                        store.add_batch(&keys, info, t);
+                        let mut queues = false;
+                        for &k in keys.iter() {
+                            queues |= oracle.add(ProviderRecord { key: k, ..r.clone() });
+                        }
+                        queued_bound += usize::from(queues);
                     }
                     _ => {
                         store.add_provider_shared(key(k), info, t);
-                        oracle.add(r);
+                        queued_bound += usize::from(oracle.add(r));
                     }
                 }
+                prop_assert!(store.deadlines.len() + store.batch_deadlines.len() <= queued_bound);
                 prop_assert_eq!(store.provider_entry_count(), oracle.rows.len());
                 prop_assert_eq!(store.stored_provider_records, oracle.stored);
                 for k in 0..12 {
@@ -741,6 +880,78 @@ mod tests {
         assert_eq!(store.deadlines.len(), 1_000);
         assert_eq!(store.expire(hours(34)), 1_000);
         assert!(store.deadlines.is_empty());
+    }
+
+    #[test]
+    fn refresh_queues_no_deadline_batched() {
+        let mut store = RecordStore::new();
+        let providers: Vec<Arc<PeerInfo>> =
+            (0..4).map(|p| Arc::new(PeerInfo::new(peer(p), vec![addr(1)]))).collect();
+        let batches: Vec<Arc<[Key]>> =
+            (0..10u64).map(|b| (b * 100..(b + 1) * 100).map(key).collect()).collect();
+        for round in 0..=10u64 {
+            for (b, keys) in batches.iter().enumerate() {
+                store.add_batch(keys, &providers[b % 4], hours(round));
+            }
+        }
+        assert_eq!(store.provider_entry_count(), 1_000);
+        assert!(store.deadlines.is_empty());
+        assert_eq!(store.batch_deadlines.len(), 10, "one per batch; refreshes queued nothing");
+        // Popping the first-store deadlines re-arms them one for one, each
+        // still naming the batch's own key slice.
+        assert_eq!(store.expire(hours(30)), 0);
+        assert_eq!(store.batch_deadlines.len(), 10);
+        assert!(store
+            .batch_deadlines
+            .iter()
+            .all(|Reverse((_, _, d))| batches.iter().any(|keys| Arc::ptr_eq(keys, d))));
+        assert_eq!(store.expire(hours(34)), 1_000);
+        assert!(store.batch_deadlines.is_empty());
+    }
+
+    #[test]
+    fn batch_queues_one_deadline_for_the_keys_that_need_one() {
+        let mut store = RecordStore::new();
+        let provider = Arc::new(PeerInfo::new(peer(1), vec![]));
+        store.add_provider_shared(key(0), &provider, hours(10));
+        store.add_provider_shared(key(1), &provider, hours(1));
+        // Key 0 is back-dated, key 1 refreshed forward, key 2 new: one
+        // entry for keys 0 and 2.
+        let keys: Arc<[Key]> = [key(0), key(1), key(2)].into();
+        store.add_batch(&keys, &provider, hours(5));
+        assert_eq!(store.deadlines.len(), 2);
+        assert_eq!(store.batch_deadlines.len(), 1);
+        assert_eq!(&*store.batch_deadlines.peek().unwrap().0 .2, &[key(0), key(2)]);
+        assert_eq!(store.interned.get(0).records, 3);
+        // Every key refreshed forward: nothing queued.
+        store.add_batch(&keys, &provider, hours(6));
+        assert_eq!(store.deadlines.len() + store.batch_deadlines.len(), 3);
+        // The batch deadline (29 h) pops first and re-arms keys 0 and 2
+        // at 30 h; key 1's single deadline (25 h) re-arms it at 30 h too.
+        assert_eq!(store.expire(hours(29)), 0);
+        assert_eq!(store.expire(hours(30)), 3);
+        assert!(store.interned.index.is_empty());
+        // Key 0's first deadline (34 h) is a stale twin, harmless.
+        assert!(store.batch_deadlines.is_empty());
+        assert_eq!(store.expire(hours(34)), 0);
+        assert!(store.deadlines.is_empty());
+    }
+
+    #[test]
+    fn empty_batch_leaves_no_trace() {
+        let mut store = RecordStore::new();
+        let known = Arc::new(PeerInfo::new(peer(1), vec![]));
+        store.add_provider_shared(key(0), &known, SimTime::ZERO);
+        let (index, slab) = (store.interned.index.clone(), store.interned.slab.len());
+        let empty: Arc<[Key]> = Arc::new([]);
+        for provider in [known, Arc::new(PeerInfo::new(peer(2), vec![]))] {
+            store.add_batch(&empty, &provider, hours(1));
+            assert_eq!(store.interned.index, index);
+            assert_eq!(store.interned.slab.len(), slab);
+            assert!(store.interned.free.is_empty());
+            assert_eq!(store.deadlines.len(), 1);
+            assert!(store.batch_deadlines.is_empty());
+        }
     }
 
     #[test]
@@ -824,6 +1035,7 @@ mod tests {
     #[test]
     fn layout_budget() {
         assert_eq!(std::mem::size_of::<Deadline>(), 48);
+        assert!(std::mem::size_of::<BatchDeadline>() <= 32);
         assert!(std::mem::size_of::<Stored>() <= 16);
         assert!(std::mem::size_of::<(Key, Slot)>() <= 64);
         let mut store = RecordStore::new();
@@ -837,6 +1049,23 @@ mod tests {
         assert_eq!(store.provider_entry_count(), 10_000);
         assert!(
             store.bytes_estimate() / 10_000 <= 200,
+            "{} B/record",
+            store.bytes_estimate() / 10_000
+        );
+        // The same records as 100-key batches: one deadline per batch, and
+        // a record costs its map entry plus its 32 B share of a key slice.
+        let mut store = RecordStore::new();
+        let batches: Vec<Arc<[Key]>> =
+            (0..100u64).map(|b| (b * 100..(b + 1) * 100).map(key).collect()).collect();
+        for round in 0..=4u64 {
+            for (b, keys) in batches.iter().enumerate() {
+                store.add_batch(keys, &providers[b % 4], hours(round));
+            }
+        }
+        assert_eq!(store.provider_entry_count(), 10_000);
+        assert!(store.deadlines.len() + store.batch_deadlines.len() <= 100);
+        assert!(
+            store.bytes_estimate() / 10_000 <= 100,
             "{} B/record",
             store.bytes_estimate() / 10_000
         );

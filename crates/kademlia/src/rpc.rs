@@ -40,8 +40,11 @@ pub enum Request {
     /// instead of one ADD_PROVIDER per CID (go-ipfs's accelerated DHT
     /// client does the same to survive million-record reprovides).
     AddProviderBatch {
-        /// DHT keys of the provided CIDs (sorted by keyspace order).
-        keys: Vec<Key>,
+        /// DHT keys of the provided CIDs (sorted by keyspace order). One
+        /// shared slice: the sender hands the same `Arc` to each of the k
+        /// servers it stores at, and the receiving store keeps it as the
+        /// batch's expiry deadline.
+        keys: Arc<[Key]>,
         /// The provider and its addresses (shared across the batch).
         provider: Arc<PeerInfo>,
     },
@@ -150,7 +153,7 @@ mod tests {
         let provider =
             Arc::new(PeerInfo::new(multiformats::Keypair::from_seed(1).peer_id(), vec![]));
         assert!(!Request::AddProvider { key, provider: provider.clone() }.expects_response());
-        assert!(!Request::AddProviderBatch { keys: vec![key], provider }.expects_response());
+        assert!(!Request::AddProviderBatch { keys: Arc::new([key]), provider }.expects_response());
         assert!(Request::FindNode { target: key }.expects_response());
         assert!(Request::GetProviders { key }.expects_response());
     }
