@@ -1,27 +1,23 @@
 //! Throughput harness: simulator events/sec and DHT walks/sec.
 //!
 //! Not a paper artifact — this measures the *reproduction itself* so that
-//! performance PRs carry a recorded trajectory. Four sections per run:
+//! performance PRs carry a recorded trajectory. Two sections per run:
 //!
-//! 1. **routing** — a standing `RoutingTable` is hammered with `closest()`
-//!    calls on random targets (the FIND_NODE reply-set path, by far the
-//!    hottest routine in the simulator).
-//! 2. **sim** — a full `IpfsNetwork` runs publish/retrieve rounds; we
+//! 1. **sim** — a full `IpfsNetwork` runs publish/retrieve rounds; we
 //!    report discrete events processed per wall-clock second and completed
 //!    DHT walks per second, using the `obs` MetricsRegistry
 //!    (`dht_walk_rpcs` sample count) as the source of truth, plus the mean
 //!    logical bytes of per-node state (the SoA memory-pass metric).
-//! 3. **pdes** — the sharded cells (`ipfs_core::shardsim` on
+//! 2. **pdes** — the sharded cells (`ipfs_core::shardsim` on
 //!    `simnet::ShardedEngine`): the paper-population cell and the `huge`
 //!    (≥100k-node) cell, with `IPFS_REPRO_SHARDS` region shards. Every
 //!    deterministic output (events, order/metrics fingerprints,
 //!    bytes_per_node) is byte-identical at any shard count; only the
 //!    wall-clock rates may move.
-//! 4. **scheduler** — a microbench of the event queue itself: steady-state
-//!    schedule+pop churn at a fixed pending-set size, for both the
-//!    `BinaryHeap` reference and the timing-wheel scheduler the sim
-//!    sections run on — plus the sharded engine dispatching a synthetic
-//!    relay workload.
+//!
+//! Per-layer numbers (routing-table `closest()`, the timing wheel, the
+//! sharded engine's dispatch) come from the named probes of
+//! `ipfs-benchmark --trace 1` (`benchmark/README.md`), not from here.
 //!
 //! Full (non-smoke) runs repeat each cell three times and report the
 //! fastest repetition — min-of-N is robust to co-tenant noise — while
@@ -30,10 +26,8 @@
 //!
 //! Output goes to stdout and, when `IPFS_REPRO_CSV_DIR` is set, to
 //! `BENCH_throughput.json` via [`bench::BenchDoc`]: every section is a
-//! timed cell (`small`, `small_routing`, `paper_pdes`, `paper_pdes_build`,
-//! `sched_wheel_10000`, `sharded_relay`, …) whose `events` are what the
-//! section counts — sim events, `closest()` calls, nodes built,
-//! schedule+pop ops.
+//! timed cell (`small`, `paper_pdes`, `paper_pdes_build`, `huge`, …) whose
+//! `events` are what the section counts — sim events or nodes built.
 //!
 //! Flags:
 //! * `--smoke` — tiny fixed-size run for CI regression gating.
@@ -55,52 +49,19 @@
 use bench::{BenchDoc, RunConfig, Scale, ScaleConfig};
 use bytes::Bytes;
 use ipfs_core::{IpfsNetwork, NetworkConfig, ShardSim, ShardSimConfig};
-use kademlia::routing::{PeerInfo, RoutingTable, K};
-use kademlia::Key;
-use multiformats::Keypair;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use simnet::latency::{LatencyModel, VantagePoint};
-use simnet::{
-    EventQueue, Population, PopulationConfig, RegionEvent, SchedulerKind, ShardedEngine,
-    SimDuration, SimTime,
-};
+use simnet::latency::VantagePoint;
+use simnet::{Population, PopulationConfig, SimDuration};
 use std::time::Instant;
 
 /// One measured configuration.
 struct Cell {
     label: &'static str,
     population: usize,
-    closest_calls: usize,
     rounds: usize,
 }
 
-/// Routing-table section: `calls` `closest()` lookups against a table
-/// seeded from `population` random peers (the table self-limits to
-/// ~K·log(population) entries, as in a real node). Returns
-/// (table_size, entries_touched, elapsed, calls/sec).
-fn run_routing(cell: &Cell, seed: u64) -> (usize, usize, f64, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rt = RoutingTable::new(Key::from_peer(&Keypair::from_seed(seed).peer_id()));
-    for i in 0..cell.population {
-        let peer = Keypair::from_seed(seed.wrapping_add(1 + i as u64)).peer_id();
-        rt.insert(PeerInfo::new(peer, vec!["/ip4/127.0.0.1/tcp/4001".parse().unwrap()]));
-    }
-    let start = Instant::now();
-    let mut touched = 0usize;
-    for _ in 0..cell.closest_calls {
-        let mut raw = [0u8; 32];
-        for b in raw.iter_mut() {
-            *b = rng.random_range(0..=255u32) as u8;
-        }
-        touched += std::hint::black_box(rt.closest(&Key::from_bytes(raw), K)).len();
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    (rt.len(), touched, elapsed, cell.closest_calls as f64 / elapsed)
-}
-
-/// Deterministic result of the sim section (identical across scheduler
-/// implementations at the same seed), plus wall-clock rates.
+/// Deterministic result of the sim section (identical across repetitions
+/// and tracing on/off at the same seed), plus wall-clock rates.
 struct SimResult {
     events: u64,
     walks: usize,
@@ -183,27 +144,6 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
         events_per_sec: events as f64 / elapsed,
         walks_per_sec: walks as f64 / elapsed,
     }
-}
-
-/// Scheduler microbench: steady-state schedule+pop churn on an
-/// [`EventQueue`] holding `pending` events. Every iteration pops the
-/// earliest event and schedules a replacement at a random future delay, so
-/// the pending-set size stays constant. Returns the elapsed seconds for
-/// `2 * churn_ops` ops (one pop plus one schedule count as two).
-fn run_scheduler(kind: SchedulerKind, pending: usize, churn_ops: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed ^ (pending as u64).rotate_left(17));
-    let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
-    for i in 0..pending {
-        q.schedule(SimDuration::from_nanos(rng.random_range(0..60_000_000_000u64)), i as u64);
-    }
-    let start = Instant::now();
-    for _ in 0..churn_ops {
-        let ev = q.pop().expect("queue stays full");
-        q.schedule(SimDuration::from_nanos(rng.random_range(0..60_000_000_000u64)), ev.event);
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    std::hint::black_box(&q);
-    elapsed
 }
 
 /// One sharded-cell configuration (the struct-of-arrays PDES section).
@@ -291,61 +231,14 @@ fn measure_pdes(cell: &PdesCell, run: &RunConfig, digest: bool, doc: &mut BenchD
     doc.timed_cell(&format!("{}_build", cell.label), build_sec, cell.nodes as u64, &build);
 }
 
-/// A token circling the region ring — the sharded-engine microbench event.
-#[derive(Clone, Copy)]
-struct Relay {
-    region: u8,
-}
-
-impl RegionEvent for Relay {
-    fn region(&self) -> usize {
-        self.region as usize
-    }
-}
-
-/// Sharded-engine microbench: `tokens` relay tokens per region, each
-/// forwarding to the next region after exactly the lookahead delay — pure
-/// dispatch + window-synchronization overhead, no model work. Returns
-/// (events dispatched, elapsed seconds).
-fn run_sharded_relay(shards: usize, tokens: usize, sim_secs: u64, seed: u64) -> (u64, f64) {
-    let lookahead = LatencyModel::default().cross_region_lookahead();
-    let mut eng: ShardedEngine<Relay> = ShardedEngine::new(10, shards, lookahead, seed);
-    for region in 0..10u8 {
-        for _ in 0..tokens {
-            eng.seed_event(SimTime::ZERO, Relay { region });
-        }
-    }
-    let deadline = SimTime::ZERO + SimDuration::from_secs(sim_secs);
-    let mut states: Vec<()> = vec![(); shards];
-    let start = Instant::now();
-    let dispatched = eng.run_until(deadline, &mut states, &|_, ctx, _, ev| {
-        let hop = Relay { region: (ev.region + 1) % 10 };
-        ctx.schedule(ctx.lookahead(), hop);
-    });
-    (dispatched, start.elapsed().as_secs_f64().max(1e-9))
-}
-
-fn sched_name(kind: SchedulerKind) -> &'static str {
-    match kind {
-        SchedulerKind::Heap => "heap",
-        SchedulerKind::Wheel => "wheel",
-    }
-}
-
 fn measure(cell: &Cell, run: &RunConfig, digest: bool, reps: usize, doc: &mut BenchDoc) {
-    // Best-of-N: each section repeats and the fastest wall clock is
+    // Best-of-N: the sim cell repeats and the fastest wall clock is
     // reported (the usual noisy-box benchmarking discipline). The
     // deterministic fields double as a free reproducibility check: every
     // repetition must agree on them exactly.
     let (seed, dtrace) = (run.seed, run.dtrace);
-    let (table_size, touched, mut r_elapsed, mut calls_per_sec) = run_routing(cell, seed);
     let mut sim = run_sim(cell, seed, dtrace);
     for _ in 1..reps.max(1) {
-        let (ts, t, re, cps) = run_routing(cell, seed);
-        assert_eq!((ts, t), (table_size, touched), "routing section must be deterministic");
-        if re < r_elapsed {
-            (r_elapsed, calls_per_sec) = (re, cps);
-        }
         let rep = run_sim(cell, seed, dtrace);
         assert_eq!(
             (rep.events, rep.walks, rep.metrics_fnv, rep.bytes_per_node),
@@ -357,26 +250,15 @@ fn measure(cell: &Cell, run: &RunConfig, digest: bool, reps: usize, doc: &mut Be
         }
     }
     if digest {
-        // Only values that are a pure function of (seed, scale, scheduler
-        // equivalence) — nothing wall-clock derived.
+        // Only values that are a pure function of (seed, scale) — nothing
+        // wall-clock derived.
         println!(
-            "digest {}: table={} touched={} events={} walks={} metrics_fnv={:016x} \
-bytes_per_node={}",
-            cell.label,
-            table_size,
-            touched,
-            sim.events,
-            sim.walks,
-            sim.metrics_fnv,
-            sim.bytes_per_node
+            "digest {}: events={} walks={} metrics_fnv={:016x} bytes_per_node={}",
+            cell.label, sim.events, sim.walks, sim.metrics_fnv, sim.bytes_per_node
         );
         return;
     }
     println!("-- {} (population {}) --", cell.label, cell.population);
-    println!(
-        "routing: {} closest() calls over a {}-entry table in {:.3}s — {:.0} calls/s",
-        cell.closest_calls, table_size, r_elapsed, calls_per_sec
-    );
     println!(
         "sim: {} rounds, {} events, {} walks in {:.3}s — {:.0} events/s, {:.1} walks/s, \
 {} bytes/node",
@@ -387,13 +269,6 @@ bytes_per_node={}",
         sim.events_per_sec,
         sim.walks_per_sec,
         sim.bytes_per_node
-    );
-    let routing = format!("{{\"population\": {}, \"table_size\": {table_size}}}", cell.population);
-    doc.timed_cell(
-        &format!("{}_routing", cell.label),
-        r_elapsed,
-        cell.closest_calls as u64,
-        &routing,
     );
     let result = format!(
         "{{\"population\": {}, \"rounds\": {}, \"walks\": {}, \"bytes_per_node\": {}}}",
@@ -408,7 +283,7 @@ bytes_per_node={}",
 /// perturbs). Best-of-3 each to shed co-tenant noise.
 fn run_overhead_check(seed: u64) {
     const REPS: usize = 3;
-    let cell = Cell { label: "smoke", population: 500, closest_calls: 0, rounds: 40 };
+    let cell = Cell { label: "smoke", population: 500, rounds: 40 };
     let best = |dtrace: bool| {
         let mut best = run_sim(&cell, seed, dtrace);
         for _ in 1..REPS {
@@ -451,15 +326,13 @@ fn main() {
         return;
     }
     let cells: Vec<Cell> = if smoke {
-        vec![Cell { label: "smoke", population: 500, closest_calls: 20_000, rounds: 40 }]
+        vec![Cell { label: "smoke", population: 500, rounds: 40 }]
     } else {
-        let mut cells =
-            vec![Cell { label: "small", population: 1_500, closest_calls: 200_000, rounds: 150 }];
+        let mut cells = vec![Cell { label: "small", population: 1_500, rounds: 150 }];
         if run.scale == Scale::Paper {
             cells.push(Cell {
                 label: "paper",
                 population: ScaleConfig::resolve(run.scale).population,
-                closest_calls: 200_000,
                 rounds: 40,
             });
         }
@@ -502,44 +375,6 @@ fn main() {
         // tracing on/off; rates and JSON export would only add noise.
         return;
     }
-
-    // Scheduler microbench: heap vs wheel at fixed pending-set sizes.
-    let sched_cells: &[(usize, usize)] =
-        if smoke { &[(10_000, 50_000)] } else { &[(10_000, 200_000), (1_000_000, 200_000)] };
-    for &(pending, churn_ops) in sched_cells {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let elapsed = run_scheduler(kind, pending, churn_ops, seed);
-            let ops = 2 * churn_ops as u64;
-            println!(
-                "scheduler: {} with {} pending — {:.0} schedule+pop ops/s",
-                sched_name(kind),
-                pending,
-                ops as f64 / elapsed
-            );
-            doc.timed_cell(
-                &format!("sched_{}_{pending}", sched_name(kind)),
-                elapsed,
-                ops,
-                &format!("{{\"impl\": \"{}\", \"pending\": {pending}}}", sched_name(kind)),
-            );
-        }
-    }
-    // The sharded engine on a pure relay workload: dispatch + window
-    // synchronization overhead with no model work in the handler.
-    let (relay_tokens, relay_secs) = if smoke { (256, 1) } else { (1_024, 2) };
-    let (relay_events, relay_elapsed) = run_sharded_relay(shards, relay_tokens, relay_secs, seed);
-    println!(
-        "scheduler: sharded relay ({shards} shards, {} tokens) — {:.0} events/s",
-        relay_tokens * 10,
-        relay_events as f64 / relay_elapsed
-    );
-    doc.timed_cell(
-        "sharded_relay",
-        relay_elapsed,
-        relay_events,
-        &format!("{{\"shards\": {shards}, \"tokens\": {}}}", relay_tokens * 10),
-    );
-
     if let Some(path) = doc.write() {
         println!("wrote {}", path.display());
     }

@@ -73,11 +73,12 @@ fn tool_line(program: &str, args: &[&str]) -> String {
 
 /// The one `BENCH_<harness>.json` shape (example in DESIGN.md §7):
 /// top-level `harness`, `seed`, `provenance` and `cells[{label, result}]`.
-/// `provenance` is a single line — commit, toolchain, core count and the
-/// parsed knobs (the export directory is where the file is) — so a
-/// byte-identity check drops it with `grep -v`. `wall_sec`, `events` and
-/// `events_per_sec` appear only on cells a harness timed; `result` holds
-/// the cell's deterministic output.
+/// `provenance` is a single line — commit, toolchain, core count, the
+/// SHA-256 kernel that ran (`sha-ni` or `portable`, ≈ 5× apart in
+/// data-plane wall-clock) and the parsed knobs (the export directory is
+/// where the file is) — so a byte-identity check drops it with `grep -v`.
+/// `wall_sec`, `events` and `events_per_sec` appear only on cells a
+/// harness timed; `result` holds the cell's deterministic output.
 #[derive(Debug, Clone)]
 pub struct BenchDoc {
     harness: String,
@@ -119,12 +120,13 @@ impl BenchDoc {
         let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
         format!(
             "{{\n  \"harness\": \"{}\",\n  \"seed\": {},\n  \"provenance\": {{\"git_commit\": {:?}, \
-             \"rustc\": {:?}, \"nproc\": {nproc}, \"scale\": {:?}, \"jobs\": {}, \"shards\": {}, \
-             \"dtrace\": {}}},\n  \"cells\": [\n{}\n  ]\n}}\n",
+             \"rustc\": {:?}, \"nproc\": {nproc}, \"sha256\": {:?}, \"scale\": {:?}, \"jobs\": {}, \
+             \"shards\": {}, \"dtrace\": {}}},\n  \"cells\": [\n{}\n  ]\n}}\n",
             self.harness,
             self.run.seed,
             tool_line("git", &["rev-parse", "HEAD"]),
             tool_line("rustc", &["--version"]),
+            multiformats::sha256::backend(),
             format!("{:?}", self.run.scale).to_lowercase(),
             self.run.jobs,
             self.run.shards,
@@ -362,9 +364,11 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[..3], ["{", "  \"harness\": \"unit\",", "  \"seed\": 7,"]);
         assert!(lines[3].starts_with("  \"provenance\": {\"git_commit\": \""), "{}", lines[3]);
-        for key in ["rustc", "nproc", "scale", "jobs\": 3", "shards", "dtrace"] {
+        for key in ["rustc", "nproc", "sha256", "scale", "jobs\": 3", "shards", "dtrace"] {
             assert!(lines[3].contains(&format!("\"{key}")), "{key} missing: {}", lines[3]);
         }
+        let kernel = format!("\"sha256\": \"{}\"", multiformats::sha256::backend());
+        assert!(lines[3].contains(&kernel), "{kernel} missing: {}", lines[3]);
         assert!(lines[3].ends_with("},"), "provenance is one line: {}", lines[3]);
         assert_eq!(lines[4], "  \"cells\": [");
         assert_eq!(lines[5], "    {\"label\": \"plain\", \"result\": {\"ok\": true}},");

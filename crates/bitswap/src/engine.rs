@@ -133,18 +133,6 @@ impl MessageCounts {
         }
     }
 
-    /// `(label, count)` pairs for export into a metrics registry.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 6] {
-        [
-            ("WANT_HAVE", self.want_have),
-            ("HAVE", self.have),
-            ("DONT_HAVE", self.dont_have),
-            ("WANT_BLOCK", self.want_block),
-            ("BLOCK", self.block),
-            ("CANCEL", self.cancel),
-        ]
-    }
-
     /// Total messages counted.
     pub fn total(&self) -> u64 {
         self.want_have + self.have + self.dont_have + self.want_block + self.block + self.cancel

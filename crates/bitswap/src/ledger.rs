@@ -67,11 +67,6 @@ impl Ledger {
         self.entries.values().map(|e| e.sent).sum()
     }
 
-    /// Total bytes received across all partners.
-    pub fn total_received(&self) -> u64 {
-        self.entries.values().map(|e| e.received).sum()
-    }
-
     /// Number of partners with any traffic.
     pub fn partners(&self) -> usize {
         self.entries.len()

@@ -142,16 +142,6 @@ impl FaultOracle {
     pub fn partitions_active(&self) -> usize {
         self.partitions.len()
     }
-
-    /// Number of currently active link degradations.
-    pub fn degradations_active(&self) -> usize {
-        self.degradations.len()
-    }
-
-    /// Number of currently active dial-failure spikes.
-    pub fn dial_spikes_active(&self) -> usize {
-        self.dial_spikes.len()
-    }
 }
 
 #[cfg(test)]

@@ -259,12 +259,6 @@ impl GatewayWorkload {
         requests.sort_by_key(|r| r.at);
         GatewayWorkload { objects, user_countries, requests, config }
     }
-
-    /// Total bytes across all requests (paper: 6.57 TB for the full-scale
-    /// trace).
-    pub fn total_request_bytes(&self) -> u64 {
-        self.requests.iter().map(|r| self.objects[r.object].size).sum()
-    }
 }
 
 /// Cumulative Zipf weights for `n` items with exponent `s`.

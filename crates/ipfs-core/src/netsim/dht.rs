@@ -508,22 +508,6 @@ impl IpfsNetwork {
         }
     }
 
-    /// Sweeps every node's provider store, dropping records past the 24 h
-    /// expiry (§3.1) and metering them; returns how many were removed.
-    /// The periodic table-refresh tick does this automatically when
-    /// [`super::NetworkConfig::table_refresh_interval`] is set. Each store
-    /// pops its deadline heap, so a node with nothing due costs one peek,
-    /// not a scan of its records.
-    pub fn sweep_provider_records(&mut self) -> usize {
-        let now = self.now();
-        let mut removed = 0;
-        for n in &mut self.nodes {
-            removed += n.node.dht.expire_records(now);
-        }
-        self.metrics.add(names::PROVIDER_RECORDS_EXPIRED, removed as u64);
-        removed
-    }
-
     /// Whether any online node currently holds an unexpired provider
     /// record for `cid` — record availability as an omniscient DHT-state
     /// probe (no walks run, no virtual time spent).

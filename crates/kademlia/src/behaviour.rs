@@ -197,11 +197,6 @@ impl DhtBehaviour {
         &self.store
     }
 
-    /// Mutable access to the record store (used by republish logic).
-    pub fn store_mut(&mut self) -> &mut RecordStore {
-        &mut self.store
-    }
-
     /// Drops expired provider records (24 h expiry, paper §3.1) and
     /// returns how many were removed, so drivers can meter expiries.
     pub fn expire_records(&mut self, now: SimTime) -> usize {

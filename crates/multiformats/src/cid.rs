@@ -272,4 +272,30 @@ mod tests {
         bytes.push(0);
         assert!(Cid::from_bytes(&bytes).is_err());
     }
+
+    /// Arbitrary bytes never panic the decoder, and every value it accepts
+    /// re-encodes to bytes that decode back to an equal value. Valid v0 and
+    /// v1 encodings with one byte overwritten reach the `Ok` path that
+    /// random bytes seldom do.
+    #[test]
+    fn proptest_from_bytes_survives_arbitrary_input() {
+        use proptest::prelude::*;
+        let hash = Multihash::sha2_256(b"valid");
+        let v0 = Cid::new_v0(hash.clone()).unwrap().to_bytes();
+        let v1 = Cid::new_v1(Multicodec::DagPb, hash).to_bytes();
+        proptest!(ProptestConfig::with_cases(256), |(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        )| {
+            let (mut m0, mut m1) = (v0.clone(), v1.clone());
+            m0[at % v0.len()] = byte;
+            m1[at % v1.len()] = byte;
+            for input in [&bytes, &m0, &m1] {
+                if let Ok(cid) = Cid::from_bytes(input) {
+                    prop_assert_eq!(Cid::from_bytes(&cid.to_bytes()).unwrap(), cid);
+                }
+            }
+        });
+    }
 }

@@ -110,11 +110,6 @@ impl Multiaddr {
         Multiaddr { components: Vec::new() }
     }
 
-    /// Builds a multiaddress from components.
-    pub fn from_components(components: Vec<Protocol>) -> Multiaddr {
-        Multiaddr { components }
-    }
-
     /// Convenience constructor for the common `/ip4/<a>/tcp/<p>` shape.
     pub fn ip4_tcp(addr: Ipv4Addr, port: u16) -> Multiaddr {
         Multiaddr { components: vec![Protocol::Ip4(addr), Protocol::Tcp(port)] }
@@ -423,5 +418,31 @@ mod tests {
         let ma = Multiaddr::parse("/ip4/4.3.2.1/tcp/80").unwrap();
         assert_eq!(ma.ip(), Some("4.3.2.1".parse().unwrap()));
         assert_eq!(Multiaddr::empty().ip(), None);
+    }
+
+    /// Arbitrary bytes never panic the decoder, and every value it accepts
+    /// re-encodes to bytes that decode back to an equal value. A valid
+    /// encoding with one byte overwritten reaches the `Ok` path that random
+    /// bytes seldom do.
+    #[test]
+    fn proptest_from_bytes_survives_arbitrary_input() {
+        use proptest::prelude::*;
+        let peer = Keypair::from_seed(1).peer_id();
+        let valid = Multiaddr::parse(&format!("/dns4/example.com/tcp/4001/ws/p2p/{peer}"))
+            .unwrap()
+            .to_bytes();
+        proptest!(ProptestConfig::with_cases(256), |(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        )| {
+            let mut mutated = valid.clone();
+            mutated[at % valid.len()] = byte;
+            for input in [&bytes, &mutated] {
+                if let Ok(ma) = Multiaddr::from_bytes(input) {
+                    prop_assert_eq!(Multiaddr::from_bytes(&ma.to_bytes()).unwrap(), ma);
+                }
+            }
+        });
     }
 }

@@ -251,4 +251,27 @@ mod tests {
         assert!(first.verify(b"a"));
         assert!(second.verify(b"b"));
     }
+
+    /// Arbitrary bytes never panic the decoder, and every value it accepts
+    /// re-encodes to bytes that decode back to an equal value. A valid
+    /// encoding with one byte overwritten reaches the `Ok` path that random
+    /// bytes seldom do.
+    #[test]
+    fn proptest_from_bytes_survives_arbitrary_input() {
+        use proptest::prelude::*;
+        let valid = Multihash::sha2_256(b"valid").to_bytes();
+        proptest!(ProptestConfig::with_cases(256), |(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        )| {
+            let mut mutated = valid.clone();
+            mutated[at % valid.len()] = byte;
+            for input in [&bytes, &mutated] {
+                if let Ok(mh) = Multihash::from_bytes(input) {
+                    prop_assert_eq!(Multihash::from_bytes(&mh.to_bytes()).unwrap(), mh);
+                }
+            }
+        });
+    }
 }

@@ -6,25 +6,19 @@
 //! layer defines its own event enum (message deliveries, timer fires, churn
 //! transitions) and a handler callback.
 //!
-//! Two scheduler implementations sit behind [`EventQueue`]:
+//! [`EventQueue`] runs on a hierarchical timing wheel
+//! (hashed-and-hierarchical, calendar-queue style): [`LEVELS`] levels of
+//! [`SLOTS`] slots each, ~1.05 ms granularity at level 0, each level 256×
+//! coarser (level 0 spans ~0.27 s, level 1 ~69 s, level 2 ~4.9 h, level 3
+//! ~52 days … level 5 the whole `u64` nanosecond range). `schedule` is
+//! O(1); `pop` amortizes slot drains and cascades over the events they
+//! move. Dispatch order is **exactly** the reference `(time, seq)` order:
+//! a drained level-0 slot is sorted before it reaches the ready buffer,
+//! and coarser slots cascade down before anything inside them can fire.
 //!
-//! * [`SchedulerKind::Wheel`] — what [`EventQueue::new`] and every
-//!   simulation run on: a hierarchical timing wheel
-//!   (hashed-and-hierarchical, calendar-queue style): [`LEVELS`] levels of
-//!   [`SLOTS`] slots each, ~1.05 ms granularity at level 0, each level 256×
-//!   coarser (level 0 spans ~0.27 s, level 1 ~69 s, level 2 ~4.9 h, level 3
-//!   ~52 days … level 5 the whole `u64` nanosecond range). `schedule` is
-//!   O(1); `pop` amortizes slot drains and cascades over the events they
-//!   move. Dispatch order is **exactly** the reference `(time, seq)` order:
-//!   a drained level-0 slot is sorted before it reaches the ready buffer,
-//!   and coarser slots cascade down before anything inside them can fire.
-//! * [`SchedulerKind::Heap`] — the original binary-heap scheduler, kept as
-//!   the reference the wheel is property-tested and microbenchmarked
-//!   against. It is reachable only through an explicit
-//!   [`EventQueue::with_scheduler`]; nothing selects it at run time.
-//!
-//! Both implementations produce identical pop sequences (property-tested
-//! below).
+//! The original binary-heap scheduler survives only in test builds, as the
+//! oracle the wheel is property-tested against: the tests below run every
+//! queue program on both and require identical pop sequences.
 //!
 //! [`EventQueue::schedule_cancellable`] returns a [`TimerId`] that can be
 //! O(1)-cancelled later: the entry is tombstoned and physically removed
@@ -35,8 +29,7 @@
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// An event queued for a future instant.
 #[derive(Debug, Clone)]
@@ -73,10 +66,13 @@ impl<E> Ord for ScheduledEvent<E> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
-/// Which scheduler backs an [`EventQueue`].
+/// Which scheduler backs an [`EventQueue`]. Only the timing wheel ships;
+/// test builds add the heap oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Reference `BinaryHeap` scheduler (O(log n) schedule/pop).
+    /// Reference `BinaryHeap` scheduler (O(log n) schedule/pop), the test
+    /// oracle.
+    #[cfg(test)]
     Heap,
     /// Hierarchical timing wheel (O(1) schedule, amortized pop).
     Wheel,
@@ -268,43 +264,24 @@ impl<E> TimerWheel<E> {
         self.advance_ready();
         self.ready.pop_front()
     }
-}
 
-/// The physical scheduler behind an [`EventQueue`].
-#[derive(Debug)]
-enum SchedulerImpl<E> {
-    Reference(BinaryHeap<Reverse<ScheduledEvent<E>>>),
-    Wheel(TimerWheel<E>),
-}
-
-impl<E> SchedulerImpl<E> {
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        match self {
-            SchedulerImpl::Reference(heap) => heap.push(Reverse(ev)),
-            SchedulerImpl::Wheel(wheel) => wheel.push(ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        match self {
-            SchedulerImpl::Reference(heap) => heap.pop().map(|Reverse(ev)| ev),
-            SchedulerImpl::Wheel(wheel) => wheel.pop(),
-        }
-    }
-
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            SchedulerImpl::Reference(heap) => heap.peek().map(|Reverse(e)| (e.at, e.seq)),
-            SchedulerImpl::Wheel(wheel) => wheel.peek(),
-        }
+    fn kind(&self) -> SchedulerKind {
+        SchedulerKind::Wheel
     }
 }
+
+/// The scheduler behind an [`EventQueue`]: the timing wheel itself. Test
+/// builds substitute an enum that can also run the heap oracle.
+#[cfg(not(test))]
+type Scheduler<E> = TimerWheel<E>;
+#[cfg(test)]
+use tests::Scheduler;
 
 /// The pending-event queue. Split from [`Engine`] so event handlers can
 /// schedule follow-up events while the engine is mid-dispatch.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    sched: SchedulerImpl<E>,
+    sched: Scheduler<E>,
     next_seq: u64,
     now: SimTime,
     /// Logical pending count (excludes cancelled-but-not-yet-removed).
@@ -328,10 +305,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue at time zero on an explicit scheduler.
+    /// Outside test builds the only kind is the wheel, so this is
+    /// [`EventQueue::new`].
     pub fn with_scheduler(kind: SchedulerKind) -> Self {
         let sched = match kind {
-            SchedulerKind::Heap => SchedulerImpl::Reference(BinaryHeap::new()),
-            SchedulerKind::Wheel => SchedulerImpl::Wheel(TimerWheel::new()),
+            SchedulerKind::Wheel => Scheduler::new(),
+            #[cfg(test)]
+            SchedulerKind::Heap => Scheduler::heap(),
         };
         EventQueue {
             sched,
@@ -345,10 +325,7 @@ impl<E> EventQueue<E> {
 
     /// Which scheduler implementation backs this queue.
     pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self.sched {
-            SchedulerImpl::Reference(_) => SchedulerKind::Heap,
-            SchedulerImpl::Wheel(_) => SchedulerKind::Wheel,
-        }
+        self.sched.kind()
     }
 
     /// Current virtual time (time of the most recently popped event).
@@ -539,6 +516,54 @@ impl<E> Engine<E> {
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Test builds' scheduler: the shipped wheel, or the original
+    /// `BinaryHeap` scheduler as the reference it must match pop for pop.
+    #[derive(Debug)]
+    pub(super) enum Scheduler<E> {
+        Heap(BinaryHeap<Reverse<ScheduledEvent<E>>>),
+        Wheel(TimerWheel<E>),
+    }
+
+    impl<E> Scheduler<E> {
+        pub(super) fn new() -> Self {
+            Scheduler::Wheel(TimerWheel::new())
+        }
+
+        pub(super) fn heap() -> Self {
+            Scheduler::Heap(BinaryHeap::new())
+        }
+
+        pub(super) fn kind(&self) -> SchedulerKind {
+            match self {
+                Scheduler::Heap(_) => SchedulerKind::Heap,
+                Scheduler::Wheel(wheel) => wheel.kind(),
+            }
+        }
+
+        pub(super) fn push(&mut self, ev: ScheduledEvent<E>) {
+            match self {
+                Scheduler::Heap(heap) => heap.push(Reverse(ev)),
+                Scheduler::Wheel(wheel) => wheel.push(ev),
+            }
+        }
+
+        pub(super) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+            match self {
+                Scheduler::Heap(heap) => heap.pop().map(|Reverse(ev)| ev),
+                Scheduler::Wheel(wheel) => wheel.pop(),
+            }
+        }
+
+        pub(super) fn peek(&mut self) -> Option<(SimTime, u64)> {
+            match self {
+                Scheduler::Heap(heap) => heap.peek().map(|Reverse(e)| (e.at, e.seq)),
+                Scheduler::Wheel(wheel) => wheel.peek(),
+            }
+        }
+    }
 
     /// Runs `f` once per scheduler implementation.
     fn for_each_kind(f: impl Fn(SchedulerKind)) {

@@ -169,12 +169,6 @@ impl Population {
         self.peers.iter().filter(|p| p.is_dht_server()).count()
     }
 
-    /// Distinct IP count (primary addresses).
-    pub fn distinct_ips(&self) -> usize {
-        let set: std::collections::HashSet<_> = self.peers.iter().map(|p| p.host.ip).collect();
-        set.len()
-    }
-
     /// Histogram of PeerIDs per IP, for Figure 7c.
     pub fn peers_per_ip(&self) -> Vec<usize> {
         let mut map: std::collections::HashMap<std::net::Ipv4Addr, usize> =

@@ -226,11 +226,6 @@ impl<E: RegionEvent + Send> ShardedEngine<E> {
         self.info.regions
     }
 
-    /// The shard that owns `region`.
-    pub fn shard_of(&self, region: usize) -> usize {
-        region % self.info.shards
-    }
-
     /// The conservative lookahead.
     pub fn lookahead(&self) -> SimDuration {
         self.info.lookahead

@@ -168,6 +168,9 @@ gate "dtrace overhead (tracing throughput budget, both sides measured in this ru
 ./target/release/throughput --overhead-check
 
 gate "throughput smoke (every section runs and exports)"
+# Both sections — the netsim sim cell and the sharded pdes cells — run at
+# smoke size and write BENCH_throughput.json. Per-layer numbers are not
+# timed here: they are the probes of `ipfs-benchmark --trace 1`.
 IPFS_REPRO_CSV_DIR="$TMP/bench" ./target/release/throughput --smoke > /dev/null
 
 gate "chaos smoke (fault-injection determinism gate)"
