@@ -4,7 +4,7 @@
 //! (§3.1) and IPNS (§3.3) end with.
 
 use super::obs_hooks::request_kind;
-use super::{IpfsNetwork, NetEvent, NodeId};
+use super::{IpfsNetwork, NetEvent, NodeId, SimNode};
 use crate::config::{
     BOOTSTRAP_NEAR_PEERS, BOOTSTRAP_RANDOM_PEERS, RPC_TIMEOUT, SERVER_PROCESSING, STALE_DIAL_PROB,
 };
@@ -15,11 +15,12 @@ use kademlia::behaviour::{DhtOutput, QueryId};
 use kademlia::query::QueryTarget;
 use kademlia::routing::PeerInfo;
 use kademlia::rpc::{Request, Response};
-use kademlia::{Distance, Key};
+use kademlia::Key;
 use multiformats::{Cid, PeerId};
 use rand::Rng;
 use simnet::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The DHT driver's state beyond the nodes' own behaviours.
@@ -30,11 +31,110 @@ pub(super) struct DhtState {
     /// Outstanding query RPCs by (requester, query, target DHT key), for
     /// stale-timeout suppression.
     pending_rpcs: HashSet<(NodeId, QueryId, Key)>,
-    /// All DHT servers sorted by key, each with its shared identity (the
-    /// same `Arc` as its node's `info()`) — used by the join-time
-    /// announcement (each churn-online event re-inserts the peer near its
-    /// key, the effect a real node's bootstrap self-lookup has).
-    sorted_servers: Vec<(Key, NodeId, Arc<PeerInfo>)>,
+    /// All DHT servers sorted by key, online or not — used by the
+    /// join-time announcement (each churn-online event re-inserts the peer
+    /// near its key, the effect a real node's bootstrap self-lookup has)
+    /// and by catalog seeding.
+    sorted_servers: ServerIndex,
+    /// The neighbourhood kernel's scratch buffer, reused by every join
+    /// and every seeded record.
+    nearby: Vec<(u64, u32)>,
+}
+
+/// Peers sorted by key, as parallel columns: the neighbourhood kernel
+/// scans the dense keys, and a peer's shared identity (the same `Arc` as
+/// its node's `info()`) is read only when a table stores it.
+#[derive(Default)]
+struct ServerIndex {
+    keys: Vec<Key>,
+    ids: Vec<NodeId>,
+    infos: Vec<Arc<PeerInfo>>,
+}
+
+impl ServerIndex {
+    /// The nodes `pick` accepts, sorted by key (`keys[i]` is node `i`'s).
+    fn build(
+        nodes: &[SimNode],
+        keys: &[Key],
+        mut pick: impl FnMut(NodeId, &SimNode) -> bool,
+    ) -> ServerIndex {
+        let mut sorted: Vec<(Key, NodeId)> =
+            (0..nodes.len()).filter(|&i| pick(i, &nodes[i])).map(|i| (keys[i], i)).collect();
+        // Ties on the key (impossible for SHA-256 keys) fall back to the
+        // node id, so this equals a stable sort by key.
+        sorted.sort_unstable();
+        let infos = sorted.iter().map(|&(_, i)| Arc::clone(nodes[i].node.info())).collect();
+        let (keys, ids) = sorted.into_iter().unzip();
+        ServerIndex { keys, ids, infos }
+    }
+}
+
+/// The top 64 bits of the XOR distance between `a` and `b`.
+fn distance_prefix(a: &Key, b: &Key) -> u64 {
+    let head = |k: &Key| u64::from_be_bytes(k.0[..8].try_into().expect("a key has 32 bytes"));
+    head(a) ^ head(b)
+}
+
+/// The `width` entries of `keys` (sorted) on either side of `target`'s
+/// position: XOR-near implies a shared prefix implies numeric adjacency.
+fn window(keys: &[Key], target: &Key, width: usize) -> Range<usize> {
+    let pos = keys.partition_point(|k| k < target);
+    pos.saturating_sub(width)..(pos + width).min(keys.len())
+}
+
+/// The smallest subtree of the key space around `target` that holds at
+/// least `k` of `keys` (sorted), as a range of `keys`; all of `keys` if
+/// it holds fewer. Every key inside the subtree is XOR-closer to `target`
+/// than every key outside it, so the `k` nearest lie within. Each step
+/// halves the range by the next bit of `target`: the keys in range share
+/// all bits above it with `target`, so they are sorted by that bit.
+fn subtree(keys: &[Key], target: &Key, k: usize) -> Range<usize> {
+    let bit = |key: &Key, i: usize| key.0[i / 8] >> (7 - i % 8) & 1 == 1;
+    let mut range = 0..keys.len();
+    for i in 0..256 {
+        let mid = range.start + keys[range.clone()].partition_point(|key| !bit(key, i));
+        let half = if bit(target, i) { mid..range.end } else { range.start..mid };
+        if half.len() < k {
+            break;
+        }
+        range = half;
+    }
+    range
+}
+
+/// The neighbourhood kernel: leaves in `near` the `count` entries of
+/// `keys[range]` (`keys` sorted) XOR-closest to `target` among those
+/// `keep` accepts, nearest first, as (top 64 bits of the distance, index
+/// into `keys`). One buffer serves every query, so nothing is allocated
+/// once it has grown. The order is exactly a stable sort by distance:
+/// the 64-bit prefix decides unless two prefixes tie, the full 256-bit
+/// distance decides those, and only equal keys fall back to the index,
+/// which is the stable sort's own tie-break.
+fn nearest(
+    keys: &[Key],
+    range: Range<usize>,
+    target: &Key,
+    count: usize,
+    mut keep: impl FnMut(usize) -> bool,
+    near: &mut Vec<(u64, u32)>,
+) {
+    assert!(u32::try_from(keys.len()).is_ok(), "a key index fits the buffer's u32");
+    near.clear();
+    near.extend(range.filter(|&j| keep(j)).map(|j| (distance_prefix(&keys[j], target), j as u32)));
+    let closer = |a: &(u64, u32), b: &(u64, u32)| {
+        a.0.cmp(&b.0)
+            .then_with(|| {
+                keys[a.1 as usize].distance(target).cmp(&keys[b.1 as usize].distance(target))
+            })
+            .then(a.1.cmp(&b.1))
+    };
+    if near.len() > count {
+        if count > 0 {
+            near.select_nth_unstable_by(count - 1, closer);
+        }
+        near.truncate(count);
+    }
+    near.sort_unstable_by(closer);
 }
 
 /// What a fire-and-forget store RPC carries to its target. The sender
@@ -52,36 +152,20 @@ pub(super) enum Store {
     Value { key: Key, value: Arc<[u8]> },
 }
 
-/// The `count` servers XOR-closest to `key` among the `window` entries on
-/// either side of its position in `servers` (sorted by key), skipping `id`.
-fn nearest_in_window(
-    servers: &[(Key, NodeId)],
-    key: &Key,
-    id: NodeId,
-    window: usize,
-    count: usize,
-) -> impl Iterator<Item = NodeId> {
-    let pos = servers.partition_point(|(k, _)| k.0 < key.0);
-    let (lo, hi) = (pos.saturating_sub(window), (pos + window).min(servers.len()));
-    let mut near: Vec<(Distance, NodeId)> = servers[lo..hi]
-        .iter()
-        .filter(|(_, sid)| *sid != id)
-        .map(|(k, sid)| (k.distance(key), *sid))
-        .collect();
-    near.sort_by_key(|a| a.0);
-    near.into_iter().take(count).map(|(_, sid)| sid)
-}
-
 impl IpfsNetwork {
     /// Fills every node's routing table the way a converged network would
     /// have it: the k XOR-nearest servers (found via a numeric-neighbour
-    /// window, since XOR-near implies a shared prefix implies numeric
-    /// adjacency) plus random far servers to populate the top buckets.
+    /// window) plus random far servers to populate the top buckets.
     /// Each server is also inserted into the tables of the servers nearest
     /// to *its* key — the effect a real node's join-time self-lookup has —
     /// so peer walks (§3.2) can resolve PeerIDs to addresses.
     pub(super) fn oracle_bootstrap(&mut self) {
         let near = BOOTSTRAP_NEAR_PEERS;
+        let keys: Vec<Key> = self.nodes.iter().map(|n| n.node.info().key()).collect();
+        // The full server list, independent of t=0 online status, serves
+        // join-time announcements and catalog seeding during the run —
+        // also in a world where no server is online yet.
+        self.dht.sorted_servers = ServerIndex::build(&self.nodes, &keys, |_, n| n.is_server);
         // Which peers may appear in routing tables: servers only (§2.3),
         // unless the client/server-split ablation is on.
         let include_clients = self.cfg.clients_in_routing_tables;
@@ -89,53 +173,40 @@ impl IpfsNetwork {
         // network's tables are kept fresh by query traffic and failure
         // eviction, so at any instant they are dominated by live peers.
         // Staleness then accumulates realistically as peers churn off.
-        let mut servers: Vec<(Key, NodeId)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| (n.is_server || include_clients) && self.online[i])
-            .map(|(i, n)| (n.node.info().key(), i))
-            .collect();
-        servers.sort_by_key(|a| a.0 .0);
-        if servers.is_empty() {
+        let online = &self.online;
+        let seeds = ServerIndex::build(&self.nodes, &keys, |i, n| {
+            (n.is_server || include_clients) && online[i]
+        });
+        if seeds.keys.is_empty() {
             return;
         }
-        // Shared handles only — bumping a refcount per node instead of
-        // deep-copying every identity and address list up front.
-        let infos: Vec<Arc<PeerInfo>> =
-            self.nodes.iter().map(|n| Arc::clone(n.node.info())).collect();
 
-        for id in 0..self.nodes.len() {
-            let own_key = self.nodes[id].node.info().key();
-            for sid in nearest_in_window(&servers, &own_key, id, 3 * near, near) {
-                self.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
+        let mut nearby = Vec::new();
+        for (id, own_key) in keys.iter().enumerate() {
+            let range = window(&seeds.keys, own_key, 3 * near);
+            nearest(&seeds.keys, range, own_key, near, |j| seeds.ids[j] != id, &mut nearby);
+            let dht = &mut self.nodes[id].node.dht;
+            for &(_, j) in &nearby {
+                dht.add_server(seeds.keys[j as usize], &seeds.infos[j as usize]);
             }
             for _ in 0..BOOTSTRAP_RANDOM_PEERS {
-                let (_, sid) = servers[self.rng.random_range(0..servers.len())];
-                if sid != id {
-                    self.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
+                let j = self.rng.random_range(0..seeds.keys.len());
+                if seeds.ids[j] != id {
+                    dht.add_server(seeds.keys[j], &seeds.infos[j]);
                 }
             }
         }
 
-        // Persist the full server list (independent of t=0 online status)
-        // for join-time announcements during the run.
-        let mut all_servers: Vec<(Key, NodeId, Arc<PeerInfo>)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_server)
-            .map(|(i, n)| (n.node.info().key(), i, Arc::clone(n.node.info())))
-            .collect();
-        all_servers.sort_by_key(|a| a.0 .0);
-        self.dht.sorted_servers = all_servers;
-
         // Reverse direction: make each server known (with addresses) to the
         // servers closest to its own key.
-        for &(key, id) in &servers {
-            for host in nearest_in_window(&servers, &key, id, 2 * near, near) {
-                if self.nodes[host].is_server {
-                    self.nodes[host].node.dht.add_peer(infos[id].clone(), true);
+        for (j, key) in seeds.keys.iter().enumerate() {
+            let id = seeds.ids[j];
+            let range = window(&seeds.keys, key, 2 * near);
+            nearest(&seeds.keys, range, key, near, |h| seeds.ids[h] != id, &mut nearby);
+            for &(_, h) in &nearby {
+                let host = &mut self.nodes[seeds.ids[h as usize]];
+                if host.is_server {
+                    host.node.dht.add_server(*key, &seeds.infos[j]);
                 }
             }
         }
@@ -147,17 +218,13 @@ impl IpfsNetwork {
     /// routing table with currently-online peers. Modeled as an oracle
     /// shortcut (the walk itself adds no information at this fidelity).
     pub(super) fn announce_join(&mut self, id: NodeId) {
-        let servers = &self.dht.sorted_servers;
-        if servers.is_empty() {
+        if self.dht.sorted_servers.keys.is_empty() {
             return;
         }
         let near = BOOTSTRAP_NEAR_PEERS;
         let info = Arc::clone(self.nodes[id].node.info());
-        let own_key = info.key(); // cached SHA-256 of the PeerID
-        let pos = servers.partition_point(|(k, ..)| k.0 < own_key.0);
-        let window = 3 * near;
-        let lo = pos.saturating_sub(window);
-        let hi = (pos + window).min(servers.len());
+        // The cached SHA-256 of the PeerID.
+        let own_key = info.key();
         // The self-lookup this models is ordinary DHT traffic: it cannot
         // cross an active partition, so neither may the oracle shortcut.
         // Regions are read only while a fault is active: a fault-free
@@ -165,47 +232,34 @@ impl IpfsNetwork {
         let faulty = self.faults.has_active_faults();
         let own_region = self.nodes[id].region;
         let reachable = |net: &Self, sid: NodeId| {
-            net.online[sid] && !(faulty && net.faults.blocked(own_region, net.nodes[sid].region))
+            sid != id
+                && net.online[sid]
+                && !(faulty && net.faults.blocked(own_region, net.nodes[sid].region))
         };
-        // Both halves of the announcement see the same neighbourhood — the
-        // `near` reachable servers closest to the joiner's key — so compute
-        // the candidate list once, as (distance, index into
-        // `sorted_servers`). Distances are unique (SHA-256 keys), so the
-        // index never breaks a tie and select-then-sort matches a full
-        // stable sort's first `near`.
-        let mut nearby: Vec<(Distance, usize)> = Vec::with_capacity(hi - lo);
-        nearby.extend(
-            (lo..hi)
-                .filter(|&j| {
-                    let sid = servers[j].1;
-                    sid != id && reachable(self, sid)
-                })
-                .map(|j| (servers[j].0.distance(&own_key), j)),
-        );
-        if nearby.len() > near {
-            nearby.select_nth_unstable(near - 1);
-            nearby.truncate(near);
-        }
-        nearby.sort_unstable();
-        // (a) Insert self into nearby online servers' tables.
-        if self.nodes[id].is_server {
-            for &(_, j) in &nearby {
-                let host = self.dht.sorted_servers[j].1;
-                self.nodes[host].node.dht.add_server(own_key, &info);
+        // Both halves of the announcement see the same neighbourhood: the
+        // `near` reachable servers closest to the joiner's key.
+        let mut nearby = std::mem::take(&mut self.dht.nearby);
+        let servers = &self.dht.sorted_servers;
+        let range = window(&servers.keys, &own_key, 3 * near);
+        let keep = |j: usize| reachable(self, servers.ids[j]);
+        nearest(&servers.keys, range, &own_key, near, keep, &mut nearby);
+        // (a) A joining server enters its neighbours' tables; (b) its own
+        // table is refreshed with them, then with random reachable servers.
+        let is_server = self.nodes[id].is_server;
+        for &(_, j) in &nearby {
+            let j = j as usize;
+            if is_server {
+                self.nodes[servers.ids[j]].node.dht.add_server(own_key, &info);
             }
+            self.nodes[id].node.dht.add_server(servers.keys[j], &servers.infos[j]);
         }
-        // (b) Refresh own table: nearby + random online servers.
-        let mut to_add: Vec<usize> = nearby.into_iter().map(|(_, j)| j).collect();
+        self.dht.nearby = nearby;
         for _ in 0..BOOTSTRAP_RANDOM_PEERS / 3 {
-            let j = self.rng.random_range(0..self.dht.sorted_servers.len());
-            let sid = self.dht.sorted_servers[j].1;
-            if sid != id && reachable(self, sid) {
-                to_add.push(j);
+            let j = self.rng.random_range(0..self.dht.sorted_servers.keys.len());
+            if reachable(self, self.dht.sorted_servers.ids[j]) {
+                let servers = &self.dht.sorted_servers;
+                self.nodes[id].node.dht.add_server(servers.keys[j], &servers.infos[j]);
             }
-        }
-        for j in to_add {
-            let (key, _, peer) = &self.dht.sorted_servers[j];
-            self.nodes[id].node.dht.add_server(*key, peer);
         }
     }
 
@@ -493,19 +547,20 @@ impl IpfsNetwork {
         let key = Key::from_cid(cid);
         let provider_info = self.nodes[provider].node.info().clone();
         let now = self.now();
-        let k = self.cfg.node.replication;
-        let mut targets: Vec<(Distance, NodeId)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_server)
-            .map(|(i, n)| (n.node.info().key().distance(&key), i))
-            .collect();
-        targets.sort_by_key(|a| a.0);
-        for (_, id) in targets.into_iter().take(k) {
+        self.select_seed_targets(&key, self.cfg.node.replication);
+        for &(_, j) in &self.dht.nearby {
+            let id = self.dht.sorted_servers.ids[j as usize];
             let request = Request::AddProvider { key, provider: Arc::clone(&provider_info) };
             self.nodes[id].node.dht.handle_request(&provider_info, true, request, now);
         }
+    }
+
+    /// Leaves in the kernel's buffer the `k` servers XOR-closest to `key`,
+    /// online or not, nearest first: a select inside the smallest key-space
+    /// subtree that holds `k` of them.
+    fn select_seed_targets(&mut self, key: &Key, k: usize) {
+        let keys = &self.dht.sorted_servers.keys;
+        nearest(keys, subtree(keys, key, k), key, k, |_| true, &mut self.dht.nearby);
     }
 
     /// Whether any online node currently holds an unexpired provider
@@ -531,11 +586,14 @@ impl IpfsNetwork {
 mod tests {
     use super::super::lifecycle::OpState;
     use super::super::tests::{lifecycle_net, small_net};
+    use super::super::NetworkConfig;
     use super::*;
     use crate::ops::PublishPhase;
     use bytes::Bytes;
     use faultsim::FaultPlan;
-    use simnet::latency::Region;
+    use kademlia::Distance;
+    use simnet::latency::{Region, VantagePoint};
+    use simnet::{Population, PopulationConfig};
 
     /// The store counters and the inbound DHT RPC count of every request
     /// type, in a fixed order.
@@ -692,5 +750,242 @@ mod tests {
             (8_749_044_931, 8_184_044_931, 17)
         );
         assert_eq!(net.now().as_nanos(), 3_656_926_093_197);
+    }
+
+    /// The sort-based window select the kernel replaced, kept as its
+    /// oracle: collect the window, drop `id` and what `keep` rejects,
+    /// stable-sort by full distance, take `count`.
+    fn nearest_in_window_by_sort(
+        servers: &[(Key, NodeId)],
+        key: &Key,
+        id: NodeId,
+        window: usize,
+        count: usize,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
+        let pos = servers.partition_point(|(k, _)| k.0 < key.0);
+        let (lo, hi) = (pos.saturating_sub(window), (pos + window).min(servers.len()));
+        let mut near: Vec<(Distance, NodeId)> = servers[lo..hi]
+            .iter()
+            .filter(|&&(_, sid)| sid != id && keep(sid))
+            .map(|(k, sid)| (k.distance(key), *sid))
+            .collect();
+        near.sort_by_key(|a| a.0);
+        near.into_iter().take(count).map(|(_, sid)| sid).collect()
+    }
+
+    /// The full-population sort catalog seeding replaced, kept as its
+    /// oracle: the `k` servers, online or not, XOR-closest to `key`.
+    fn seed_targets_by_sort(net: &IpfsNetwork, key: &Key, k: usize) -> Vec<NodeId> {
+        let mut targets: Vec<(Distance, NodeId)> = net
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.is_server)
+            .map(|(i, n)| (n.node.info().key().distance(key), i))
+            .collect();
+        targets.sort_by_key(|a| a.0);
+        targets.into_iter().take(k).map(|(_, id)| id).collect()
+    }
+
+    /// The bootstrap the kernel replaced, kept as its oracle: the same
+    /// passes and RNG draws, each neighbourhood by a sort of its window
+    /// and each insert through `add_peer`.
+    fn oracle_bootstrap_by_sort(net: &mut IpfsNetwork) {
+        let near = BOOTSTRAP_NEAR_PEERS;
+        let include_clients = net.cfg.clients_in_routing_tables;
+        let mut servers: Vec<(Key, NodeId)> = net
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| (n.is_server || include_clients) && net.online[i])
+            .map(|(i, n)| (n.node.info().key(), i))
+            .collect();
+        servers.sort_by_key(|a| a.0 .0);
+        if servers.is_empty() {
+            return;
+        }
+        let infos: Vec<Arc<PeerInfo>> =
+            net.nodes.iter().map(|n| Arc::clone(n.node.info())).collect();
+        for id in 0..net.nodes.len() {
+            let own_key = net.nodes[id].node.info().key();
+            for sid in nearest_in_window_by_sort(&servers, &own_key, id, 3 * near, near, |_| true) {
+                net.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
+            }
+            for _ in 0..BOOTSTRAP_RANDOM_PEERS {
+                let (_, sid) = servers[net.rng.random_range(0..servers.len())];
+                if sid != id {
+                    net.nodes[id].node.dht.add_peer(infos[sid].clone(), true);
+                }
+            }
+        }
+        for &(key, id) in &servers {
+            for host in nearest_in_window_by_sort(&servers, &key, id, 2 * near, near, |_| true) {
+                if net.nodes[host].is_server {
+                    net.nodes[host].node.dht.add_peer(infos[id].clone(), true);
+                }
+            }
+        }
+    }
+
+    /// A key whose first eight bytes are one of four fixed prefixes when
+    /// `tie` is set, so that many keys share them and the kernel's
+    /// full-distance tie-break runs (SHA-256 keys never reach it).
+    fn crafted_key(tie: bool, (class, a, b): (u64, u64, u64)) -> Key {
+        const PREFIXES: [u64; 4] = [0, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA, u64::MAX];
+        let head = if tie { PREFIXES[class as usize % 4] } else { a };
+        let mut bytes = [0u8; 32];
+        for (chunk, word) in bytes.chunks_mut(8).zip([head, b, a, b.rotate_left(17)]) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        Key(bytes)
+    }
+
+    /// The kernel against the sort-based oracles, over random sorted key
+    /// sets: windows clipped at either end, `count` beyond the candidate
+    /// set, `id` excluded, a filter, and keys sharing their first eight
+    /// bytes. The subtree select must equal a full sort's first `count`.
+    #[test]
+    fn proptest_kernel_matches_sort_oracles() {
+        use proptest::prelude::*;
+        let mut ties = 0;
+        proptest!(ProptestConfig::with_cases(256), |(
+            raw in proptest::collection::vec((0u64..4, any::<u64>(), any::<u64>()), 0..160),
+            tie in 0u8..2,
+            (mode, pick, ta, tb) in (0u8..4, any::<u64>(), any::<u64>(), any::<u64>()),
+            (excluded, w, count) in (0usize..200, 0usize..100, 0usize..100),
+            (filtered, mask) in (0u8..2, any::<u64>()),
+        )| {
+            let mut pairs: Vec<(Key, NodeId)> =
+                raw.iter().enumerate().map(|(i, &r)| (crafted_key(tie == 1, r), i)).collect();
+            pairs.sort_by_key(|p| p.0);
+            pairs.dedup_by_key(|p| p.0);
+            let (keys, ids): (Vec<Key>, Vec<NodeId>) = pairs.iter().copied().unzip();
+            let target = match mode {
+                0 if !keys.is_empty() => keys[pick as usize % keys.len()],
+                0 | 1 => crafted_key(tie == 1, (pick, ta, tb)),
+                2 => Key([0; 32]),
+                _ => Key([0xFF; 32]),
+            };
+            let keep = |sid: NodeId| filtered == 0 || mask >> (sid % 64) & 1 == 1;
+            let mut near = Vec::new();
+            let range = window(&keys, &target, w);
+            nearest(&keys, range, &target, count, |j| ids[j] != excluded && keep(ids[j]), &mut near);
+            ties += near.windows(2).filter(|p| p[0].0 == p[1].0).count();
+            let got: Vec<NodeId> = near.iter().map(|&(_, j)| ids[j as usize]).collect();
+            let want = nearest_in_window_by_sort(&pairs, &target, excluded, w, count, keep);
+            prop_assert_eq!(got, want);
+
+            nearest(&keys, subtree(&keys, &target, count), &target, count, |_| true, &mut near);
+            let got: Vec<NodeId> = near.iter().map(|&(_, j)| ids[j as usize]).collect();
+            let mut all: Vec<(Distance, NodeId)> =
+                pairs.iter().map(|(k, id)| (k.distance(&target), *id)).collect();
+            all.sort_by_key(|a| a.0);
+            let want: Vec<NodeId> = all.into_iter().take(count).map(|(_, id)| id).collect();
+            prop_assert_eq!(got, want);
+        });
+        assert!(ties > 0, "no case reached the full-distance tie-break");
+    }
+
+    fn world(size: usize, vantages: &[VantagePoint], cfg: NetworkConfig, seed: u64) -> IpfsNetwork {
+        let pop = Population::generate(
+            PopulationConfig { size, nat_fraction: 0.455, horizon: SimDuration::from_hours(6) },
+            seed,
+        );
+        IpfsNetwork::from_population(&pop, vantages, cfg, seed)
+    }
+
+    /// Catalog seeding picks the full-population sort's targets in its
+    /// order, with fewer than k, exactly k and many servers, offline ones
+    /// included, and files the record on exactly those nodes.
+    #[test]
+    fn seed_targets_match_full_sort() {
+        for (size, seed) in [(12, 5), (600, 6)] {
+            let mut net = world(size, &[], NetworkConfig::default(), seed);
+            let servers = net.nodes.iter().filter(|n| n.is_server).count();
+            let offline = (0..net.len()).filter(|&i| net.nodes[i].is_server && !net.online[i]);
+            assert!(offline.count() > 0, "a world of {size} has no offline server");
+            let provider = (0..net.len()).find(|&i| net.nodes[i].is_server).unwrap();
+            for k in [servers + 3, servers, 1, 20] {
+                net.cfg.node.replication = k;
+                for i in 0..40u64 {
+                    let cid = Cid::from_raw_data(&(seed ^ (i << 8) ^ k as u64).to_le_bytes());
+                    let key = Key::from_cid(&cid);
+                    net.select_seed_targets(&key, k);
+                    let ids = &net.dht.sorted_servers.ids;
+                    let got: Vec<NodeId> =
+                        net.dht.nearby.iter().map(|&(_, j)| ids[j as usize]).collect();
+                    let want = seed_targets_by_sort(&net, &key, k);
+                    assert_eq!(got, want, "world {size}, k {k}, cid {i}");
+
+                    net.seed_provider_record(provider, &cid);
+                    let now = net.now();
+                    let mut holders: Vec<NodeId> = (0..net.len())
+                        .filter(|&n| net.nodes[n].node.dht.store().has_provider(&key, now))
+                        .collect();
+                    let mut want = want;
+                    want.sort_unstable();
+                    holders.sort_unstable();
+                    assert_eq!(holders, want, "world {size}, k {k}, cid {i}");
+                }
+            }
+        }
+    }
+
+    /// The kernel-built routing tables of a 2k-node world (and of a
+    /// smaller one with clients in the tables) equal the sort-built
+    /// oracle's, node by node in `all_peers()` order, and both leave the
+    /// RNG in the same state.
+    #[test]
+    fn bootstrap_tables_match_sort_oracle() {
+        let ablation = NetworkConfig { clients_in_routing_tables: true, ..Default::default() };
+        for (size, cfg) in [(2_000, NetworkConfig::default()), (300, ablation)] {
+            let pop = Population::generate(
+                PopulationConfig { size, nat_fraction: 0.455, horizon: SimDuration::from_hours(6) },
+                9,
+            );
+            let vantages = [VantagePoint::EuCentral1, VantagePoint::UsWest1];
+            let mut net = IpfsNetwork::from_population(&pop, &vantages, cfg, 9);
+            let mut oracle = IpfsNetwork::without_tables(&pop, &vantages, cfg, 9);
+            oracle_bootstrap_by_sort(&mut oracle);
+            for id in 0..net.len() {
+                let keys = |n: &IpfsNetwork| -> Vec<Key> {
+                    n.nodes[id].node.dht.routing().all_peers().iter().map(|p| p.key()).collect()
+                };
+                assert_eq!(keys(&net), keys(&oracle), "node {id} of {size}");
+            }
+            let draw = |n: &mut IpfsNetwork| n.rng.random_range(0..u64::MAX);
+            assert_eq!(draw(&mut net), draw(&mut oracle));
+        }
+    }
+
+    /// A world whose servers all start offline, with no vantage node,
+    /// still keeps its server index: when the second server comes online
+    /// while the first is up, each one's table learns the other. Before
+    /// the index was persisted ahead of the empty-world return, every
+    /// join in such a world was a silent no-op.
+    #[test]
+    fn joins_announce_when_no_server_starts_online() {
+        let mut pop = Population::generate(
+            PopulationConfig { size: 60, nat_fraction: 0.3, horizon: SimDuration::from_hours(6) },
+            7,
+        );
+        for p in &mut pop.peers {
+            p.schedule.sessions.retain(|&(start, _)| start > SimTime::ZERO);
+        }
+        let mut net = IpfsNetwork::from_population(&pop, &[], NetworkConfig::default(), 7);
+        assert!(!net.online.contains(&true));
+        let mut joins: Vec<(SimTime, NodeId)> = (0..pop.peers.len())
+            .filter(|&i| net.nodes[i].is_server)
+            .flat_map(|i| pop.peers[i].schedule.sessions.iter().map(move |&(start, _)| (start, i)))
+            .collect();
+        joins.sort_unstable();
+        let [(_, first), (t, second), ..] = joins[..] else { panic!("fewer than two joins") };
+        assert!(first != second && pop.peers[first].schedule.online_at(t));
+        net.run_until(t + SimDuration::from_millis(1));
+        let holds = |host: NodeId, peer: NodeId| {
+            net.nodes[host].node.dht.routing().contains(net.nodes[peer].node.peer_id())
+        };
+        assert!(holds(first, second) && holds(second, first));
     }
 }

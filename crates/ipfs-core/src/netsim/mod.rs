@@ -312,6 +312,19 @@ impl IpfsNetwork {
         cfg: NetworkConfig,
         seed: u64,
     ) -> IpfsNetwork {
+        let mut net = IpfsNetwork::without_tables(pop, vantages, cfg, seed);
+        net.oracle_bootstrap();
+        net
+    }
+
+    /// [`IpfsNetwork::from_population`] before the oracle bootstrap has
+    /// filled any routing table.
+    fn without_tables(
+        pop: &Population,
+        vantages: &[VantagePoint],
+        cfg: NetworkConfig,
+        seed: u64,
+    ) -> IpfsNetwork {
         let rng = StdRng::seed_from_u64(seed ^ 0x6e65_7473_696d_2121);
         let mut nodes = Vec::with_capacity(pop.peers.len() + vantages.len());
         let mut online = Vec::with_capacity(nodes.capacity());
@@ -383,7 +396,6 @@ impl IpfsNetwork {
             crashable: pop.peers.len(),
         };
         net.arm_refresh_chains();
-        net.oracle_bootstrap();
         net
     }
 
