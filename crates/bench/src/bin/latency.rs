@@ -7,14 +7,17 @@
 //! workload the DHT walk dominates, as the paper measures.
 //!
 //! Writes `tab_latency_attribution.txt` and `BENCH_latency.json` into
-//! `--out <dir>` (default `results/`); with `IPFS_REPRO_CSV_DIR` set the
-//! JSON is additionally exported there. Output is byte-identical for any
+//! `--out <dir>` (default `results/` for a full run; a `--smoke` run writes
+//! them only when `--out` is given, so it never overwrites the committed
+//! recording); with `IPFS_REPRO_CSV_DIR` set the JSON is additionally
+//! exported there. Output is byte-identical for any
 //! `IPFS_REPRO_JOBS` value (cells are pure functions of the master seed;
 //! see `bench::runner`).
 //!
 //! Flags:
 //! * `--smoke` — tiny fixed-size run for the CI determinism gate.
-//! * `--out <dir>` — where the table and JSON land (default `results`).
+//! * `--out <dir>` — where the table and JSON land (default `results`,
+//!   none under `--smoke`).
 //! * `--trace-out <path>` — additionally collect distributed traces and
 //!   dump the slowest ops' stitched trees (cross-node spans + critical
 //!   path) as JSON exemplars; measured tables are unchanged.
@@ -34,7 +37,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "results".to_string());
+        .or_else(|| (!smoke).then(|| "results".to_string()));
     let trace_out = args
         .iter()
         .position(|a| a == "--trace-out")
@@ -51,18 +54,20 @@ fn main() {
     let doc = bench_doc(&results, &run);
     let json = doc.render();
 
-    let dir = Path::new(&out_dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("latency: cannot create {}: {e}", dir.display());
-        std::process::exit(2);
-    }
-    for (name, body) in [("tab_latency_attribution.txt", &table), ("BENCH_latency.json", &json)] {
-        let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("latency: cannot write {}: {e}", path.display());
+    if let Some(dir) = out_dir.as_deref().map(Path::new) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("latency: cannot create {}: {e}", dir.display());
             std::process::exit(2);
         }
-        println!("wrote {}", path.display());
+        for (name, body) in [("tab_latency_attribution.txt", &table), ("BENCH_latency.json", &json)]
+        {
+            let path = dir.join(name);
+            if let Err(e) = std::fs::write(&path, body) {
+                eprintln!("latency: cannot write {}: {e}", path.display());
+                std::process::exit(2);
+            }
+            println!("wrote {}", path.display());
+        }
     }
     if let Some(path) = doc.write() {
         println!("wrote {}", path.display());

@@ -484,7 +484,7 @@ impl IpfsNetwork {
             let p = self.trace_peer(&peer.peer);
             self.tracer.record_with(op, now, || TraceEventKind::RpcFailed { peer: p });
         }
-        let outputs = self.nodes[node].node.dht.on_failure(query, &peer.peer);
+        let outputs = self.nodes[node].node.dht.on_failure(query, &peer);
         self.process_dht_outputs(node, outputs);
     }
 

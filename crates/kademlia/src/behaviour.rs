@@ -218,9 +218,9 @@ impl DhtBehaviour {
         self.routing.insert_shared(key, info)
     }
 
-    /// Forgets a peer (failed dial).
-    pub fn remove_peer(&mut self, peer: &PeerId) {
-        self.routing.remove(peer);
+    /// Forgets a peer (failed dial) by its DHT key ([`PeerInfo::key`]).
+    pub fn remove_peer(&mut self, key: &Key) {
+        self.routing.remove(key);
     }
 
     /// Handles an inbound RPC, returning the response to send back (`None`
@@ -317,13 +317,15 @@ impl DhtBehaviour {
         self.pump(id)
     }
 
-    /// Feeds a failure into its query and returns follow-up outputs.
-    pub fn on_failure(&mut self, id: QueryId, from: &PeerId) -> Vec<DhtOutput> {
+    /// Feeds a failure into its query and returns follow-up outputs. The
+    /// peer is identified by its cached key, so a failure hashes nothing.
+    pub fn on_failure(&mut self, id: QueryId, from: &PeerInfo) -> Vec<DhtOutput> {
+        let key = from.key();
         if let Some(query) = self.queries.get_mut(&id) {
-            query.on_failure(from);
+            query.on_failure(&key);
         }
         // A peer that failed us gets dropped from the table.
-        self.remove_peer(from);
+        self.remove_peer(&key);
         self.pump(id)
     }
 
@@ -518,7 +520,7 @@ mod tests {
                             .expect("server responds");
                         a.on_response(query, &to.peer, &resp)
                     } else {
-                        a.on_failure(query, &to.peer)
+                        a.on_failure(query, &to)
                     };
                     outputs.extend(follow);
                 }
@@ -547,7 +549,7 @@ mod tests {
         let key = Key::ZERO;
         let (qid, outputs) = a.start_query(key, QueryTarget::Closest);
         assert!(!outputs.is_empty());
-        a.on_failure(qid, &info(2).peer);
+        a.on_failure(qid, &info(2));
         assert!(!a.routing().contains(&info(2).peer));
     }
 

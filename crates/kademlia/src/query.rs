@@ -207,10 +207,10 @@ impl IterativeQuery {
         }
     }
 
-    /// The in-flight candidate `from`, if the walk is waiting on it.
-    /// Stale, duplicate and unknown responders resolve to `None`.
-    fn in_flight_candidate(&mut self, from: &PeerId) -> Option<&mut Candidate> {
-        let dist = Key::from_peer(from).distance(&self.target_key);
+    /// The in-flight candidate whose DHT key is `key`, if the walk is
+    /// waiting on it. Stale, duplicate and unknown peers resolve to `None`.
+    fn in_flight_candidate(&mut self, key: &Key) -> Option<&mut Candidate> {
+        let dist = key.distance(&self.target_key);
         self.candidates.get_mut(&dist).filter(|c| c.state == CandidateState::InFlight)
     }
 
@@ -292,7 +292,7 @@ impl IterativeQuery {
         providers: &[ProviderRecord],
         value: Option<&[u8]>,
     ) {
-        let Some(responder) = self.in_flight_candidate(from) else {
+        let Some(responder) = self.in_flight_candidate(&Key::from_peer(from)) else {
             return; // stale, duplicate or late response
         };
         responder.state = CandidateState::Responded;
@@ -319,8 +319,9 @@ impl IterativeQuery {
         }
     }
 
-    /// Feeds back a failure (dial timeout, unreachable peer, ...).
-    pub fn on_failure(&mut self, from: &PeerId) {
+    /// Feeds back a failure (dial timeout, unreachable peer, ...) of the
+    /// peer whose DHT key ([`PeerInfo::key`]) is `from`.
+    pub fn on_failure(&mut self, from: &Key) {
         let Some(failed) = self.in_flight_candidate(from) else {
             return;
         };
@@ -438,7 +439,7 @@ mod tests {
                 QueryStep::Wait => unreachable!("synchronous driver never waits"),
                 QueryStep::Query(info) => {
                     if fails(&info.peer) {
-                        q.on_failure(&info.peer);
+                        q.on_failure(&info.key());
                     } else {
                         let closer = net.closest(q.target_key(), K, &info.peer);
                         q.on_response(&info.peer, &closer, &[]);
@@ -926,7 +927,7 @@ mod tests {
                             _ => stranger.clone(),
                         };
                         if kind == 9 {
-                            walk.on_failure(&from);
+                            walk.on_failure(&Key::from_peer(&from));
                             oracle.on_failure(&from);
                         } else {
                             let closer: Vec<Arc<PeerInfo>> =

@@ -5,7 +5,7 @@
 //! client/server distinction prevents unreachable peers from becoming part
 //! of other peers' routing tables".
 
-use crate::key::{Distance, Key};
+use crate::key::Key;
 use multiformats::{Multiaddr, PeerId};
 use std::sync::Arc;
 
@@ -69,19 +69,23 @@ struct Entry {
 
 /// The routing table of one DHT node.
 ///
-/// Buckets are stored *sparsely*: only occupied buckets exist, as a vec of
-/// `(bucket_index, entries)` sorted by index. With hash-uniform keys a node
-/// only ever occupies ~log2(n) high buckets (15–20 at 100k peers), so the
-/// previous dense `[Vec; 256]` layout spent ~6 kB of empty `Vec` headers
-/// per node — 600 MB of pure overhead in a 100k-node world. Entries within
-/// a bucket are ordered least-recently seen first (classic Kademlia keeps
-/// long-lived peers, which §6.4 credits for IPFS's lookup reliability).
+/// Buckets are stored *densely by common-prefix length*: `buckets[c]` holds
+/// the peers whose key shares exactly `c` leading bits with the local key
+/// (`c = leading_zeros(d(local, peer))`, Kademlia bucket index `255 - c`).
+/// Insert, remove and lookup therefore address their bucket with one index.
+/// The vec reaches only as deep as the deepest occupied `c`: with
+/// hash-uniform keys that is about log2(n) (14 on average in a 20 000-node
+/// world, 12 of them occupied), so a table carries ~14 `Vec` headers of
+/// 24 B rather than 256, and an emptied bucket gives its allocation back.
+/// Entries within a bucket are ordered least-recently seen first (classic
+/// Kademlia keeps long-lived peers, which §6.4 credits for IPFS's lookup
+/// reliability).
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     local: Key,
-    /// Occupied buckets, sorted by bucket index. Buckets are dropped as
-    /// soon as their last entry is removed, so no empty bucket lingers.
-    buckets: Vec<(u8, Vec<Entry>)>,
+    /// Buckets indexed by common-prefix length with `local`. The last
+    /// bucket is never empty: removal trims trailing empties.
+    buckets: Vec<Vec<Entry>>,
     size: usize,
 }
 
@@ -106,6 +110,12 @@ impl RoutingTable {
         self.size == 0
     }
 
+    /// The common-prefix length of `key` with the local key: its bucket's
+    /// position in `buckets` (`NUM_BUCKETS` for the local key itself).
+    fn cpl(&self, key: &Key) -> usize {
+        self.local.distance(key).leading_zeros()
+    }
+
     /// Inserts or refreshes a peer. Returns `true` if the peer is now in
     /// the table. A full bucket rejects newcomers (Kademlia's
     /// oldest-peer-wins policy, which favours stable peers); an existing
@@ -122,17 +132,14 @@ impl RoutingTable {
     /// re-announcing a peer that is already present writes no refcount.
     /// `key` must be `info.key()`.
     pub fn insert_shared(&mut self, key: Key, info: &Arc<PeerInfo>) -> bool {
-        let Some(idx) = self.local.bucket_index(&key) else {
+        let cpl = self.cpl(&key);
+        if cpl == NUM_BUCKETS {
             return false; // never insert self
-        };
-        let slot = match self.buckets.binary_search_by_key(&(idx as u8), |b| b.0) {
-            Ok(slot) => slot,
-            Err(slot) => {
-                self.buckets.insert(slot, (idx as u8, Vec::new()));
-                slot
-            }
-        };
-        let bucket = &mut self.buckets[slot].1;
+        }
+        if cpl >= self.buckets.len() {
+            self.buckets.resize_with(cpl + 1, Vec::new);
+        }
+        let bucket = &mut self.buckets[cpl];
         // Keys are SHA-256 of the PeerID, so key equality is peer equality;
         // the inline `[u8; 32]` compare avoids chasing the Arc on every probe.
         if let Some(pos) = bucket.iter().position(|e| e.key == key) {
@@ -144,9 +151,6 @@ impl RoutingTable {
             return true;
         }
         if bucket.len() >= K {
-            if bucket.is_empty() {
-                self.buckets.remove(slot); // K == 0 edge: keep no empties
-            }
             return false;
         }
         bucket.push(Entry { info: Arc::clone(info), key });
@@ -154,113 +158,109 @@ impl RoutingTable {
         true
     }
 
-    /// Removes a peer (e.g. after a failed dial). Returns whether it was
-    /// present.
-    pub fn remove(&mut self, peer: &PeerId) -> bool {
-        let key = Key::from_peer(peer);
-        let Some(idx) = self.local.bucket_index(&key) else {
+    /// Removes a peer by its DHT key ([`PeerInfo::key`]), e.g. after a
+    /// failed dial. Returns whether it was present.
+    pub fn remove(&mut self, key: &Key) -> bool {
+        let cpl = self.cpl(key);
+        let Some(bucket) = self.buckets.get_mut(cpl) else {
             return false;
         };
-        let Ok(slot) = self.buckets.binary_search_by_key(&(idx as u8), |b| b.0) else {
+        let Some(pos) = bucket.iter().position(|e| e.key == *key) else {
             return false;
         };
-        let bucket = &mut self.buckets[slot].1;
-        if let Some(pos) = bucket.iter().position(|e| e.key == key) {
-            bucket.remove(pos);
-            if bucket.is_empty() {
-                self.buckets.remove(slot);
+        bucket.remove(pos);
+        self.size -= 1;
+        if bucket.is_empty() {
+            *bucket = Vec::new();
+            while self.buckets.last().is_some_and(Vec::is_empty) {
+                self.buckets.pop();
             }
-            self.size -= 1;
-            true
-        } else {
-            false
         }
+        true
     }
 
     /// Whether `peer` is in the table.
     pub fn contains(&self, peer: &PeerId) -> bool {
         let key = Key::from_peer(peer);
-        self.local
-            .bucket_index(&key)
-            .and_then(|idx| self.buckets.binary_search_by_key(&(idx as u8), |b| b.0).ok())
-            .map(|slot| self.buckets[slot].1.iter().any(|e| e.key == key))
-            .unwrap_or(false)
-    }
-
-    /// The smallest distance-to-`target` any member of bucket `idx` can
-    /// have, given the local key's distance `dt` to the target.
-    ///
-    /// Every entry `x` in bucket `idx` satisfies `msb(d(local, x)) == idx`,
-    /// and `d(x, target) = d(local, x) XOR dt`, so `d(x, target)` agrees
-    /// with `dt` on all bits above `idx`, has bit `idx` flipped, and is
-    /// arbitrary below. The possible distances of a bucket therefore form
-    /// the contiguous, *disjoint* range starting at this prefix — sorting
-    /// buckets by it yields an exact nearest-first visit order.
-    fn bucket_min_distance(dt: &Distance, idx: usize) -> Distance {
-        let mut p = [0u8; 32];
-        let byte = 31 - idx / 8;
-        let bit = idx % 8; // bit position within the byte, LSB = 0
-        p[..byte].copy_from_slice(&dt.0[..byte]);
-        let above = if bit == 7 { 0 } else { 0xffu8 << (bit + 1) };
-        p[byte] = (dt.0[byte] & above) | ((!dt.0[byte]) & (1u8 << bit));
-        Distance(p)
+        self.buckets.get(self.cpl(&key)).is_some_and(|b| b.iter().any(|e| e.key == key))
     }
 
     /// The `count` peers closest to `target` by XOR distance, nearest
     /// first. This is the reply set for FIND_NODE (§3.2) and the candidate
     /// seed for local queries.
     ///
-    /// Walks buckets in provably nearest-first order (see
-    /// [`RoutingTable::bucket_min_distance`]) and stops as soon as `count`
-    /// entries are collected, instead of cloning and sorting the whole
-    /// table: O(B log B + count log K) against O(n log n).
+    /// Visits buckets in exact nearest-first order and stops as soon as
+    /// `count` entries are collected, sorting only the buckets it visits.
+    /// Let `dt = d(local, target)`. Every entry `x` of bucket `c` has
+    /// `d(local, x)` with its first set bit at position `c` (MSB first), and
+    /// `d(x, target) = d(local, x) XOR dt`: it agrees with `dt` above `c`,
+    /// has bit `c` equal to `!dt[c]`, and is arbitrary below. So each
+    /// bucket's distances form a contiguous range, and the ranges are
+    /// disjoint. Comparing two buckets at the more significant of their
+    /// two bit positions gives the order: every bucket with `dt[c] = 1` (bit `c`
+    /// of its distances cleared) comes before every bucket with
+    /// `dt[c] = 0`; among the former a shallower `c` is nearer (it clears
+    /// a higher bit that the deeper bucket keeps set), among the latter a
+    /// deeper `c` is nearer (the shallower one sets a bit the deeper one
+    /// keeps clear).
     pub fn closest(&self, target: &Key, count: usize) -> Vec<Arc<PeerInfo>> {
         let mut out = Vec::with_capacity(count.min(self.size));
         if count == 0 || self.size == 0 {
             return out;
         }
         let dt = self.local.distance(target);
-        let mut order: Vec<(Distance, usize)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(slot, (idx, _))| (Self::bucket_min_distance(&dt, *idx as usize), slot))
-            .collect();
-        order.sort_unstable();
-        let mut scratch: Vec<(Distance, &Arc<PeerInfo>)> = Vec::with_capacity(K);
-        for (_, slot) in order {
-            if out.len() >= count {
-                break;
+        let bit = |c: &usize| dt.0[c / 8] & (0x80 >> (c % 8)) != 0;
+        let depth = self.buckets.len();
+        let order = (0..depth).filter(bit).chain((0..depth).rev().filter(|c| !bit(c)));
+        // A bucket is sorted as (top 64 bits of the distance, slot) pairs
+        // (a slot fits a u8: buckets hold at most K); the full distance
+        // breaks a prefix tie, so the order is exact.
+        let head = |k: &Key| u64::from_be_bytes(k.0[..8].try_into().expect("a key has 32 bytes"));
+        let t = head(target);
+        let mut near = [(0u64, 0u8); K];
+        for cpl in order {
+            let bucket = &self.buckets[cpl];
+            let near = &mut near[..bucket.len()];
+            for (n, (slot, e)) in near.iter_mut().zip(bucket.iter().enumerate()) {
+                *n = (head(&e.key) ^ t, slot as u8);
             }
-            scratch.clear();
-            scratch.extend(self.buckets[slot].1.iter().map(|e| (e.key.distance(target), &e.info)));
-            scratch.sort_unstable_by_key(|e| e.0);
-            for (_, info) in &scratch {
-                out.push(Arc::clone(info));
+            let dist = |slot: u8| bucket[slot as usize].key.distance(target);
+            near.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| dist(a.1).cmp(&dist(b.1))));
+            for &(_, slot) in near.iter() {
+                out.push(Arc::clone(&bucket[slot as usize].info));
                 if out.len() >= count {
-                    break;
+                    return out;
                 }
             }
         }
         out
     }
 
-    /// All peers in the table (bucket order) — used by the network crawler
-    /// (§4.1), which asks peers "for all entries in their k-buckets".
+    /// All peers in the table (ascending bucket index, i.e. farthest
+    /// bucket first) — used by the network crawler (§4.1), which asks
+    /// peers "for all entries in their k-buckets".
     pub fn all_peers(&self) -> Vec<Arc<PeerInfo>> {
-        self.buckets.iter().flat_map(|(_, b)| b).map(|e| Arc::clone(&e.info)).collect()
+        self.buckets.iter().rev().flatten().map(|e| Arc::clone(&e.info)).collect()
     }
 
-    /// Occupancy of each non-empty bucket (for diagnostics/benchmarks).
+    /// `(bucket index, occupancy)` of each non-empty bucket, by ascending
+    /// index (for diagnostics/benchmarks).
     pub fn bucket_sizes(&self) -> Vec<(usize, usize)> {
-        self.buckets.iter().map(|(i, b)| (*i as usize, b.len())).collect()
+        self.buckets
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|(_, b)| !b.is_empty())
+            .map(|(cpl, b)| (NUM_BUCKETS - 1 - cpl, b.len()))
+            .collect()
     }
 
     /// Logical bytes held by this table (length-based, independent of
-    /// allocator slack): the fixed struct, one header per occupied bucket,
-    /// and one [`Entry`] (shared-info pointer + cached key) per peer.
+    /// allocator slack): the fixed struct, one header per bucket down to
+    /// the deepest occupied one, and one [`Entry`] (shared-info pointer +
+    /// cached key) per peer.
     pub fn bytes_estimate(&self) -> u64 {
-        let headers = self.buckets.len() * std::mem::size_of::<(u8, Vec<Entry>)>();
+        let headers = self.buckets.len() * std::mem::size_of::<Vec<Entry>>();
         let entries = self.size * std::mem::size_of::<Entry>();
         (std::mem::size_of::<RoutingTable>() + headers + entries) as u64
     }
@@ -269,6 +269,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::Distance;
     use multiformats::Keypair;
 
     fn info(seed: u64) -> PeerInfo {
@@ -335,11 +336,11 @@ mod tests {
         }
         // Re-announce the first peer of the fullest bucket: it must become
         // that bucket's most recently seen entry.
-        let (slot, _) =
-            rt.buckets.iter().enumerate().max_by_key(|(_, (_, b))| b.len()).expect("occupied");
-        let oldest = Arc::clone(&rt.buckets[slot].1[0].info);
+        let (cpl, _) =
+            rt.buckets.iter().enumerate().max_by_key(|(_, b)| b.len()).expect("occupied");
+        let oldest = Arc::clone(&rt.buckets[cpl][0].info);
         assert!(rt.insert_shared(oldest.key(), &oldest));
-        let bucket = &rt.buckets[slot].1;
+        let bucket = &rt.buckets[cpl];
         assert!(Arc::ptr_eq(&bucket[bucket.len() - 1].info, &oldest));
         assert!(!bucket[..bucket.len() - 1].iter().any(|e| Arc::ptr_eq(&e.info, &oldest)));
     }
@@ -389,8 +390,8 @@ mod tests {
     fn remove_frees_slot() {
         let mut rt = table(0);
         rt.insert(info(1));
-        assert!(rt.remove(&info(1).peer));
-        assert!(!rt.remove(&info(1).peer));
+        assert!(rt.remove(&info(1).key()));
+        assert!(!rt.remove(&info(1).key()));
         assert_eq!(rt.len(), 0);
     }
 
@@ -437,7 +438,7 @@ mod tests {
                         model.insert(seed);
                     }
                 } else {
-                    rt.remove(&i.peer);
+                    rt.remove(&i.key());
                     model.remove(&seed);
                 }
                 // Invariants: size bookkeeping, bucket caps, containment.
@@ -540,7 +541,7 @@ mod tests {
                 rt.all_peers().into_iter().find(|p| rt.local.bucket_index(&p.key()) == Some(i))
             });
         if let Some(p) = lonely {
-            assert!(rt.remove(&p.peer));
+            assert!(rt.remove(&p.key()));
             assert_eq!(rt.bucket_sizes().len(), before - 1);
         }
     }
@@ -556,8 +557,212 @@ mod tests {
         let full = rt.bytes_estimate();
         assert!(full > empty);
         // Dominated by per-entry cost, not per-bucket headers: entries are
-        // ~40 B each and the sparse table holds < 32 bucket headers.
+        // ~40 B each and the table reaches < 32 buckets deep.
         let entries = (rt.len() * std::mem::size_of::<Entry>()) as u64;
         assert!(full - empty < entries + 32 * 40);
+    }
+
+    /// The previous layout, kept as the differential oracle for the dense
+    /// one: occupied buckets only, as `(bucket index, entries)` sorted by
+    /// index and found by binary search; `closest` sorts the buckets by the
+    /// smallest distance each could hold.
+    struct SparseModel {
+        local: Key,
+        buckets: Vec<(u8, Vec<Entry>)>,
+        size: usize,
+    }
+
+    impl SparseModel {
+        fn new(local: Key) -> SparseModel {
+            SparseModel { local, buckets: Vec::new(), size: 0 }
+        }
+
+        fn insert_shared(&mut self, key: Key, info: &Arc<PeerInfo>) -> bool {
+            let Some(idx) = self.local.bucket_index(&key) else {
+                return false;
+            };
+            let slot = match self.buckets.binary_search_by_key(&(idx as u8), |b| b.0) {
+                Ok(slot) => slot,
+                Err(slot) => {
+                    self.buckets.insert(slot, (idx as u8, Vec::new()));
+                    slot
+                }
+            };
+            let bucket = &mut self.buckets[slot].1;
+            if let Some(pos) = bucket.iter().position(|e| e.key == key) {
+                bucket[pos..].rotate_left(1);
+                bucket.last_mut().expect("refreshed entry").info = Arc::clone(info);
+                return true;
+            }
+            if bucket.len() >= K {
+                return false;
+            }
+            bucket.push(Entry { info: Arc::clone(info), key });
+            self.size += 1;
+            true
+        }
+
+        fn remove(&mut self, key: &Key) -> bool {
+            let Some(idx) = self.local.bucket_index(key) else {
+                return false;
+            };
+            let Ok(slot) = self.buckets.binary_search_by_key(&(idx as u8), |b| b.0) else {
+                return false;
+            };
+            let bucket = &mut self.buckets[slot].1;
+            let Some(pos) = bucket.iter().position(|e| e.key == *key) else {
+                return false;
+            };
+            bucket.remove(pos);
+            if bucket.is_empty() {
+                self.buckets.remove(slot);
+            }
+            self.size -= 1;
+            true
+        }
+
+        fn bucket_sizes(&self) -> Vec<(usize, usize)> {
+            self.buckets.iter().map(|(i, b)| (*i as usize, b.len())).collect()
+        }
+
+        fn all_peers(&self) -> Vec<Arc<PeerInfo>> {
+            self.buckets.iter().flat_map(|(_, b)| b).map(|e| Arc::clone(&e.info)).collect()
+        }
+
+        fn bucket_min_distance(dt: &Distance, idx: usize) -> Distance {
+            let mut p = [0u8; 32];
+            let byte = 31 - idx / 8;
+            let bit = idx % 8;
+            p[..byte].copy_from_slice(&dt.0[..byte]);
+            let above = if bit == 7 { 0 } else { 0xffu8 << (bit + 1) };
+            p[byte] = (dt.0[byte] & above) | ((!dt.0[byte]) & (1u8 << bit));
+            Distance(p)
+        }
+
+        fn closest(&self, target: &Key, count: usize) -> Vec<Arc<PeerInfo>> {
+            let dt = self.local.distance(target);
+            let mut order: Vec<(Distance, usize)> = self
+                .buckets
+                .iter()
+                .enumerate()
+                .map(|(slot, (idx, _))| (Self::bucket_min_distance(&dt, *idx as usize), slot))
+                .collect();
+            order.sort_unstable();
+            let mut out = Vec::new();
+            for (_, slot) in order {
+                let mut bucket: Vec<_> = self.buckets[slot]
+                    .1
+                    .iter()
+                    .map(|e| (e.key.distance(target), &e.info))
+                    .collect();
+                bucket.sort_unstable_by_key(|e| e.0);
+                out.extend(bucket.into_iter().map(|(_, info)| Arc::clone(info)));
+            }
+            out.truncate(count);
+            out
+        }
+    }
+
+    fn same_handles(a: &[Arc<PeerInfo>], b: &[Arc<PeerInfo>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    /// The dense table's structural invariants: the deepest bucket is
+    /// occupied, and an empty bucket holds no allocation.
+    fn assert_dense_invariants(rt: &RoutingTable) {
+        assert!(rt.buckets.last().is_none_or(|b| !b.is_empty()), "trailing empty bucket");
+        assert!(
+            rt.buckets.iter().all(|b| !b.is_empty() || b.capacity() == 0),
+            "empty bucket holds memory"
+        );
+    }
+
+    #[test]
+    fn proptest_dense_table_matches_sparse_model() {
+        use proptest::prelude::*;
+        const UNIVERSE: usize = 200;
+        let universe: Vec<Arc<PeerInfo>> =
+            (1..=UNIVERSE as u64).map(|s| Arc::new(info(s))).collect();
+        let addr: Multiaddr = "/ip4/9.9.9.9/tcp/4001".parse().unwrap();
+        // Op kinds: 0–1 insert the peer's own handle (a re-insert if it is
+        // present), 2 insert a different `Arc` with new addresses, 3 remove.
+        // Target kinds: 0 random bytes, 1 the local key, 2 the op's peer.
+        proptest!(ProptestConfig::with_cases(256), |(
+            ops in proptest::collection::vec((0u8..4, 0..UNIVERSE, (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0u8..3), 1..160),
+        )| {
+            let mut rt = table(0);
+            let mut model = SparseModel::new(*rt.local_key());
+            for (kind, idx, (w0, w1, w2, w3), target_kind) in ops {
+                let peer = match kind {
+                    2 => Arc::new(PeerInfo::new(universe[idx].peer.clone(), vec![addr.clone()])),
+                    _ => Arc::clone(&universe[idx]),
+                };
+                let key = peer.key();
+                let (got, want) = if kind == 3 {
+                    (rt.remove(&key), model.remove(&key))
+                } else {
+                    (rt.insert_shared(key, &peer), model.insert_shared(key, &peer))
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(rt.len(), model.size);
+                prop_assert_eq!(rt.bucket_sizes(), model.bucket_sizes());
+                prop_assert!(same_handles(&rt.all_peers(), &model.all_peers()));
+                assert_dense_invariants(&rt);
+                let target = match target_kind {
+                    0 => {
+                        let mut bytes = [0u8; 32];
+                        for (chunk, w) in bytes.chunks_mut(8).zip([w0, w1, w2, w3]) {
+                            chunk.copy_from_slice(&w.to_be_bytes());
+                        }
+                        Key::from_bytes(bytes)
+                    }
+                    1 => *rt.local_key(),
+                    _ => key,
+                };
+                for count in [1, K, rt.len() + 5] {
+                    prop_assert!(same_handles(&rt.closest(&target, count), &model.closest(&target, count)));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn remove_emptying_deepest_bucket_trims_it() {
+        let mut rt = table(0);
+        for seed in 1..300u64 {
+            rt.insert(info(seed));
+        }
+        let depth = rt.buckets.len();
+        let deepest: Vec<Key> = rt.buckets[depth - 1].iter().map(|e| e.key).collect();
+        for key in &deepest {
+            assert!(rt.remove(key));
+        }
+        assert!(rt.buckets.len() < depth, "the emptied deepest bucket is trimmed");
+        assert_dense_invariants(&rt);
+        // Draining the table trims every bucket.
+        for p in rt.all_peers() {
+            assert!(rt.remove(&p.key()));
+        }
+        assert!(rt.buckets.is_empty());
+        assert_eq!(rt.bytes_estimate(), std::mem::size_of::<RoutingTable>() as u64);
+    }
+
+    #[test]
+    fn remove_emptying_middle_bucket_frees_its_allocation() {
+        let mut rt = table(0);
+        for seed in 1..300u64 {
+            rt.insert(info(seed));
+        }
+        let depth = rt.buckets.len();
+        let cpl =
+            (0..depth - 1).rev().find(|&c| !rt.buckets[c].is_empty()).expect("a middle bucket");
+        let keys: Vec<Key> = rt.buckets[cpl].iter().map(|e| e.key).collect();
+        for key in &keys {
+            assert!(rt.remove(key));
+        }
+        assert_eq!(rt.buckets.len(), depth, "a middle bucket is not trimmed");
+        assert_eq!(rt.buckets[cpl].capacity(), 0, "the emptied bucket gave its allocation back");
+        assert!(rt.bucket_sizes().iter().all(|&(i, _)| i != NUM_BUCKETS - 1 - cpl));
+        assert_dense_invariants(&rt);
     }
 }

@@ -34,6 +34,12 @@ same_output() {
     fi
 }
 
+# results_hashes <file>: one "sha256  path" line per file under results/,
+# so a harness that writes over a committed recording is caught by name.
+results_hashes() {
+    find results -type f | LC_ALL=C sort | xargs sha256sum > "$1"
+}
+
 # smoke_same <bin>: the harness's --smoke run must exit 0 and print
 # byte-identical stdout serially and on 4 workers / 4 PDES shards.
 smoke_same() {
@@ -89,6 +95,9 @@ if [ "$CONFIG_FIELDS" -ne 69 ]; then
     echo "config-surface budget: expected 69 settable config fields, found $CONFIG_FIELDS" >&2
     exit 1
 fi
+
+# Every gate from here on runs the program; none may rewrite results/.
+results_hashes "$TMP/results_before.txt"
 
 gate "cargo test"
 cargo test -q
@@ -202,6 +211,15 @@ grep -q '"dominant_component": "dht_walk"' "$TMP/lat_j1/BENCH_latency.json" || {
     echo "latency --smoke: DHT walk is not the dominant component" >&2
     exit 1
 }
+
+gate "committed artifacts (results/ unchanged by every gate above)"
+results_hashes "$TMP/results_after.txt"
+CHANGED="$(diff "$TMP/results_before.txt" "$TMP/results_after.txt" |
+    sed -n 's/^[<>] [0-9a-f]*  //p' | LC_ALL=C sort -u | tr '\n' ' ')"
+if [ -n "$CHANGED" ]; then
+    echo "committed artifacts: these files under results/ changed: $CHANGED" >&2
+    exit 1
+fi
 
 gate ""
 echo "All checks passed in $(($(date +%s) - START)) s."
