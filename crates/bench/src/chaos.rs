@@ -35,7 +35,7 @@ const RECOVERY_MAX_TRIES: usize = 60;
 /// Cadence of post-heal retrieval retries.
 const RECOVERY_RETRY_STEP: SimDuration = SimDuration::from_secs(5);
 
-/// Scenario sizes, derived from `--smoke` / `IPFS_REPRO_SCALE`.
+/// Scenario sizes, derived from `IPFS_REPRO_SCALE` (or tiny, for the tests).
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Peer population per scenario cell.
@@ -47,7 +47,7 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Tiny fixed sizes for the CI determinism gate.
+    /// Tiny fixed sizes for the determinism tests.
     pub fn smoke() -> ChaosConfig {
         ChaosConfig { population: 250, gateway_requests: 250, catalog: 6 }
     }

@@ -144,7 +144,7 @@ impl BenchDoc {
 }
 
 /// One stitched distributed trace collected by a harness cell, ready for
-/// the `--trace-out` exemplar dump.
+/// the exemplar dump (`<artifact>_traces.json`).
 #[derive(Debug, Clone)]
 pub struct TraceExemplar {
     /// End-to-end op duration in integer nanoseconds (the sort key).
@@ -158,7 +158,7 @@ pub struct TraceExemplar {
 
 /// Picks the `n` slowest ops across all cells — sorted by duration
 /// descending, then cell index, then op id, so the selection is
-/// byte-identical at any job count — and renders the `--trace-out`
+/// byte-identical at any job count — and renders the exemplar dump's
 /// JSON document.
 pub fn render_trace_exemplars(
     harness: &str,

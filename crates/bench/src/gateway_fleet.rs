@@ -19,9 +19,9 @@
 //!
 //! Every cell is an independent pure function of the master seed, so
 //! [`run_all`] parallelises over `IPFS_REPRO_JOBS` workers with
-//! byte-identical stdout at any job count. Wall-clock sustained
+//! a byte-identical report at any job count. Wall-clock sustained
 //! requests/sec is kept out of the deterministic report; it lands in the
-//! exported JSON (and stderr) only.
+//! exported JSON only.
 
 use std::time::Instant;
 
@@ -53,7 +53,7 @@ const OUTAGE_GATEWAY: usize = 1;
 const OUTAGE_START_HOURS: u64 = 9;
 const OUTAGE_HOURS: u64 = 4;
 
-/// Cell sizes, derived from `--smoke` / `IPFS_REPRO_SCALE`.
+/// Cell sizes, derived from `IPFS_REPRO_SCALE` (or tiny, for the tests).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetBenchConfig {
     /// Peer population per cell.
@@ -71,7 +71,7 @@ pub struct FleetBenchConfig {
 }
 
 impl FleetBenchConfig {
-    /// Tiny fixed sizes for the CI determinism gate.
+    /// Tiny fixed sizes for the determinism tests.
     pub fn smoke() -> FleetBenchConfig {
         FleetBenchConfig {
             population: 250,

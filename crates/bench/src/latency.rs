@@ -32,7 +32,7 @@ use multiformats::Cid;
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
-/// Harness sizes, derived from `--smoke` / `IPFS_REPRO_SCALE`.
+/// Harness sizes, derived from `IPFS_REPRO_SCALE` (or tiny, for the tests).
 #[derive(Debug, Clone)]
 pub struct LatencyConfig {
     /// Peer population per cell.
@@ -46,7 +46,7 @@ pub struct LatencyConfig {
 }
 
 impl LatencyConfig {
-    /// Tiny fixed sizes for the CI determinism gate.
+    /// Tiny fixed sizes for the determinism tests.
     pub fn smoke() -> LatencyConfig {
         LatencyConfig {
             population: 1_000,
@@ -318,8 +318,9 @@ pub fn run_all(cfg: &LatencyConfig, master_seed: u64, jobs: usize) -> Vec<CellRe
 }
 
 /// [`run_all`] with distributed-trace exemplar collection switched on
-/// (the `--trace-out` path). Exemplars are pure observations, so every
-/// rendered surface stays byte-identical to the untraced run.
+/// when `trace` is set (the `tab_latency_attribution` artifact does so
+/// when it exports). Exemplars are pure observations, so every rendered
+/// surface stays byte-identical to the untraced run.
 pub fn run_all_traced(
     cfg: &LatencyConfig,
     master_seed: u64,
@@ -341,8 +342,8 @@ pub fn run_all_traced(
     })
 }
 
-/// Renders the `--trace-out` document: the `n` slowest ops' stitched
-/// distributed traces across all cells.
+/// Renders the exemplar dump: the `n` slowest ops' stitched distributed
+/// traces across all cells.
 pub fn render_trace_out(results: &[CellResult], seed: u64, n: usize) -> String {
     let cells: Vec<&[TraceExemplar]> = results.iter().map(|r| r.exemplars.as_slice()).collect();
     crate::export::render_trace_exemplars("latency", seed, &cells, n)
@@ -559,6 +560,8 @@ mod tests {
         let (table1, dump1) = dump(1);
         assert!(dump1.contains("\"critical_path\""), "dump must hold stitched traces:\n{dump1}");
         assert!(dump1.contains("srv:"), "remote-side spans must be stitched in:\n{dump1}");
+        let untraced = render_table(&run_all(&cfg, 7, 1));
+        assert_eq!(table1, untraced, "collecting traces must not change the table");
         assert_eq!((table1, dump1), dump(4), "jobs=1 vs jobs=4 trace dumps must be identical");
     }
 }

@@ -3,7 +3,12 @@
 //!
 //! [`paper::ARTIFACTS`] indexes every table, figure and ablation of the
 //! paper's evaluation, each printed by the `paper` binary with the rows
-//! and series the paper reports (DESIGN.md §5 maps each to its modules).
+//! and series the paper reports (DESIGN.md §5 maps each to its modules),
+//! and the four harnesses that measure beyond it — [`chaos`],
+//! [`gateway_fleet`], [`swarm`] and [`latency`] — so every committed
+//! `results/*.txt` but `lifecycle.txt` is regenerated by that one binary.
+//! The crate's other two binaries are `lifecycle` (its small-scale run
+//! takes over a minute) and `throughput` (which records no text).
 //!
 //! Scale control: set `IPFS_REPRO_SCALE=paper` for populations and
 //! iteration counts close to the paper's (slow), default is a scaled-down

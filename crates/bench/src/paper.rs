@@ -10,7 +10,7 @@
 //! input is a pure function of the seed and scale, so an artifact prints
 //! the same bytes whichever artifacts ran before it.
 
-use crate::export::{write_csv, write_file, write_series_csv, BenchDoc};
+use crate::export::{write_csv, write_file, write_series_csv, write_timeseries_csv, BenchDoc};
 use crate::runner::{banner, run_cells_with_jobs, RunConfig, ScaleConfig};
 use crate::stats::{
     ascii_series, cdf_points, fraction_below, markdown_table, pearson, percentile, rank_by_count,
@@ -73,6 +73,10 @@ pub const ARTIFACTS: &[Artifact] = &[
     entry("ablation_gateway_cache", ablation_gateway_cache, "Ablation", "gateway nginx-cache capacity sweep"),
     entry("ablation_nat_hosting", ablation_nat_hosting, "Ablation", "NAT'ed content hosting without / with DCUtR hole punching"),
     entry("ablation_hydra", ablation_hydra, "Ablation", "Hydra boosters: stabilizing the DHT with datacenter heads"),
+    entry("chaos", chaos, "Chaos", "fault injection & recovery measurement (faultsim)"),
+    entry("gateway_fleet", gateway_fleet, "Gateway fleet", "load-balanced gateways: admission, coalescing, failover"),
+    entry("swarm", swarm, "Swarm transfer", "multi-provider Bitswap sessions over chunked DAGs"),
+    entry("tab_latency_attribution", tab_latency_attribution, "Latency", "per-phase retrieval latency attribution (span trees)"),
 ];
 
 /// One row of [`ARTIFACTS`].
@@ -1591,6 +1595,72 @@ timeouts — the stabilization §8 expects from the boosters)"
     )
 }
 
+/// Slowest ops kept in a harness's stitched-trace exemplar dump.
+const TRACE_EXEMPLARS: usize = 8;
+
+/// Chaos: how the stack recovers from scripted correlated failures —
+/// regional partition, crash wave, dial-failure spike, degraded links, a
+/// provider crashing mid-fetch, a gateway-region dip and a reprovider
+/// crash ([`crate::chaos`]). Not in the paper, which measures steady
+/// state. Exports `BENCH_chaos.json` and `chaos_gateway_timeseries.csv`.
+fn chaos(w: &Inputs, out: &mut String) -> fmt::Result {
+    use crate::chaos::{bench_doc, render_report, run_all, ChaosConfig};
+    let run = &w.run;
+    let outputs = run_all(&ChaosConfig::at_scale(run.scale), run.seed, run.jobs);
+    if let Some(ts) = outputs.iter().find_map(|c| c.timeseries.as_ref()) {
+        write_timeseries_csv(run, "chaos_gateway_timeseries", ts);
+    }
+    bench_doc(&outputs, run).write();
+    out.write_str(&render_report(&outputs))
+}
+
+/// The gateway fleet the paper's one-gateway logs (Table 5, Fig. 11) came
+/// from: routing, admission, coalescing, a flash crowd and a regional
+/// outage ([`crate::gateway_fleet`]). Exports `BENCH_gateway_fleet.json`
+/// with each cell's sustained requests/s.
+fn gateway_fleet(w: &Inputs, out: &mut String) -> fmt::Result {
+    use crate::gateway_fleet::{bench_doc, render_report, run_all, FleetBenchConfig};
+    let run = &w.run;
+    let outputs = run_all(&FleetBenchConfig::at_scale(run.scale), run.seed, false, run.jobs);
+    bench_doc(&outputs, run).write();
+    out.write_str(&render_report(&outputs))
+}
+
+/// Multi-provider Bitswap sessions, beyond §6.2's single-provider
+/// retrievals: goodput against swarm size and the duplicate-factor
+/// ablation ([`crate::swarm`]). Exports `BENCH_swarm.json` and, since
+/// collecting traces never changes the report, `swarm_traces.json`.
+fn swarm(w: &Inputs, out: &mut String) -> fmt::Result {
+    use crate::swarm::{
+        bench_doc, render_report, render_trace_out, run_all_traced, SwarmBenchConfig,
+    };
+    let run = &w.run;
+    let cfg = SwarmBenchConfig::at_scale(run.scale);
+    let outputs = run_all_traced(&cfg, run.seed, false, run.jobs, run.csv_dir.is_some());
+    let traces = render_trace_out(&outputs, run.seed, TRACE_EXEMPLARS);
+    write_file(run.csv_dir.as_deref(), "swarm_traces.json", &traces);
+    bench_doc(&outputs, run).write();
+    out.write_str(&render_report(&outputs))
+}
+
+/// The §6.2 / Fig. 9 decomposition re-derived from span trees: per-phase
+/// p50/p90/p99 per publisher region, clean and faulted
+/// ([`crate::latency`]). Exports `BENCH_latency.json` and, since
+/// collecting traces never changes the table,
+/// `tab_latency_attribution_traces.json`.
+fn tab_latency_attribution(w: &Inputs, out: &mut String) -> fmt::Result {
+    use crate::latency::{
+        bench_doc, render_table, render_trace_out, run_all_traced, LatencyConfig,
+    };
+    let run = &w.run;
+    let cfg = LatencyConfig::at_scale(run.scale);
+    let results = run_all_traced(&cfg, run.seed, run.jobs, run.csv_dir.is_some());
+    let traces = render_trace_out(&results, run.seed, TRACE_EXEMPLARS);
+    write_file(run.csv_dir.as_deref(), "tab_latency_attribution_traces.json", &traces);
+    bench_doc(&results, run).write();
+    out.write_str(&render_table(&results))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1607,6 +1677,25 @@ mod tests {
             assert!(names.insert(a.name), "duplicate artifact name {}", a.name);
             let file = results.join(format!("{}.txt", a.name));
             assert!(file.is_file(), "{} has no {}", a.name, file.display());
+        }
+    }
+
+    /// The converse: a recording no artifact regenerates fails here.
+    /// `lifecycle.txt` is the one text a harness binary records.
+    #[test]
+    fn every_committed_text_result_is_an_artifact() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for entry in std::fs::read_dir(&results).expect("results/ exists") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|e| e != "txt") {
+                continue;
+            }
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("utf-8 file name");
+            assert!(
+                stem == "lifecycle" || ARTIFACTS.iter().any(|a| a.name == stem),
+                "{} has no paper artifact to regenerate it",
+                path.display()
+            );
         }
     }
 

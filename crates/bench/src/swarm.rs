@@ -17,9 +17,9 @@
 //!
 //! Every cell is an independent pure function of the master seed, so
 //! [`run_all`] parallelises over `IPFS_REPRO_JOBS` workers with
-//! byte-identical stdout at any job count. Goodput is computed from *sim*
-//! time and is deterministic; wall-clock events/sec goes to the exported
-//! JSON (and stderr) only.
+//! a byte-identical report at any job count. Goodput is computed from
+//! *sim* time and is deterministic; wall-clock events/sec goes to the
+//! exported JSON only.
 
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ use ipfs_core::{IpfsNetwork, NetworkConfig, NodeId, TraceConfig};
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
 
-/// Cell sizes, derived from `--smoke` / `IPFS_REPRO_SCALE`.
+/// Cell sizes, derived from `IPFS_REPRO_SCALE` (or tiny, for the tests).
 #[derive(Debug, Clone, Copy)]
 pub struct SwarmBenchConfig {
     /// Peer population per cell (providers are drawn from the dialable
@@ -41,7 +41,7 @@ pub struct SwarmBenchConfig {
 }
 
 impl SwarmBenchConfig {
-    /// Tiny fixed sizes for the CI determinism gate.
+    /// Tiny fixed sizes for the determinism tests.
     pub fn smoke() -> SwarmBenchConfig {
         SwarmBenchConfig { population: 200 }
     }
@@ -73,7 +73,7 @@ pub struct CellOutput {
     /// Simulator events processed in those seconds.
     pub events: u64,
     /// Stitched distributed trace of the cell's swarm retrieval (empty
-    /// unless the cell ran with `--trace-out` collection on).
+    /// unless the cell ran with trace collection on).
     pub exemplars: Vec<TraceExemplar>,
 }
 
@@ -161,7 +161,7 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     net.disconnect_all(requester);
 
     // Distributed tracing is armed only for the measured retrieval (and
-    // only under `--trace-out`): pure observation, the deterministic
+    // only when collecting exemplars): pure observation, the deterministic
     // report is byte-identical either way.
     if trace {
         net.set_trace_config(TraceConfig::collecting());
@@ -305,7 +305,7 @@ pub fn run_all(
 }
 
 /// [`run_all`] with distributed-trace exemplar collection switched on
-/// (the `--trace-out` path).
+/// when `trace` is set (the `swarm` artifact does so when it exports).
 pub fn run_all_traced(
     cfg: &SwarmBenchConfig,
     master_seed: u64,
@@ -325,8 +325,8 @@ pub fn run_all_traced(
     })
 }
 
-/// Renders the `--trace-out` document: the `n` slowest retrievals'
-/// stitched distributed traces across all cells.
+/// Renders the exemplar dump: the `n` slowest retrievals' stitched
+/// distributed traces across all cells.
 pub fn render_trace_out(outputs: &[CellOutput], seed: u64, n: usize) -> String {
     let cells: Vec<&[TraceExemplar]> = outputs.iter().map(|c| c.exemplars.as_slice()).collect();
     crate::export::render_trace_exemplars("swarm", seed, &cells, n)
@@ -410,15 +410,19 @@ mod tests {
     #[test]
     fn smoke_cells_are_deterministic_across_job_counts() {
         let cfg = SwarmBenchConfig::smoke();
-        let render = |jobs: usize| {
-            let outputs = run_all(&cfg, 99, true, jobs);
-            // Deterministic surfaces only: the stdout report and the JSON
+        let render = |jobs: usize, trace: bool| {
+            let outputs = run_all_traced(&cfg, 99, true, jobs, trace);
+            let traced = outputs.iter().any(|c| !c.exemplars.is_empty());
+            assert_eq!(traced, trace, "exemplars are collected exactly when tracing");
+            // Deterministic surfaces only: the report and the JSON
             // fragments (the timing fields are wall clock and excluded).
             let fragments: Vec<String> =
                 outputs.iter().map(|c| format!("{}: {}", c.label, c.json)).collect();
             (render_report(&outputs), fragments)
         };
-        assert_eq!(render(1), render(4), "jobs=1 vs jobs=4 must be byte-identical");
+        let serial = render(1, false);
+        assert_eq!(serial, render(4, false), "jobs=1 vs jobs=4 must be byte-identical");
+        assert_eq!(serial, render(1, true), "collecting traces must not change the report");
     }
 
     #[test]

@@ -461,7 +461,7 @@ impl IpfsNetwork {
             let peer = self.trace_peer(&from.peer);
             self.tracer.record_with(op, now, || TraceEventKind::RpcOk { peer });
         }
-        let outputs = self.nodes[to].node.dht.on_response(query, &from.peer, &response);
+        let outputs = self.nodes[to].node.dht.on_response(query, &from, &response);
         // Remember responder addresses (§3.2 address book).
         for info in response.closer() {
             self.nodes[to].node.addr_book.insert_info(info);

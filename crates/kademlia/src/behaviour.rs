@@ -290,23 +290,27 @@ impl DhtBehaviour {
         (id, outputs)
     }
 
-    /// Feeds a response into its query and returns follow-up outputs.
+    /// Feeds a response into its query and returns follow-up outputs. The
+    /// responder is identified by its cached key, so a response hashes
+    /// nothing.
     pub fn on_response(
         &mut self,
         id: QueryId,
-        from: &PeerId,
+        from: &PeerInfo,
         response: &Response,
     ) -> Vec<DhtOutput> {
         let Some(query) = self.queries.get_mut(&id) else {
             return Vec::new();
         };
         match response {
-            Response::Nodes { closer } => query.on_response(from, closer, &[]),
-            Response::Providers { providers, closer } => query.on_response(from, closer, providers),
+            Response::Nodes { closer } => query.on_response_with_value(from, closer, &[], None),
+            Response::Providers { providers, closer } => {
+                query.on_response_with_value(from, closer, providers, None)
+            }
             Response::Value { value, closer } => {
                 query.on_response_with_value(from, closer, &[], value.as_deref())
             }
-            Response::Ack => query.on_response(from, &[], &[]),
+            Response::Ack => query.on_response_with_value(from, &[], &[], None),
         }
         // Insert the responder's closer set — peers it only mentioned, which
         // may be offline — not the responder itself. A known deviation:
@@ -518,7 +522,7 @@ mod tests {
                         let resp = b
                             .handle_request(a.local(), true, request, SimTime::ZERO)
                             .expect("server responds");
-                        a.on_response(query, &to.peer, &resp)
+                        a.on_response(query, &to, &resp)
                     } else {
                         a.on_failure(query, &to)
                     };

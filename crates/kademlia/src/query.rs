@@ -280,19 +280,33 @@ impl IterativeQuery {
         closer: &[Arc<PeerInfo>],
         providers: &[ProviderRecord],
     ) {
-        self.on_response_with_value(from, closer, providers, None)
+        self.respond(&Key::from_peer(from), from, closer, providers, None)
     }
 
     /// Like [`IterativeQuery::on_response`] but also carrying a stored
-    /// value (GET_VALUE responses).
+    /// value (GET_VALUE responses). The responder is found by its cached
+    /// key ([`PeerInfo::key`]), so a response hashes nothing.
     pub fn on_response_with_value(
         &mut self,
+        from: &PeerInfo,
+        closer: &[Arc<PeerInfo>],
+        providers: &[ProviderRecord],
+        value: Option<&[u8]>,
+    ) {
+        self.respond(&from.key(), &from.peer, closer, providers, value)
+    }
+
+    /// Feeds back the response of the in-flight peer `from`, whose DHT key
+    /// is `key`.
+    fn respond(
+        &mut self,
+        key: &Key,
         from: &PeerId,
         closer: &[Arc<PeerInfo>],
         providers: &[ProviderRecord],
         value: Option<&[u8]>,
     ) {
-        let Some(responder) = self.in_flight_candidate(&Key::from_peer(from)) else {
+        let Some(responder) = self.in_flight_candidate(key) else {
             return; // stale, duplicate or late response
         };
         responder.state = CandidateState::Responded;
@@ -943,7 +957,8 @@ mod tests {
                                 vec![]
                             };
                             let value = (kind == 7).then_some(&b"record"[..]);
-                            walk.on_response_with_value(&from, &closer, &providers, value);
+                            let info = PeerInfo::new(from.clone(), vec![]);
+                            walk.on_response_with_value(&info, &closer, &providers, value);
                             oracle.on_response(&from, &closer, &providers, value);
                         }
                     }

@@ -25,7 +25,7 @@ gate() {
 }
 
 # same_output <label> <file-a> <file-b>: the byte-identity gate. Every
-# determinism check below runs a harness twice and hands both outputs here.
+# determinism check below hands its two outputs here.
 same_output() {
     if ! cmp -s "$2" "$3"; then
         echo "$1: $2 and $3 differ" >&2
@@ -38,16 +38,6 @@ same_output() {
 # so a harness that writes over a committed recording is caught by name.
 results_hashes() {
     find results -type f | LC_ALL=C sort | xargs sha256sum > "$1"
-}
-
-# smoke_same <bin>: the harness's --smoke run must exit 0 and print
-# byte-identical stdout serially and on 4 workers / 4 PDES shards.
-smoke_same() {
-    IPFS_REPRO_JOBS=1 IPFS_REPRO_SHARDS=1 "./target/release/$1" --smoke \
-        > "$TMP/$1_j1.txt" 2> /dev/null
-    IPFS_REPRO_JOBS=4 IPFS_REPRO_SHARDS=4 "./target/release/$1" --smoke \
-        > "$TMP/$1_j4.txt" 2> /dev/null
-    same_output "$1 --smoke, jobs/shards 1 vs 4" "$TMP/$1_j1.txt" "$TMP/$1_j4.txt"
 }
 
 gate "cargo fmt --check"
@@ -132,12 +122,13 @@ pdes_world 62de5182dea1a7d6
 EOF
 
 gate "build the harness bins"
-cargo build --release -q -p bench --bin throughput --bin chaos --bin gateway_fleet \
-    --bin swarm --bin lifecycle --bin latency --bin paper
+cargo build --release -q -p bench --bin throughput --bin lifecycle --bin paper
 
 gate "paper artifacts (results/*.txt regenerate byte-identically)"
 # The committed files are written at IPFS_REPRO_JOBS=1; this run uses 4
-# workers, so it also checks that every artifact is jobs-invariant.
+# workers, so it also checks that every artifact is jobs-invariant — the
+# harness artifacts (chaos, gateway_fleet, swarm, tab_latency_attribution)
+# included, at full small scale.
 IPFS_REPRO_SEED=2022 IPFS_REPRO_SCALE=small IPFS_REPRO_JOBS=4 ./target/release/paper \
     --out "$TMP/paper" > /dev/null 2> /dev/null
 for f in "$TMP"/paper/*.txt; do
@@ -145,7 +136,9 @@ for f in "$TMP"/paper/*.txt; do
 done
 
 gate "knobs fail loudly (a rejected value exits 2)"
-if IPFS_REPRO_SCALE=Paper ./target/release/chaos --smoke > /dev/null 2> "$TMP/knob.err" ||
+# The cheapest artifact: the knob is parsed before any artifact runs.
+if IPFS_REPRO_SCALE=Paper ./target/release/paper --only fig06_geo_users \
+    > /dev/null 2> "$TMP/knob.err" ||
     [ $? -ne 2 ] || ! grep -q 'IPFS_REPRO_SCALE="Paper"' "$TMP/knob.err"; then
     echo "knobs: IPFS_REPRO_SCALE=Paper must exit 2 naming the knob and the value" >&2
     exit 1
@@ -182,35 +175,14 @@ gate "throughput smoke (every section runs and exports)"
 # timed here: they are the probes of `ipfs-benchmark --trace 1`.
 IPFS_REPRO_CSV_DIR="$TMP/bench" ./target/release/throughput --smoke > /dev/null
 
-gate "chaos smoke (fault-injection determinism gate)"
-smoke_same chaos
-
-gate "gateway fleet smoke (determinism gate)"
-smoke_same gateway_fleet
-
-gate "swarm smoke (determinism gate)"
-smoke_same swarm
-
 gate "lifecycle smoke (determinism gate, jobs and shards)"
-smoke_same lifecycle
-
-gate "latency smoke (span-attribution determinism gate)"
-# The latency-attribution harness must exit 0, emit its table + JSON, and
-# print byte-identical artifacts whether cells run serially or on 4
-# workers (both written files are compared; the JSON minus its one
-# provenance line, which stamps the job count).
-for j in 1 4; do
-    IPFS_REPRO_JOBS=$j ./target/release/latency --smoke \
-        --out "$TMP/lat_j$j" --trace-out "$TMP/lat_j$j/traces.json" > /dev/null
-    grep -v '^  "provenance": ' "$TMP/lat_j$j/BENCH_latency.json" > "$TMP/lat_j$j/cells.json"
+# The --smoke run must exit 0 and print byte-identical stdout serially and
+# on 4 workers / 4 PDES shards.
+for n in 1 4; do
+    IPFS_REPRO_JOBS=$n IPFS_REPRO_SHARDS=$n ./target/release/lifecycle --smoke \
+        > "$TMP/lifecycle_j$n.txt" 2> /dev/null
 done
-for f in tab_latency_attribution.txt cells.json traces.json; do
-    same_output "latency --smoke $f, IPFS_REPRO_JOBS=1 vs =4" "$TMP/lat_j1/$f" "$TMP/lat_j4/$f"
-done
-grep -q '"dominant_component": "dht_walk"' "$TMP/lat_j1/BENCH_latency.json" || {
-    echo "latency --smoke: DHT walk is not the dominant component" >&2
-    exit 1
-}
+same_output "lifecycle --smoke, jobs/shards 1 vs 4" "$TMP/lifecycle_j1.txt" "$TMP/lifecycle_j4.txt"
 
 gate "committed artifacts (results/ unchanged by every gate above)"
 results_hashes "$TMP/results_after.txt"
