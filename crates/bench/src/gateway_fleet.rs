@@ -72,6 +72,7 @@ pub struct FleetBenchConfig {
 
 impl FleetBenchConfig {
     /// Tiny fixed sizes for the determinism tests.
+    #[cfg(test)]
     pub fn smoke() -> FleetBenchConfig {
         FleetBenchConfig {
             population: 250,
@@ -349,90 +350,96 @@ fn render_outage_lines(log: &[FleetLogEntry], start: SimTime, window: SimDuratio
     )
 }
 
-fn cell_specs(smoke: bool) -> Vec<CellSpec> {
-    if smoke {
-        vec![
-            CellSpec {
-                label: "smoke_fleet",
-                gateways: 4,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::TinyLfu,
-                shock: None,
-                outage: false,
-            },
-            CellSpec {
-                label: "smoke_outage",
-                gateways: 4,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::TinyLfu,
-                shock: None,
-                outage: true,
-            },
-        ]
-    } else {
-        vec![
-            CellSpec {
-                label: "single_lru",
-                gateways: 1,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::Lru,
-                shock: None,
-                outage: false,
-            },
-            CellSpec {
-                label: "fleet4_hash_lru",
-                gateways: 4,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::Lru,
-                shock: None,
-                outage: false,
-            },
-            CellSpec {
-                label: "fleet4_hash_tinylfu",
-                gateways: 4,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::TinyLfu,
-                shock: None,
-                outage: false,
-            },
-            CellSpec {
-                label: "fleet4_rr_tinylfu",
-                gateways: 4,
-                lb: LbPolicy::RoundRobin,
-                admission: AdmissionPolicy::TinyLfu,
-                shock: None,
-                outage: false,
-            },
-            CellSpec {
-                label: "flash_crowd",
-                gateways: 4,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::TinyLfu,
-                shock: Some(default_shock()),
-                outage: false,
-            },
-            CellSpec {
-                label: "regional_outage",
-                gateways: 4,
-                lb: LbPolicy::ConsistentHash,
-                admission: AdmissionPolicy::TinyLfu,
-                shock: None,
-                outage: true,
-            },
-        ]
-    }
+fn cell_specs() -> Vec<CellSpec> {
+    vec![
+        CellSpec {
+            label: "single_lru",
+            gateways: 1,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::Lru,
+            shock: None,
+            outage: false,
+        },
+        CellSpec {
+            label: "fleet4_hash_lru",
+            gateways: 4,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::Lru,
+            shock: None,
+            outage: false,
+        },
+        CellSpec {
+            label: "fleet4_hash_tinylfu",
+            gateways: 4,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::TinyLfu,
+            shock: None,
+            outage: false,
+        },
+        CellSpec {
+            label: "fleet4_rr_tinylfu",
+            gateways: 4,
+            lb: LbPolicy::RoundRobin,
+            admission: AdmissionPolicy::TinyLfu,
+            shock: None,
+            outage: false,
+        },
+        CellSpec {
+            label: "flash_crowd",
+            gateways: 4,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::TinyLfu,
+            shock: Some(default_shock()),
+            outage: false,
+        },
+        CellSpec {
+            label: "regional_outage",
+            gateways: 4,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::TinyLfu,
+            shock: None,
+            outage: true,
+        },
+    ]
+}
+
+/// The two tiny cells the determinism tests run.
+#[cfg(test)]
+fn smoke_cell_specs() -> Vec<CellSpec> {
+    vec![
+        CellSpec {
+            label: "smoke_fleet",
+            gateways: 4,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::TinyLfu,
+            shock: None,
+            outage: false,
+        },
+        CellSpec {
+            label: "smoke_outage",
+            gateways: 4,
+            lb: LbPolicy::ConsistentHash,
+            admission: AdmissionPolicy::TinyLfu,
+            shock: None,
+            outage: true,
+        },
+    ]
 }
 
 /// Runs every cell as an independent unit of work on `jobs` workers and
 /// returns the rendered outputs in cell order (stdout byte-identical at
 /// any job count — see [`run_cells_with_jobs`]).
-pub fn run_all(
+pub fn run_all(cfg: &FleetBenchConfig, master_seed: u64, jobs: usize) -> Vec<CellOutput> {
+    run_cells(&cell_specs(), cfg, master_seed, jobs)
+}
+
+/// Runs `specs` as [`run_all`] runs the shipped cells.
+fn run_cells(
+    specs: &[CellSpec],
     cfg: &FleetBenchConfig,
     master_seed: u64,
-    smoke: bool,
     jobs: usize,
 ) -> Vec<CellOutput> {
-    let specs = cell_specs(smoke);
     run_cells_with_jobs(jobs, specs.len(), |i| {
         // Distinct per-cell seed, stable across job counts.
         run_cell(&specs[i], cfg, master_seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -487,7 +494,7 @@ mod tests {
     fn smoke_cells_are_deterministic_across_job_counts() {
         let cfg = FleetBenchConfig::smoke();
         let render = |jobs: usize| {
-            let outputs = run_all(&cfg, 99, true, jobs);
+            let outputs = run_cells(&smoke_cell_specs(), &cfg, 99, jobs);
             // Deterministic surfaces only: the stdout report and the JSON
             // fragments (the timing fields are wall clock and excluded).
             let fragments: Vec<String> =
@@ -500,7 +507,7 @@ mod tests {
     #[test]
     fn smoke_outage_cell_fails_over() {
         let cfg = FleetBenchConfig::smoke();
-        let outputs = run_all(&cfg, 7, true, 2);
+        let outputs = run_cells(&smoke_cell_specs(), &cfg, 7, 2);
         let outage = outputs.iter().find(|c| c.label == "smoke_outage").unwrap();
         assert!(outage.report.contains("during=0"), "outage report:\n{}", outage.report);
         assert!(!outage.json.contains("\"failovers\": 0"), "no failovers counted");

@@ -47,6 +47,7 @@ pub struct LatencyConfig {
 
 impl LatencyConfig {
     /// Tiny fixed sizes for the determinism tests.
+    #[cfg(test)]
     pub fn smoke() -> LatencyConfig {
         LatencyConfig {
             population: 1_000,
@@ -311,16 +312,18 @@ fn run_cell(
     result
 }
 
-/// Runs every (region × clean/faulted) cell on `jobs` workers; output
-/// order and bytes are independent of the job count.
-pub fn run_all(cfg: &LatencyConfig, master_seed: u64, jobs: usize) -> Vec<CellResult> {
+/// [`run_all_traced`] without trace collection.
+#[cfg(test)]
+fn run_all(cfg: &LatencyConfig, master_seed: u64, jobs: usize) -> Vec<CellResult> {
     run_all_traced(cfg, master_seed, jobs, false)
 }
 
-/// [`run_all`] with distributed-trace exemplar collection switched on
-/// when `trace` is set (the `tab_latency_attribution` artifact does so
-/// when it exports). Exemplars are pure observations, so every rendered
-/// surface stays byte-identical to the untraced run.
+/// Runs every (region × clean/faulted) cell on `jobs` workers; output
+/// order and bytes are independent of the job count. Distributed-trace
+/// exemplars are collected when `trace` is set (the
+/// `tab_latency_attribution` artifact does so when it exports). They are
+/// pure observations, so every rendered surface stays byte-identical to
+/// the untraced run.
 pub fn run_all_traced(
     cfg: &LatencyConfig,
     master_seed: u64,

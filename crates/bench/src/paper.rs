@@ -1621,7 +1621,7 @@ fn chaos(w: &Inputs, out: &mut String) -> fmt::Result {
 fn gateway_fleet(w: &Inputs, out: &mut String) -> fmt::Result {
     use crate::gateway_fleet::{bench_doc, render_report, run_all, FleetBenchConfig};
     let run = &w.run;
-    let outputs = run_all(&FleetBenchConfig::at_scale(run.scale), run.seed, false, run.jobs);
+    let outputs = run_all(&FleetBenchConfig::at_scale(run.scale), run.seed, run.jobs);
     bench_doc(&outputs, run).write();
     out.write_str(&render_report(&outputs))
 }
@@ -1636,7 +1636,7 @@ fn swarm(w: &Inputs, out: &mut String) -> fmt::Result {
     };
     let run = &w.run;
     let cfg = SwarmBenchConfig::at_scale(run.scale);
-    let outputs = run_all_traced(&cfg, run.seed, false, run.jobs, run.csv_dir.is_some());
+    let outputs = run_all_traced(&cfg, run.seed, run.jobs, run.csv_dir.is_some());
     let traces = render_trace_out(&outputs, run.seed, TRACE_EXEMPLARS);
     write_file(run.csv_dir.as_deref(), "swarm_traces.json", &traces);
     bench_doc(&outputs, run).write();

@@ -42,6 +42,7 @@ pub struct SwarmBenchConfig {
 
 impl SwarmBenchConfig {
     /// Tiny fixed sizes for the determinism tests.
+    #[cfg(test)]
     pub fn smoke() -> SwarmBenchConfig {
         SwarmBenchConfig { population: 200 }
     }
@@ -231,89 +232,71 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     }
 }
 
-fn cell_specs(smoke: bool) -> Vec<CellSpec> {
-    if smoke {
-        vec![
-            CellSpec { label: "smoke_swarm1", dag_bytes: 2 * MIB, swarm: 1, duplicate_factor: 1 },
-            CellSpec { label: "smoke_swarm4", dag_bytes: 2 * MIB, swarm: 4, duplicate_factor: 1 },
-            CellSpec { label: "smoke_dup2", dag_bytes: 2 * MIB, swarm: 4, duplicate_factor: 2 },
-        ]
-    } else {
-        vec![
-            CellSpec {
-                label: "dag512k_swarm1",
-                dag_bytes: 512 * KIB,
-                swarm: 1,
-                duplicate_factor: 1,
-            },
-            CellSpec {
-                label: "dag512k_swarm2",
-                dag_bytes: 512 * KIB,
-                swarm: 2,
-                duplicate_factor: 1,
-            },
-            CellSpec {
-                label: "dag512k_swarm4",
-                dag_bytes: 512 * KIB,
-                swarm: 4,
-                duplicate_factor: 1,
-            },
-            CellSpec {
-                label: "dag512k_swarm8",
-                dag_bytes: 512 * KIB,
-                swarm: 8,
-                duplicate_factor: 1,
-            },
-            CellSpec { label: "dag4m_swarm1", dag_bytes: 4 * MIB, swarm: 1, duplicate_factor: 1 },
-            CellSpec { label: "dag4m_swarm2", dag_bytes: 4 * MIB, swarm: 2, duplicate_factor: 1 },
-            CellSpec { label: "dag4m_swarm4", dag_bytes: 4 * MIB, swarm: 4, duplicate_factor: 1 },
-            CellSpec { label: "dag4m_swarm8", dag_bytes: 4 * MIB, swarm: 8, duplicate_factor: 1 },
-            CellSpec { label: "dag16m_swarm1", dag_bytes: 16 * MIB, swarm: 1, duplicate_factor: 1 },
-            CellSpec { label: "dag16m_swarm2", dag_bytes: 16 * MIB, swarm: 2, duplicate_factor: 1 },
-            CellSpec { label: "dag16m_swarm4", dag_bytes: 16 * MIB, swarm: 4, duplicate_factor: 1 },
-            CellSpec { label: "dag16m_swarm8", dag_bytes: 16 * MIB, swarm: 8, duplicate_factor: 1 },
-            CellSpec { label: "dag64m_swarm1", dag_bytes: 64 * MIB, swarm: 1, duplicate_factor: 1 },
-            CellSpec { label: "dag64m_swarm2", dag_bytes: 64 * MIB, swarm: 2, duplicate_factor: 1 },
-            CellSpec { label: "dag64m_swarm4", dag_bytes: 64 * MIB, swarm: 4, duplicate_factor: 1 },
-            CellSpec { label: "dag64m_swarm8", dag_bytes: 64 * MIB, swarm: 8, duplicate_factor: 1 },
-            CellSpec {
-                label: "dag16m_swarm4_dup2",
-                dag_bytes: 16 * MIB,
-                swarm: 4,
-                duplicate_factor: 2,
-            },
-            CellSpec {
-                label: "dag16m_swarm4_dup3",
-                dag_bytes: 16 * MIB,
-                swarm: 4,
-                duplicate_factor: 3,
-            },
-        ]
-    }
+fn cell_specs() -> Vec<CellSpec> {
+    vec![
+        CellSpec { label: "dag512k_swarm1", dag_bytes: 512 * KIB, swarm: 1, duplicate_factor: 1 },
+        CellSpec { label: "dag512k_swarm2", dag_bytes: 512 * KIB, swarm: 2, duplicate_factor: 1 },
+        CellSpec { label: "dag512k_swarm4", dag_bytes: 512 * KIB, swarm: 4, duplicate_factor: 1 },
+        CellSpec { label: "dag512k_swarm8", dag_bytes: 512 * KIB, swarm: 8, duplicate_factor: 1 },
+        CellSpec { label: "dag4m_swarm1", dag_bytes: 4 * MIB, swarm: 1, duplicate_factor: 1 },
+        CellSpec { label: "dag4m_swarm2", dag_bytes: 4 * MIB, swarm: 2, duplicate_factor: 1 },
+        CellSpec { label: "dag4m_swarm4", dag_bytes: 4 * MIB, swarm: 4, duplicate_factor: 1 },
+        CellSpec { label: "dag4m_swarm8", dag_bytes: 4 * MIB, swarm: 8, duplicate_factor: 1 },
+        CellSpec { label: "dag16m_swarm1", dag_bytes: 16 * MIB, swarm: 1, duplicate_factor: 1 },
+        CellSpec { label: "dag16m_swarm2", dag_bytes: 16 * MIB, swarm: 2, duplicate_factor: 1 },
+        CellSpec { label: "dag16m_swarm4", dag_bytes: 16 * MIB, swarm: 4, duplicate_factor: 1 },
+        CellSpec { label: "dag16m_swarm8", dag_bytes: 16 * MIB, swarm: 8, duplicate_factor: 1 },
+        CellSpec { label: "dag64m_swarm1", dag_bytes: 64 * MIB, swarm: 1, duplicate_factor: 1 },
+        CellSpec { label: "dag64m_swarm2", dag_bytes: 64 * MIB, swarm: 2, duplicate_factor: 1 },
+        CellSpec { label: "dag64m_swarm4", dag_bytes: 64 * MIB, swarm: 4, duplicate_factor: 1 },
+        CellSpec { label: "dag64m_swarm8", dag_bytes: 64 * MIB, swarm: 8, duplicate_factor: 1 },
+        CellSpec {
+            label: "dag16m_swarm4_dup2",
+            dag_bytes: 16 * MIB,
+            swarm: 4,
+            duplicate_factor: 2,
+        },
+        CellSpec {
+            label: "dag16m_swarm4_dup3",
+            dag_bytes: 16 * MIB,
+            swarm: 4,
+            duplicate_factor: 3,
+        },
+    ]
+}
+
+/// The three tiny cells the determinism tests run.
+#[cfg(test)]
+fn smoke_cell_specs() -> Vec<CellSpec> {
+    vec![
+        CellSpec { label: "smoke_swarm1", dag_bytes: 2 * MIB, swarm: 1, duplicate_factor: 1 },
+        CellSpec { label: "smoke_swarm4", dag_bytes: 2 * MIB, swarm: 4, duplicate_factor: 1 },
+        CellSpec { label: "smoke_dup2", dag_bytes: 2 * MIB, swarm: 4, duplicate_factor: 2 },
+    ]
 }
 
 /// Runs every cell as an independent unit of work on `jobs` workers and
 /// returns the rendered outputs in cell order (stdout byte-identical at
-/// any job count — see [`run_cells_with_jobs`]).
-pub fn run_all(
-    cfg: &SwarmBenchConfig,
-    master_seed: u64,
-    smoke: bool,
-    jobs: usize,
-) -> Vec<CellOutput> {
-    run_all_traced(cfg, master_seed, smoke, jobs, false)
-}
-
-/// [`run_all`] with distributed-trace exemplar collection switched on
-/// when `trace` is set (the `swarm` artifact does so when it exports).
+/// any job count — see [`run_cells_with_jobs`]). Distributed-trace
+/// exemplars are collected when `trace` is set (the `swarm` artifact does
+/// so when it exports).
 pub fn run_all_traced(
     cfg: &SwarmBenchConfig,
     master_seed: u64,
-    smoke: bool,
     jobs: usize,
     trace: bool,
 ) -> Vec<CellOutput> {
-    let specs = cell_specs(smoke);
+    run_cells(&cell_specs(), cfg, master_seed, jobs, trace)
+}
+
+/// Runs `specs` as [`run_all_traced`] runs the shipped cells.
+fn run_cells(
+    specs: &[CellSpec],
+    cfg: &SwarmBenchConfig,
+    master_seed: u64,
+    jobs: usize,
+    trace: bool,
+) -> Vec<CellOutput> {
     run_cells_with_jobs(jobs, specs.len(), |i| {
         // Cells of the same DAG size share one seed — identical population,
         // requester, and provider prefix — so the swarm-size rows of a DAG
@@ -411,7 +394,7 @@ mod tests {
     fn smoke_cells_are_deterministic_across_job_counts() {
         let cfg = SwarmBenchConfig::smoke();
         let render = |jobs: usize, trace: bool| {
-            let outputs = run_all_traced(&cfg, 99, true, jobs, trace);
+            let outputs = run_cells(&smoke_cell_specs(), &cfg, 99, jobs, trace);
             let traced = outputs.iter().any(|c| !c.exemplars.is_empty());
             assert_eq!(traced, trace, "exemplars are collected exactly when tracing");
             // Deterministic surfaces only: the report and the JSON
@@ -428,7 +411,7 @@ mod tests {
     #[test]
     fn smoke_swarm_beats_single_provider_and_stays_deduplicated() {
         let cfg = SwarmBenchConfig::smoke();
-        let outputs = run_all(&cfg, 7, true, 2);
+        let outputs = run_cells(&smoke_cell_specs(), &cfg, 7, 2, false);
         let cell = |label: &str| outputs.iter().find(|c| c.label == label).unwrap();
         let single = cell("smoke_swarm1");
         let swarm = cell("smoke_swarm4");

@@ -28,7 +28,6 @@ use crate::workload::{CatalogObject, GatewayRequest, GatewayWorkload};
 use bytes::Bytes;
 use ipfs_core::obs::names;
 use ipfs_core::{IpfsNetwork, MetricsRegistry, NodeId};
-use multiformats::Cid;
 
 /// Load-balancing policy for the fleet front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,20 +130,35 @@ impl GatewayFleet {
         }
     }
 
-    /// Preference order of gateways for `cid` under the configured policy
-    /// (before health filtering). The first entry is the primary; the
-    /// rest are failover targets in order.
-    pub fn preference_order(&mut self, cid: &Cid) -> Vec<usize> {
-        let n = self.gateways.len();
+    /// The primary gateway for a CID whose [`cid_key`] is `key`, without
+    /// allocating: the ring successor of the key under consistent hashing,
+    /// or the next gateway in rotation under round-robin (which advances
+    /// the rotation, once per call).
+    fn primary(&mut self, key: u64) -> usize {
         match self.cfg.lb {
             LbPolicy::RoundRobin => {
                 let first = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % n;
-                (0..n).map(|k| (first + k) % n).collect()
+                self.rr_next = (first + 1) % self.gateways.len();
+                first
             }
+            LbPolicy::ConsistentHash => self.ring[self.ring_start(key) % self.ring.len()].1,
+        }
+    }
+
+    /// Index of the first ring point at or after `key`'s position.
+    fn ring_start(&self, key: u64) -> usize {
+        let h = mix(key);
+        self.ring.partition_point(|&(p, _)| p < h)
+    }
+
+    /// Every gateway in preference order for `key`, starting at its
+    /// `primary`; the rest are failover targets in order.
+    fn order_from(&self, key: u64, primary: usize) -> Vec<usize> {
+        let n = self.gateways.len();
+        match self.cfg.lb {
+            LbPolicy::RoundRobin => (0..n).map(|k| (primary + k) % n).collect(),
             LbPolicy::ConsistentHash => {
-                let h = mix(cid_key(cid));
-                let start = self.ring.partition_point(|&(p, _)| p < h);
+                let start = self.ring_start(key);
                 let mut order = Vec::with_capacity(n);
                 let mut seen = vec![false; n];
                 for k in 0..self.ring.len() {
@@ -162,21 +176,35 @@ impl GatewayFleet {
         }
     }
 
-    /// Picks the serving gateway: the first healthy instance in
-    /// preference order. Counts a failover when the primary is skipped.
-    /// If every instance is unhealthy the primary serves (and its
-    /// retrievals fail like the real outage would).
-    fn route(&mut self, net: &IpfsNetwork, cid: &Cid) -> usize {
-        let order = self.preference_order(cid);
-        for (k, &g) in order.iter().enumerate() {
+    /// Preference order of gateways for `cid` under the configured policy
+    /// (before health filtering). The first entry is the primary; the
+    /// rest are failover targets in order. Round-robin advances its
+    /// rotation, as one routed request does.
+    #[cfg(test)]
+    fn preference_order(&mut self, cid: &multiformats::Cid) -> Vec<usize> {
+        let key = cid_key(cid);
+        let primary = self.primary(key);
+        self.order_from(key, primary)
+    }
+
+    /// Picks the serving gateway for a CID whose [`cid_key`] is `key`: the
+    /// first healthy instance in preference order. Counts a failover when
+    /// the primary is skipped. If every instance is unhealthy the primary
+    /// serves (and its retrievals fail like the real outage would). The
+    /// full order is built only when the primary is unhealthy.
+    fn route(&mut self, net: &IpfsNetwork, key: u64) -> usize {
+        let primary = self.primary(key);
+        if net.bridge_healthy(self.gateways[primary].node) {
+            return primary;
+        }
+        let order = self.order_from(key, primary);
+        for &g in &order[1..] {
             if net.bridge_healthy(self.gateways[g].node) {
-                if k > 0 {
-                    self.metrics.incr(names::GATEWAY_FLEET_FAILOVERS);
-                }
+                self.metrics.incr(names::GATEWAY_FLEET_FAILOVERS);
                 return g;
             }
         }
-        order[0]
+        primary
     }
 
     /// Serves one request through the fleet.
@@ -191,9 +219,11 @@ impl GatewayFleet {
         if net.now() < request.at {
             net.run_until(request.at);
         }
-        let obj = &workload.objects[request.object];
-        let gateway = self.route(net, &obj.cid);
-        let entry = self.gateways[gateway].serve(net, workload, request);
+        // The one `cid_key` of this request: routing, the sketch and the
+        // nginx tier all take it from here.
+        let key = cid_key(&workload.objects[request.object].cid);
+        let gateway = self.route(net, key);
+        let entry = self.gateways[gateway].serve(net, workload, request, key);
         FleetLogEntry { gateway, entry }
     }
 
@@ -228,6 +258,7 @@ impl GatewayFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multiformats::Cid;
 
     fn cid(n: u32) -> Cid {
         Cid::from_raw_data(&n.to_be_bytes())
@@ -265,6 +296,39 @@ mod tests {
                 "gateway {g} got {c}/2000 primaries — ring is unbalanced: {counts:?}"
             );
         }
+    }
+
+    #[test]
+    fn primary_is_the_head_of_the_preference_order() {
+        // The allocation-free primary `route` takes must be the gateway the
+        // full order starts with. Round-robin advances once per call, so a
+        // twin fleet stays in step with the one that builds the order.
+        for lb in [LbPolicy::ConsistentHash, LbPolicy::RoundRobin] {
+            let (mut f, mut twin) = (fleet(5, lb), fleet(5, lb));
+            for i in 0..2_000u32 {
+                let c = cid(i);
+                assert_eq!(twin.primary(cid_key(&c)), f.preference_order(&c)[0], "{lb:?} cid {i}");
+            }
+            assert_eq!(f.rr_next, twin.rr_next, "{lb:?}: one rotation step per request");
+        }
+    }
+
+    #[test]
+    fn routing_takes_one_rotation_step_per_request() {
+        use ipfs_core::NetworkConfig;
+        use simnet::latency::VantagePoint;
+        use simnet::{Population, PopulationConfig, SimDuration};
+        let pop = Population::generate(
+            PopulationConfig { size: 100, nat_fraction: 0.3, horizon: SimDuration::from_hours(1) },
+            5,
+        );
+        let vantages = [VantagePoint::UsWest1, VantagePoint::EuCentral1, VantagePoint::SaEast1];
+        let net = IpfsNetwork::from_population(&pop, &vantages, NetworkConfig::default(), 5);
+        let lb = LbPolicy::RoundRobin;
+        let mut f =
+            GatewayFleet::new(&net.vantage_ids(3), FleetConfig { lb, ..Default::default() });
+        let served: Vec<usize> = (0..7).map(|i| f.route(&net, cid_key(&cid(i)))).collect();
+        assert_eq!(served, vec![0, 1, 2, 0, 1, 2, 0], "healthy fleet: strict rotation");
     }
 
     #[test]

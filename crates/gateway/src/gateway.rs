@@ -16,16 +16,17 @@
 //!   CID are answered immediately without hammering the DHT.
 
 use crate::admission::{cid_key, TinyLfu, TinyLfuConfig};
-use crate::cache::LruWebCache;
+use crate::cache::{CidMap, LruWebCache};
 use crate::log::AccessLogEntry;
 use crate::workload::{GatewayRequest, GatewayWorkload};
 use bytes::Bytes;
-use ipfs_core::obs::names;
+use ipfs_core::obs::{names, CounterHandle};
 use ipfs_core::{IpfsNetwork, MetricsRegistry, NodeId};
 use merkledag::BlockStore;
-use multiformats::Cid;
+use multiformats::{Cid, KeyHasher};
 use simnet::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 /// Which tier served a request (Table 5's three rows, plus the negative
 /// cache for known-failed CIDs).
@@ -110,6 +111,40 @@ struct Inflight {
     success: bool,
 }
 
+/// The tier counters in [`Gateway::metrics`], resolved once. A handle
+/// that is never bumped stays out of exports and merges, so the registry
+/// prints exactly what name-keyed increments would.
+#[derive(Debug, Clone, Copy)]
+struct TierCounters {
+    nginx_hits: CounterHandle,
+    nginx_misses: CounterHandle,
+    nginx_evictions: CounterHandle,
+    singleflight_waiters: CounterHandle,
+    negative_hits: CounterHandle,
+    negative_inserts: CounterHandle,
+    node_store_hits: CounterHandle,
+    network_fetches: CounterHandle,
+    network_failures: CounterHandle,
+    admission_rejects: CounterHandle,
+}
+
+impl TierCounters {
+    fn resolve(metrics: &mut MetricsRegistry) -> TierCounters {
+        TierCounters {
+            nginx_hits: metrics.counter_handle(names::GATEWAY_NGINX_HITS),
+            nginx_misses: metrics.counter_handle(names::GATEWAY_NGINX_MISSES),
+            nginx_evictions: metrics.counter_handle(names::GATEWAY_NGINX_EVICTIONS),
+            singleflight_waiters: metrics.counter_handle(names::GATEWAY_SINGLEFLIGHT_WAITERS),
+            negative_hits: metrics.counter_handle(names::GATEWAY_NEGATIVE_HITS),
+            negative_inserts: metrics.counter_handle(names::GATEWAY_NEGATIVE_INSERTS),
+            node_store_hits: metrics.counter_handle(names::GATEWAY_NODE_STORE_HITS),
+            network_fetches: metrics.counter_handle(names::GATEWAY_NETWORK_FETCHES),
+            network_failures: metrics.counter_handle(names::GATEWAY_NETWORK_FAILURES),
+            admission_rejects: metrics.counter_handle(names::GATEWAY_ADMISSION_REJECTS),
+        }
+    }
+}
+
 /// How one request was resolved through the tiers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TierOutcome {
@@ -130,16 +165,20 @@ pub struct Gateway {
     /// The nginx tier.
     pub nginx: LruWebCache,
     /// Tier-level request counters (`gateway_nginx_hits`,
-    /// `gateway_node_store_hits`, `gateway_network_fetches`, …).
+    /// `gateway_node_store_hits`, `gateway_network_fetches`, …). They are
+    /// bumped through handles resolved in `Gateway::new`, so other
+    /// registries may be merged into this one but must not replace it.
     pub metrics: MetricsRegistry,
+    /// Handles to the tier counters in `metrics`.
+    counters: TierCounters,
     /// CIDs pinned into the gateway's node store.
-    pub(crate) pinned: HashSet<Cid>,
+    pinned: HashSet<Cid, BuildHasherDefault<KeyHasher>>,
     /// TinyLFU frequency sketch (consulted when the config says so).
     lfu: TinyLfu,
     /// In-flight retrievals for singleflight coalescing.
-    inflight: HashMap<Cid, Inflight>,
+    inflight: CidMap<Inflight>,
     /// Negative cache: CID → expiry of the remembered failure.
-    negative: HashMap<Cid, SimTime>,
+    negative: CidMap<SimTime>,
     /// `nginx.evictions` already reported to `metrics` (the registry gets
     /// incremental deltas so merged parallel-cell metrics add correctly).
     evictions_reported: u64,
@@ -154,14 +193,17 @@ impl Gateway {
     /// Creates a gateway bridged through `node` (an always-online DHT
     /// server in `net`, e.g. a vantage node).
     pub(crate) fn new(node: NodeId, cfg: GatewayConfig) -> Gateway {
+        let mut metrics = MetricsRegistry::new();
+        let counters = TierCounters::resolve(&mut metrics);
         Gateway {
             node,
             nginx: LruWebCache::new(cfg.nginx_capacity_bytes),
-            metrics: MetricsRegistry::new(),
-            pinned: HashSet::new(),
+            metrics,
+            counters,
+            pinned: HashSet::default(),
             lfu: TinyLfu::new(cfg.tinylfu),
-            inflight: HashMap::new(),
-            negative: HashMap::new(),
+            inflight: CidMap::default(),
+            negative: CidMap::default(),
             evictions_reported: 0,
             cfg,
         }
@@ -176,25 +218,22 @@ impl Gateway {
         root
     }
 
-    /// Whether a CID is pinned in the node store.
-    pub fn is_pinned(&self, cid: &Cid) -> bool {
-        self.pinned.contains(cid)
-    }
-
-    /// Resolves one CID through the tier chain, advancing the network for
-    /// backend fetches. `arrival` is when the request reached the gateway
-    /// (the network clock may already be past it — requests are processed
-    /// in arrival order and a leader's retrieval advances virtual time).
+    /// Resolves one CID, whose [`cid_key`] is `key`, through the tier
+    /// chain, advancing the network for backend fetches. `arrival` is when
+    /// the request reached the gateway (the network clock may already be
+    /// past it — requests are processed in arrival order and a leader's
+    /// retrieval advances virtual time).
     pub(crate) fn serve_cid(
         &mut self,
         net: &mut IpfsNetwork,
         cid: &Cid,
+        key: u64,
         size_hint: Option<u64>,
         arrival: SimTime,
     ) -> TierOutcome {
         let start = net.now().max(arrival);
         if self.cfg.admission == AdmissionPolicy::TinyLfu {
-            self.lfu.record(cid_key(cid));
+            self.lfu.record(key);
         }
         // Singleflight first: a request that arrived while a retrieval of
         // the same CID was in flight rides the leader's fetch. This must
@@ -203,8 +242,8 @@ impl Gateway {
         // *arrival* the content was not there yet.
         if let Some(&inf) = self.inflight.get(cid) {
             if arrival < inf.completes_at {
-                self.metrics.incr(names::GATEWAY_NGINX_MISSES);
-                self.metrics.incr(names::GATEWAY_SINGLEFLIGHT_WAITERS);
+                self.metrics.incr_handle(self.counters.nginx_misses);
+                self.metrics.incr_handle(self.counters.singleflight_waiters);
                 return TierOutcome {
                     latency: inf.completes_at.since(arrival),
                     completed_at: inf.completes_at,
@@ -215,7 +254,7 @@ impl Gateway {
             self.inflight.remove(cid);
         }
         if self.nginx.get(cid).is_some() {
-            self.metrics.incr(names::GATEWAY_NGINX_HITS);
+            self.metrics.incr_handle(self.counters.nginx_hits);
             return TierOutcome {
                 latency: SimDuration::ZERO,
                 completed_at: start,
@@ -223,10 +262,10 @@ impl Gateway {
                 success: true,
             };
         }
-        self.metrics.incr(names::GATEWAY_NGINX_MISSES);
+        self.metrics.incr_handle(self.counters.nginx_misses);
         if let Some(&expiry) = self.negative.get(cid) {
             if arrival < expiry {
-                self.metrics.incr(names::GATEWAY_NEGATIVE_HITS);
+                self.metrics.incr_handle(self.counters.negative_hits);
                 return TierOutcome {
                     latency: SimDuration::ZERO,
                     completed_at: start,
@@ -237,9 +276,9 @@ impl Gateway {
             self.negative.remove(cid);
         }
         if self.pinned.contains(cid) || net.node_mut(self.node).store.has(cid) {
-            self.metrics.incr(names::GATEWAY_NODE_STORE_HITS);
+            self.metrics.incr_handle(self.counters.node_store_hits);
             let size = size_hint.unwrap_or_else(|| content_size(net, self.node, cid));
-            self.promote(cid, size);
+            self.promote(cid, key, size);
             return TierOutcome {
                 latency: NODE_STORE_LATENCY,
                 completed_at: start + NODE_STORE_LATENCY,
@@ -249,7 +288,7 @@ impl Gateway {
         }
         // Network leader: full P2P retrieval through the bridge node
         // (§3.2 pipeline).
-        self.metrics.incr(names::GATEWAY_NETWORK_FETCHES);
+        self.metrics.incr_handle(self.counters.network_fetches);
         let before = net.retrieve_reports.len();
         net.retrieve(self.node, cid.clone());
         net.run_until_quiet();
@@ -287,10 +326,10 @@ impl Gateway {
             t_fetch_end + ser,
         );
         if report.success {
-            self.promote(cid, size);
+            self.promote(cid, key, size);
         } else {
-            self.metrics.incr(names::GATEWAY_NETWORK_FAILURES);
-            self.metrics.incr(names::GATEWAY_NEGATIVE_INSERTS);
+            self.metrics.incr_handle(self.counters.network_failures);
+            self.metrics.incr_handle(self.counters.negative_inserts);
             self.negative.insert(cid.clone(), completed_at + NEGATIVE_TTL);
         }
         self.inflight
@@ -299,17 +338,17 @@ impl Gateway {
     }
 
     /// Inserts a response into the nginx tier through the configured
-    /// admission policy.
-    fn promote(&mut self, cid: &Cid, size: u64) {
+    /// admission policy (`key` is `cid_key(cid)`).
+    fn promote(&mut self, cid: &Cid, key: u64, size: u64) {
         let admitted = match self.cfg.admission {
             AdmissionPolicy::Lru => {
-                self.nginx.put(cid.clone(), size);
+                self.nginx.insert(cid, key, size);
                 true
             }
-            AdmissionPolicy::TinyLfu => self.nginx.put_with_admission(cid.clone(), size, &self.lfu),
+            AdmissionPolicy::TinyLfu => self.nginx.admit(cid, key, size, &self.lfu),
         };
         if !admitted {
-            self.metrics.incr(names::GATEWAY_ADMISSION_REJECTS);
+            self.metrics.incr_handle(self.counters.admission_rejects);
         }
     }
 
@@ -318,7 +357,7 @@ impl Gateway {
     fn sync_eviction_metric(&mut self) {
         let delta = self.nginx.evictions - self.evictions_reported;
         if delta > 0 {
-            self.metrics.add(names::GATEWAY_NGINX_EVICTIONS, delta);
+            self.metrics.add_handle(self.counters.nginx_evictions, delta);
             self.evictions_reported = self.nginx.evictions;
         }
     }
@@ -326,14 +365,16 @@ impl Gateway {
     /// Serves one request whose arrival the network clock has already
     /// reached ([`crate::GatewayFleet::serve`] advances it), and returns
     /// the log entry (`at` = arrival, `completed_at` = actual serve time).
+    /// `key` is the requested object's [`cid_key`].
     pub(crate) fn serve(
         &mut self,
         net: &mut IpfsNetwork,
         workload: &GatewayWorkload,
         request: &GatewayRequest,
+        key: u64,
     ) -> AccessLogEntry {
         let obj = &workload.objects[request.object];
-        let out = self.serve_cid(net, &obj.cid, Some(obj.size), request.at);
+        let out = self.serve_cid(net, &obj.cid, key, Some(obj.size), request.at);
         self.sync_eviction_metric();
         AccessLogEntry {
             at: request.at,
@@ -366,7 +407,7 @@ impl Gateway {
         let resolution = net.ipns_resolve_reports[before..].last()?.clone();
         let record = resolution.record?;
         let cid = record.value;
-        let out = self.serve_cid(net, &cid, None, net.now());
+        let out = self.serve_cid(net, &cid, cid_key(&cid), None, net.now());
         self.sync_eviction_metric();
         if !out.success {
             return None;
@@ -592,15 +633,16 @@ mod tests {
         let gw = &mut fleet.gateways[0];
         // A CID nobody provides: the retrieval fails.
         let missing = Cid::from_raw_data(b"no-such-object-anywhere");
+        let key = cid_key(&missing);
         let at1 = net.now();
-        let out1 = gw.serve_cid(&mut net, &missing, Some(10_000), at1);
+        let out1 = gw.serve_cid(&mut net, &missing, key, Some(10_000), at1);
         assert!(!out1.success);
         assert_eq!(out1.served_by, ServedBy::Network);
         assert_eq!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES), 1);
         assert_eq!(gw.metrics.get(names::GATEWAY_NEGATIVE_INSERTS), 1);
         // Within the TTL: answered from the negative cache, no refetch.
         let at2 = out1.completed_at + SimDuration::from_secs(1);
-        let out2 = gw.serve_cid(&mut net, &missing, Some(10_000), at2);
+        let out2 = gw.serve_cid(&mut net, &missing, key, Some(10_000), at2);
         assert_eq!(out2.served_by, ServedBy::NegativeCache);
         assert!(!out2.success);
         assert_eq!(out2.latency, SimDuration::ZERO);
@@ -608,7 +650,7 @@ mod tests {
         assert_eq!(gw.metrics.get(names::GATEWAY_NEGATIVE_HITS), 1);
         // Past the TTL the gateway tries the network again.
         let at3 = out1.completed_at + NEGATIVE_TTL + SimDuration::from_secs(2);
-        let out3 = gw.serve_cid(&mut net, &missing, Some(10_000), at3);
+        let out3 = gw.serve_cid(&mut net, &missing, key, Some(10_000), at3);
         assert_eq!(out3.served_by, ServedBy::Network);
         assert_eq!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES), 2, "retries after expiry");
     }

@@ -20,6 +20,8 @@
 //!   paper).
 //! - [`peer`] — PeerIDs and the simulation keypair scheme used to
 //!   self-certify peers and sign IPNS records.
+//! - [`hasher`] — [`KeyHasher`], the unkeyed hasher for maps keyed by
+//!   digests (DHT keys, CIDs).
 //!
 //! Everything here is dependency-free and deterministic; the rest of the
 //! workspace builds on these primitives.
@@ -31,6 +33,7 @@
 
 pub mod base;
 pub mod cid;
+pub mod hasher;
 pub mod multiaddr;
 pub mod multicodec;
 pub mod multihash;
@@ -41,6 +44,7 @@ pub mod varint;
 
 pub use base::Multibase;
 pub use cid::{Cid, Version};
+pub use hasher::KeyHasher;
 pub use multiaddr::{Multiaddr, Protocol};
 pub use multicodec::Multicodec;
 pub use multihash::{Multihash, MultihashCode};

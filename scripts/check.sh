@@ -121,6 +121,18 @@ reprovide_sweep 9b6a798fd7220c21
 pdes_world 62de5182dea1a7d6
 EOF
 
+gate "alternating A/B script (one quick pair, one build on both sides)"
+# scripts/ab.sh is how a speed claim is measured (DESIGN.md §7). The digest
+# runs above built the benchmark binary; one pair of it against itself
+# must read correct, 0 failed and equal digests, and print the summary.
+BENCH_BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/ipfs-benchmark"
+if ! scripts/ab.sh "$BENCH_BIN" "$BENCH_BIN" gateway_day 3 1 0 --quick > "$TMP/ab.txt" 2>&1 ||
+    ! grep -q '^run_s .* of 1)$' "$TMP/ab.txt"; then
+    echo "ab.sh: one quick pair of $BENCH_BIN against itself must pass:" >&2
+    cat "$TMP/ab.txt" >&2
+    exit 1
+fi
+
 gate "build the harness bins"
 cargo build --release -q -p bench --bin throughput --bin lifecycle --bin paper
 
