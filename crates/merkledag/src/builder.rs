@@ -185,6 +185,39 @@ mod tests {
     }
 
     #[test]
+    fn leaves_are_views_of_the_payload_buffer() {
+        // Import stores each leaf as a view of the payload, not a copy: one
+        // buffer per imported payload, whichever chunker cut it.
+        let data = bytes_of(3 * 256 * 1024 + 1000, 7);
+        let payload = data.as_ptr() as usize..data.as_ptr() as usize + data.len();
+        let cdc = crate::chunker::ContentDefinedChunker::new(1024, 8192, 11);
+        for chunker in [None, Some(&cdc)] {
+            let mut store = MemoryBlockStore::new();
+            let mut builder = DagBuilder::new(&mut store);
+            let report = match chunker {
+                None => builder.add(&data),
+                Some(c) => builder.add_with_chunker(&data, c),
+            }
+            .unwrap();
+            let leaves: Vec<Cid> = store
+                .cids()
+                .filter(|c| c.codec() == multiformats::Multicodec::Raw)
+                .cloned()
+                .collect();
+            assert_eq!(leaves.len(), report.new_leaves);
+            assert!(report.new_leaves > 3);
+            for cid in &leaves {
+                let block = store.get(cid).unwrap();
+                let at = block.as_ptr() as usize;
+                assert!(
+                    payload.contains(&at) && at + block.len() <= payload.end,
+                    "leaf {cid} is a copy, not a view of the payload"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn identical_chunks_deduplicate_within_file() {
         let mut store = MemoryBlockStore::new();
         // 8 identical 512-byte chunks.

@@ -165,6 +165,62 @@ mod tests {
         assert_eq!(Resolver::new(&mut dst).read_file(&rb).unwrap(), b);
     }
 
+    /// A valid archive of one or two DAGs sized from `seed`.
+    fn archive_of(seed: u64) -> Vec<u8> {
+        let mut src = MemoryBlockStore::new();
+        let roots: Vec<Cid> = (0..1 + seed % 2)
+            .map(|i| build(&mut src, &sample((seed as usize >> 1) % 3000 + 1, (seed + i) as u8)))
+            .collect();
+        export(&mut src, &roots).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn import_never_panics_on_arbitrary_bytes(
+            body in proptest::collection::vec(proptest::any::<u8>(), 0..256),
+            with_magic in proptest::any::<bool>(),
+        ) {
+            let mut bytes = if with_magic { MAGIC.to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&body);
+            let _ = import(&mut MemoryBlockStore::new(), &bytes);
+        }
+
+        #[test]
+        fn import_never_panics_on_mutated_archives(
+            seed in proptest::any::<u64>(),
+            edits in proptest::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<u8>()), 1..6),
+            cut in proptest::any::<usize>(),
+        ) {
+            let mut bytes = archive_of(seed);
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let mut dst = MemoryBlockStore::new();
+            let _ = import(&mut dst, &bytes);
+            // Whatever was stored self-certifies, even when import failed
+            // part-way through the archive.
+            for cid in dst.cids().cloned().collect::<Vec<_>>() {
+                proptest::prop_assert!(cid.hash().verify(&dst.get(&cid).unwrap()));
+            }
+        }
+
+        #[test]
+        fn import_export_import_roundtrips(seed in 0u64..4096) {
+            let archive = archive_of(seed);
+            let mut dst = MemoryBlockStore::new();
+            let first = import(&mut dst, &archive).unwrap();
+            let again = export(&mut dst, &first.roots).unwrap();
+            proptest::prop_assert_eq!(&again, &archive);
+            let second = import(&mut MemoryBlockStore::new(), &again).unwrap();
+            proptest::prop_assert_eq!(second, first);
+        }
+    }
+
     #[test]
     fn corrupt_block_rejected() {
         let mut src = MemoryBlockStore::new();

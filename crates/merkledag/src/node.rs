@@ -176,6 +176,71 @@ mod tests {
         assert!(DagNode::decode(&bytes).is_err());
     }
 
+    /// A valid node from a seed: 0–7 links with names of 0–11 chars (some
+    /// multi-byte) and sizes below 2^63 (the varint limit), plus 0–63 bytes
+    /// of data.
+    fn node_of(seed: u64) -> DagNode {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let links = (0..next() % 8)
+            .map(|i| Link {
+                cid: Cid::from_raw_data(&next().to_le_bytes()),
+                name: (0..next() % 12)
+                    .map(|j| ['a', 'z', '7', 'é', '🌍'][(i + j) as usize % 5])
+                    .collect(),
+                tsize: next() >> (1 + next() % 63),
+            })
+            .collect();
+        let data: Vec<u8> = (0..next() % 64).map(|_| next() as u8).collect();
+        DagNode { links, data: Bytes::from(data) }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..256)
+        ) {
+            let _ = DagNode::decode(&bytes);
+        }
+
+        #[test]
+        fn decode_never_panics_on_mutated_nodes(
+            seed in proptest::any::<u64>(),
+            edits in proptest::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<u8>()), 1..6),
+            cut in proptest::any::<usize>(),
+        ) {
+            // Mutations of a valid encoding get past the first varint, so
+            // they reach the link and data parsers that random bytes rarely do.
+            let mut bytes = node_of(seed).encode();
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            if let Ok(node) = DagNode::decode(&bytes) {
+                proptest::prop_assert_eq!(node.encode(), bytes);
+            }
+        }
+
+        #[test]
+        fn decode_encode_decode_roundtrips(seed in proptest::any::<u64>()) {
+            let node = node_of(seed);
+            let bytes = node.encode();
+            let back = DagNode::decode(&bytes).unwrap();
+            proptest::prop_assert_eq!(&back, &node);
+            proptest::prop_assert_eq!(back.encode(), bytes);
+            proptest::prop_assert_eq!(back.cid(), node.cid());
+        }
+    }
+
     #[test]
     fn decode_rejects_absurd_link_count() {
         // varint claiming 2^40 links with a 3-byte body.

@@ -92,6 +92,13 @@ results_hashes "$TMP/results_before.txt"
 gate "cargo test"
 cargo test -q
 
+gate "vendored crate tests (bytes, rand, proptest)"
+# The vendor/ stand-ins are not listed in `members`; `cargo test` above
+# reaches them only because path dependencies under the root join the
+# workspace implicitly. Name them, so their tests stay gated either way;
+# the `bytes` tests pin the zero-copy view contract of every block buffer.
+cargo test -q -p bytes -p rand -p proptest
+
 gate "cargo test --release (multiformats: intrinsics at benchmark opt level)"
 cargo test -q -p multiformats --release
 

@@ -62,6 +62,40 @@ fn every_retrieved_block_is_verified() {
 }
 
 #[test]
+fn retrieved_leaves_share_the_publishers_buffers() {
+    // A retrieval hands the fetcher the publisher's block buffers, which are
+    // themselves views of the imported payload: no payload byte is copied
+    // between import and the fetcher's store.
+    let (mut net, ids) = test_network(300, &[VantagePoint::UsWest1, VantagePoint::EuCentral1], 109);
+    let [us, eu] = ids[..] else { unreachable!() };
+    let data = payload(3 * 256 * 1024 + 4000, 11);
+    let cid = net.import_content(us, &data);
+    net.publish(us, cid.clone());
+    net.run_until_quiet();
+    net.retrieve(eu, cid.clone());
+    net.run_until_quiet();
+    assert!(net.retrieve_reports.last().unwrap().success);
+    let leaves: Vec<_> = net
+        .node(eu)
+        .store
+        .cids()
+        .filter(|c| c.codec() == multiformats::Multicodec::Raw)
+        .cloned()
+        .collect();
+    assert_eq!(leaves.len(), 4);
+    let payload_at = data.as_ptr() as usize..data.as_ptr() as usize + data.len();
+    for c in &leaves {
+        let fetched = net.node_mut(eu).store.get(c).unwrap();
+        let published = net.node_mut(us).store.get(c).unwrap();
+        assert_eq!(fetched.as_ptr(), published.as_ptr(), "fetcher's leaf {c} is a copy");
+        assert!(
+            payload_at.contains(&(published.as_ptr() as usize)),
+            "publisher's leaf {c} is a copy"
+        );
+    }
+}
+
+#[test]
 fn multiple_providers_any_can_serve() {
     // Two providers publish the same CID; after the first goes offline the
     // content remains retrievable — "enabling objects to be served from
