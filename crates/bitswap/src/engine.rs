@@ -35,6 +35,7 @@
 use crate::ledger::Ledger;
 use crate::message::Message;
 use crate::session::{Session, SessionConfig, SessionStats};
+use bytes::Bytes;
 use merkledag::{BlockStore, DagNode};
 use multiformats::{Cid, Multicodec, PeerId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -325,6 +326,21 @@ impl BitswapEngine {
         message: Message,
         store: &mut S,
     ) -> Vec<EngineOutput> {
+        self.handle_inbound_with(from, message, store, |cid, data| cid.hash().verify(data))
+    }
+
+    /// [`BitswapEngine::handle_inbound`] with the caller's check of a
+    /// received block against its CID. `verify` runs at most once, only
+    /// for a BLOCK some session wants, exactly where the engine would
+    /// otherwise hash it; it must answer what `cid.hash().verify(data)`
+    /// answers (a driver may have computed that verdict ahead of time).
+    pub fn handle_inbound_with<S: BlockStore>(
+        &mut self,
+        from: &PeerId,
+        message: Message,
+        store: &mut S,
+        verify: impl FnOnce(&Cid, &Bytes) -> bool,
+    ) -> Vec<EngineOutput> {
         self.ledger.record_received(
             from,
             message.wire_size(),
@@ -347,7 +363,7 @@ impl BitswapEngine {
             // ---- client side ----
             Message::Have(cid) => self.on_have(from, &cid),
             Message::DontHave(cid) => self.on_dont_have(from, &cid),
-            Message::Block { cid, data } => self.on_block(from, cid, data, store),
+            Message::Block { cid, data } => self.on_block(from, cid, data, store, verify),
         }
     }
 
@@ -479,8 +495,9 @@ impl BitswapEngine {
         &mut self,
         from: &PeerId,
         cid: Cid,
-        data: bytes::Bytes,
+        data: Bytes,
         store: &mut S,
+        verify: impl FnOnce(&Cid, &Bytes) -> bool,
     ) -> Vec<EngineOutput> {
         let mut out = Vec::new();
         let Some(handle) = self.wanted_by(&cid) else {
@@ -499,7 +516,7 @@ impl BitswapEngine {
         // Verify before the block can touch the session or the store:
         // "verify that the data they were served matches the requested
         // CID" (§3.1).
-        if !cid.hash().verify(&data) {
+        if !verify(&cid, &data) {
             // Corrupt block: ignore it entirely (sessions keep waiting and
             // will fail over / stall rather than accept bad data).
             return out;

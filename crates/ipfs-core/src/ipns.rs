@@ -88,6 +88,12 @@ impl IpnsRecord {
     /// the DHT's PUT_VALUE/GET_VALUE (§3.3). Layout:
     /// `name-mh | pubkey(32) | cid | seq | created_ns | validity_ns | sig(32)`,
     /// each variable field varint-length-prefixed.
+    ///
+    /// # Panics
+    ///
+    /// If the sequence number, creation time or validity (in nanoseconds)
+    /// exceeds [`varint::MAX_VALUE`], which [`IpnsRecord::decode`] could not
+    /// read back. 2^63 ns is 292 years, and decoded records never carry one.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(160);
         let name = self.name.to_bytes();
@@ -340,5 +346,63 @@ mod tests {
         let later = SimTime::ZERO + SimDuration::from_hours(3);
         assert!(store.resolve(&kp.peer_id(), later).is_none());
         assert!(store.is_empty());
+    }
+
+    /// A signed record from a seed: its key, value, sequence, creation time
+    /// and validity all vary, each below the 63-bit varint limit.
+    fn record_of(seed: u64) -> IpnsRecord {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let kp = Keypair::from_seed(next());
+        let value = Cid::from_raw_data(&next().to_le_bytes());
+        let created_at = SimTime(next() >> (1 + next() % 63));
+        let validity = SimDuration::from_nanos(next() >> (1 + next() % 63));
+        IpnsRecord::sign(&kp, value, next() >> (1 + next() % 63), created_at, validity)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..256)
+        ) {
+            let _ = IpnsRecord::decode(&bytes);
+        }
+
+        #[test]
+        fn decode_never_panics_on_mutated_records(
+            seed in proptest::any::<u64>(),
+            edits in proptest::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<u8>()), 1..6),
+            cut in proptest::any::<usize>(),
+        ) {
+            // Mutations of a valid record get past the name and key, so
+            // they reach the CID, varint and signature parsers.
+            let mut bytes = record_of(seed).encode();
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            if let Some(rec) = IpnsRecord::decode(&bytes) {
+                proptest::prop_assert_eq!(IpnsRecord::decode(&rec.encode()), Some(rec));
+            }
+        }
+
+        #[test]
+        fn decode_encode_decode_roundtrips(seed in proptest::any::<u64>()) {
+            let rec = record_of(seed);
+            let bytes = rec.encode();
+            let back = IpnsRecord::decode(&bytes).unwrap();
+            proptest::prop_assert_eq!(&back, &rec);
+            proptest::prop_assert_eq!(back.encode(), bytes);
+            proptest::prop_assert_eq!(back.validate(back.created_at), rec.validate(rec.created_at));
+        }
     }
 }

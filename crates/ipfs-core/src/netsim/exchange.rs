@@ -5,12 +5,14 @@
 
 use super::lifecycle::OpState;
 use super::obs_hooks::bitswap_kind;
+use super::verify::{Verdict, Verifier};
 use super::{IpfsNetwork, NetEvent, NodeId};
 use crate::config::FETCH_TIMEOUT;
 use crate::obs::dtrace::TraceCtx;
 use crate::obs::{names, TraceEventKind, TraceLevel};
 use crate::ops::{OpId, RetrievePhase};
 use bitswap::{EngineOutput, Message, SessionConfig, SessionHandle};
+use bytes::Bytes;
 use kademlia::routing::PeerInfo;
 use multiformats::{Cid, PeerId};
 use simnet::{SimDuration, SimTime};
@@ -30,11 +32,17 @@ pub(super) struct Exchange {
     /// an isolated single block sees zero wait, keeping the
     /// single-provider path's timing (and RNG stream) unchanged.
     uplink_free_at: Vec<SimTime>,
+    /// Hashes large BLOCKs on a second core while they are in flight.
+    pub(super) verifier: Verifier,
 }
 
 impl Exchange {
     pub(super) fn new(nodes: usize) -> Exchange {
-        Exchange { session_owner: HashMap::new(), uplink_free_at: vec![SimTime::ZERO; nodes] }
+        Exchange {
+            session_owner: HashMap::new(),
+            uplink_free_at: vec![SimTime::ZERO; nodes],
+            verifier: Verifier::new(),
+        }
     }
 }
 
@@ -229,6 +237,7 @@ impl IpfsNetwork {
         from: NodeId,
         to: NodeId,
         message: Message,
+        verdict: Option<Arc<Verdict>>,
         ctx: TraceCtx,
     ) {
         if !self.online[to] || self.cut_in_flight(from, to) {
@@ -238,7 +247,12 @@ impl IpfsNetwork {
         let from_peer = self.nodes[from].node.peer_id().clone();
         let n = &mut self.nodes[to];
         n.node.bitswap.set_clock(now.as_nanos());
-        let outputs = n.node.bitswap.handle_inbound(&from_peer, message, &mut n.node.store);
+        let verify = |cid: &Cid, data: &Bytes| match &verdict {
+            Some(verdict) => verdict.check(cid, data),
+            None => cid.hash().verify(data),
+        };
+        let outputs =
+            n.node.bitswap.handle_inbound_with(&from_peer, message, &mut n.node.store, verify);
         // Replies echo the inbound causal context: a responder's BLOCK
         // carries the op's trace id even though the responder owns no
         // session for it.
@@ -288,12 +302,17 @@ impl IpfsNetwork {
                     }
                     self.metrics.incr_handle(self.hot.bitswap_sent[bitswap_kind(&message)]);
                     let delay = self.message_delay(id, target, &message, ctx);
+                    let verdict = match &message {
+                        Message::Block { cid, data } => self.exchange.verifier.enqueue(cid, data),
+                        _ => None,
+                    };
                     self.queue.schedule(
                         delay,
                         NetEvent::BitswapArrive {
                             from: id,
                             to: target,
                             message: Box::new(message),
+                            verdict,
                             ctx,
                         },
                     );

@@ -18,6 +18,9 @@
 //!   the fire-and-forget stores (§3.1, §3.3);
 //! - `exchange` — the Bitswap probe and fetch sessions and the uplink
 //!   queue (§3.2);
+//! - `verify` — large in-flight blocks hashed ahead of delivery on a
+//!   second core (§3.1's "verify that the data they were served matches
+//!   the requested CID");
 //! - `reprovide` — per-CID republish chains and the keyspace sweep (§3.1);
 //! - `faults` — scripted partitions, degradations and crash waves;
 //! - `lifecycle` — publish, retrieve and IPNS operations and their
@@ -36,6 +39,7 @@ mod reprovide;
 #[cfg(test)]
 mod tests;
 mod transport;
+mod verify;
 
 use crate::config::NodeConfig;
 use crate::conn::ConnSet;
@@ -61,6 +65,7 @@ use simnet::latency::{BandwidthClass, LatencyModel, Region, VantagePoint};
 use simnet::{EventQueue, Population, SimDuration, SimTime, TimerId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+use verify::Verdict;
 
 /// Dense node identifier within one simulation.
 pub type NodeId = usize;
@@ -226,8 +231,15 @@ enum NetEvent {
     /// sender.
     StoreSettled { op: OpId, ok: bool },
     /// A Bitswap message arrives. Carries the causal context of the
-    /// session's op; responders echo it back on their replies.
-    BitswapArrive { from: NodeId, to: NodeId, message: Box<Message>, ctx: TraceCtx },
+    /// session's op; responders echo it back on their replies. A large
+    /// BLOCK also carries the verdict being computed ahead of its arrival.
+    BitswapArrive {
+        from: NodeId,
+        to: NodeId,
+        message: Box<Message>,
+        verdict: Option<Arc<Verdict>>,
+        ctx: TraceCtx,
+    },
     /// The 1 s opportunistic-Bitswap window expired (§3.2).
     BitswapProbeTimeout { op: OpId },
     /// The dial to a content provider completed; start the fetch session.
@@ -538,8 +550,8 @@ impl IpfsNetwork {
             NetEvent::RpcFail { node, query, peer } => self.on_rpc_fail(now, node, query, peer),
             NetEvent::StoreArrive { from, to, store } => self.on_store_arrive(now, from, to, store),
             NetEvent::StoreSettled { op, ok } => self.on_store_settled(now, op, ok),
-            NetEvent::BitswapArrive { from, to, message, ctx } => {
-                self.on_bitswap_arrive(now, from, to, *message, ctx)
+            NetEvent::BitswapArrive { from, to, message, verdict, ctx } => {
+                self.on_bitswap_arrive(now, from, to, *message, verdict, ctx)
             }
             NetEvent::BitswapProbeTimeout { op } => self.on_probe_timeout(now, op),
             NetEvent::FetchConnected { op, provider } => self.on_fetch_connected(op, provider),

@@ -89,8 +89,7 @@ impl<'a, S: BlockStore> DagBuilder<'a, S> {
 
         // Level 0: raw leaf blocks, deduplicated by CID.
         let mut level: Vec<Link> = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            let cid = Cid::from_raw_data(chunk);
+        for (chunk, cid) in chunks.iter().zip(leaf_cids(&chunks)) {
             if self.store.has(&cid) {
                 report.deduplicated_leaves += 1;
             } else {
@@ -123,6 +122,39 @@ impl<'a, S: BlockStore> DagBuilder<'a, S> {
         report.root = level.remove(0).cid;
         Ok(report)
     }
+}
+
+/// Smallest payload whose leaves are hashed on two threads. Below it the
+/// thread start costs more than the hashing it shares.
+const PARALLEL_LEAF_BYTES: usize = 512 * 1024;
+
+/// The CIDs of `chunks`, in order. A large multi-leaf payload is hashed on
+/// two scoped threads, split where half its bytes lie on either side; the
+/// CIDs are the same as hashing one chunk after another.
+fn leaf_cids(chunks: &[Bytes]) -> Vec<Cid> {
+    let hash_all = |part: &[Bytes]| part.iter().map(|c| Cid::from_raw_data(c)).collect::<Vec<_>>();
+    let total: usize = chunks.iter().map(Bytes::len).sum();
+    let one_core = || !std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+    if chunks.len() < 2 || total < PARALLEL_LEAF_BYTES || one_core() {
+        return hash_all(chunks);
+    }
+    // The head takes every chunk up to and including the one that crosses
+    // the half-way byte; the tail keeps at least one.
+    let mut before = 0;
+    let crossing = chunks
+        .iter()
+        .take_while(|c| {
+            before += c.len();
+            2 * before < total
+        })
+        .count();
+    let (head, tail) = chunks.split_at((crossing + 1).min(chunks.len() - 1));
+    std::thread::scope(|scope| {
+        let tail_cids = scope.spawn(|| hash_all(tail));
+        let mut cids = hash_all(head);
+        cids.extend(tail_cids.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        cids
+    })
 }
 
 #[cfg(test)]
@@ -215,6 +247,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The import as it ran before leaves were hashed in parallel: one
+    /// chunk after another, each hashed where it is stored.
+    fn serial_import(
+        data: &Bytes,
+        chunker: &dyn Chunker,
+        fanout: usize,
+    ) -> (BuildReport, MemoryBlockStore) {
+        let mut store = MemoryBlockStore::new();
+        let chunks = chunker.chunk(data);
+        let mut report = BuildReport {
+            file_size: data.len() as u64,
+            chunks: chunks.len(),
+            ..Default::default()
+        };
+        let mut level = Vec::new();
+        for chunk in &chunks {
+            let cid = Cid::from_raw_data(chunk);
+            if store.has(&cid) {
+                report.deduplicated_leaves += 1;
+            } else {
+                store.put(cid.clone(), chunk.clone());
+                report.new_leaves += 1;
+                report.bytes_written += chunk.len() as u64;
+            }
+            level.push(Link { cid, name: String::new(), tsize: chunk.len() as u64 });
+        }
+        while level.len() > 1 {
+            report.depth += 1;
+            let mut next = Vec::new();
+            for group in level.chunks(fanout) {
+                let node = DagNode::branch(group.to_vec());
+                let encoded = node.encode();
+                let cid = Cid::from_dag_node(&encoded);
+                if !store.has(&cid) {
+                    report.bytes_written += encoded.len() as u64;
+                    store.put(cid.clone(), Bytes::from(encoded));
+                    report.branch_nodes += 1;
+                }
+                next.push(Link { cid, name: String::new(), tsize: node.tsize() });
+            }
+            level = next;
+        }
+        report.root = level.remove(0).cid;
+        (report, store)
+    }
+
+    #[test]
+    fn parallel_leaf_hashing_matches_serial_import() {
+        // Large enough to take the two-thread path, with repeated chunks
+        // so dedup order is exercised across the split point.
+        let unique = bytes_of(PARALLEL_LEAF_BYTES + 40 * 8192, 8);
+        let mut doubled = unique.to_vec();
+        doubled.extend_from_slice(&unique[..40 * 8192]);
+        doubled.extend_from_slice(&unique[..8192]);
+        let data = Bytes::from(doubled);
+        let cdc = crate::chunker::ContentDefinedChunker::new(1024, 16384, 12);
+        let fixed = FixedSizeChunker::new(8192);
+        for chunker in [&fixed as &dyn Chunker, &cdc] {
+            let chunks = chunker.chunk(&data);
+            let serial_cids: Vec<Cid> = chunks.iter().map(|c| Cid::from_raw_data(c)).collect();
+            assert_eq!(leaf_cids(&chunks), serial_cids, "{} leaves", chunker.name());
+            let (want, mut want_store) = serial_import(&data, chunker, 16);
+            let mut store = MemoryBlockStore::new();
+            let got = DagBuilder::new(&mut store)
+                .with_layout(DagLayout { fanout: 16 })
+                .add_with_chunker(&data, chunker)
+                .unwrap();
+            assert_eq!(got, want, "{} report", chunker.name());
+            assert!(got.deduplicated_leaves > 0 && got.depth >= 2);
+            let cids: Vec<Cid> = store.cids().cloned().collect();
+            assert_eq!(cids.len(), want_store.cids().count(), "{} stored blocks", chunker.name());
+            for cid in &cids {
+                assert_eq!(store.get(cid), want_store.get(cid));
+            }
+        }
+        // The split is by bytes, and both sides keep their order: uneven
+        // chunk sizes hash to the serial CIDs too.
+        let uneven: Vec<Bytes> =
+            [700_000, 10, 20, 300_000, 1].iter().map(|&n| data.slice(..n)).collect();
+        let serial: Vec<Cid> = uneven.iter().map(|c| Cid::from_raw_data(c)).collect();
+        assert_eq!(leaf_cids(&uneven), serial);
     }
 
     #[test]

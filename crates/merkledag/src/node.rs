@@ -23,6 +23,7 @@ pub struct Link {
     /// Optional UnixFS-style name (empty for file-internal links).
     pub name: String,
     /// Cumulative size in bytes of the subtree the child roots (`Tsize`).
+    /// Encodes as a varint, so at most [`varint::MAX_VALUE`].
     pub tsize: u64,
 }
 
@@ -46,6 +47,12 @@ impl DagNode {
     }
 
     /// Encodes the node into its canonical binary form.
+    ///
+    /// # Panics
+    ///
+    /// If a link's `tsize` exceeds [`varint::MAX_VALUE`], which
+    /// [`DagNode::decode`] could not read back. Decoded nodes never carry
+    /// one, and the builder's sizes count the bytes of one payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len_estimate());
         varint::encode(self.links.len() as u64, &mut out);
@@ -176,9 +183,9 @@ mod tests {
         assert!(DagNode::decode(&bytes).is_err());
     }
 
-    /// A valid node from a seed: 0–7 links with names of 0–11 chars (some
-    /// multi-byte) and sizes below 2^63 (the varint limit), plus 0–63 bytes
-    /// of data.
+    /// A node from a seed: 0–7 links with names of 0–11 chars (some
+    /// multi-byte) and sizes over the whole `u64` range (about one in eight
+    /// past the 63-bit varint limit), plus 0–63 bytes of data.
     fn node_of(seed: u64) -> DagNode {
         let mut state = seed | 1;
         let mut next = move || {
@@ -193,7 +200,7 @@ mod tests {
                 name: (0..next() % 12)
                     .map(|j| ['a', 'z', '7', 'é', '🌍'][(i + j) as usize % 5])
                     .collect(),
-                tsize: next() >> (1 + next() % 63),
+                tsize: next() >> (next() % 64).saturating_sub(16),
             })
             .collect();
         let data: Vec<u8> = (0..next() % 64).map(|_| next() as u8).collect();
@@ -219,7 +226,11 @@ mod tests {
         ) {
             // Mutations of a valid encoding get past the first varint, so
             // they reach the link and data parsers that random bytes rarely do.
-            let mut bytes = node_of(seed).encode();
+            let mut node = node_of(seed);
+            for link in &mut node.links {
+                link.tsize &= varint::MAX_VALUE;
+            }
+            let mut bytes = node.encode();
             for (at, byte) in edits {
                 let at = at % bytes.len();
                 bytes[at] = byte;
@@ -232,12 +243,19 @@ mod tests {
 
         #[test]
         fn decode_encode_decode_roundtrips(seed in proptest::any::<u64>()) {
+            // Encode refuses exactly the sizes decode could not read back.
             let node = node_of(seed);
-            let bytes = node.encode();
-            let back = DagNode::decode(&bytes).unwrap();
-            proptest::prop_assert_eq!(&back, &node);
-            proptest::prop_assert_eq!(back.encode(), bytes);
-            proptest::prop_assert_eq!(back.cid(), node.cid());
+            let too_large = node.links.iter().any(|l| l.tsize > varint::MAX_VALUE);
+            match std::panic::catch_unwind(|| node.encode()) {
+                Err(_) => proptest::prop_assert!(too_large),
+                Ok(bytes) => {
+                    proptest::prop_assert!(!too_large);
+                    let back = DagNode::decode(&bytes).unwrap();
+                    proptest::prop_assert_eq!(&back, &node);
+                    proptest::prop_assert_eq!(back.encode(), bytes);
+                    proptest::prop_assert_eq!(back.cid(), node.cid());
+                }
+            }
         }
     }
 

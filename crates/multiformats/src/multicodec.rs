@@ -45,6 +45,8 @@ impl Multicodec {
 
     /// Maps a registry code to a codec. Unknown codes are preserved as
     /// [`Multicodec::Other`] so that CIDs with exotic codecs still round-trip.
+    /// A code travels as a varint, so one above [`crate::varint::MAX_VALUE`]
+    /// cannot be encoded (decoded CIDs never carry one).
     pub fn from_code(code: u64) -> Multicodec {
         match code {
             0x55 => Multicodec::Raw,

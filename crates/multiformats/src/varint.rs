@@ -9,11 +9,20 @@ use crate::{Error, Result};
 /// Maximum encoded length of a varint under the multiformats spec.
 pub const MAX_LEN: usize = 9;
 
+/// Largest value a varint may carry: 63 bits, the most [`MAX_LEN`] bytes
+/// hold. It equals `isize::MAX`, so every buffer or collection length fits.
+pub const MAX_VALUE: u64 = (1 << 63) - 1;
+
 /// Varint-encodes `value` on the stack: the bytes and how many are used.
-/// (Ten bytes hold any `u64`; values the spec allows need at most
-/// [`MAX_LEN`].)
-pub(crate) fn encode_array(mut value: u64) -> ([u8; 10], usize) {
-    let mut buf = [0u8; 10];
+///
+/// # Panics
+///
+/// If `value` exceeds [`MAX_VALUE`]: [`decode`] would refuse the 10-byte
+/// encoding, so none is written. Callers pass lengths (at most
+/// `isize::MAX`), registry codes or values they bound themselves.
+pub(crate) fn encode_array(mut value: u64) -> ([u8; MAX_LEN], usize) {
+    assert!(value <= MAX_VALUE, "varint {value} exceeds the 63-bit multiformats limit");
+    let mut buf = [0u8; MAX_LEN];
     let mut n = 0;
     loop {
         buf[n] = (value & 0x7f) as u8;
@@ -27,7 +36,11 @@ pub(crate) fn encode_array(mut value: u64) -> ([u8; 10], usize) {
 }
 
 /// Appends the varint encoding of `value` to `out` and returns the number of
-/// bytes written.
+/// bytes written. Whatever it writes, [`decode`] reads back.
+///
+/// # Panics
+///
+/// If `value` exceeds [`MAX_VALUE`] (see [`encode_array`]).
 pub fn encode(value: u64, out: &mut Vec<u8>) -> usize {
     let (buf, n) = encode_array(value);
     out.extend_from_slice(&buf[..n]);
@@ -35,13 +48,18 @@ pub fn encode(value: u64, out: &mut Vec<u8>) -> usize {
 }
 
 /// Encodes `value` into a fresh buffer.
+///
+/// # Panics
+///
+/// If `value` exceeds [`MAX_VALUE`].
 pub fn encode_vec(value: u64) -> Vec<u8> {
     let mut v = Vec::with_capacity(MAX_LEN);
     encode(value, &mut v);
     v
 }
 
-/// Number of bytes `value` occupies when varint-encoded.
+/// Number of bytes `value` occupies when varint-encoded (for a value above
+/// [`MAX_VALUE`], the 10 bytes an unrestricted LEB128 would take).
 pub fn encoded_len(value: u64) -> usize {
     // ceil(bits/7), minimum 1.
     let bits = 64 - value.leading_zeros() as usize;
@@ -109,8 +127,22 @@ mod tests {
             assert_eq!(dec, v);
             assert_eq!(used, enc.len());
         }
-        // Encoding is total even beyond the 63 bits decoders accept.
-        assert_eq!(encode_vec(u64::MAX).len(), 10);
+        assert_eq!(encoded_len(MAX_VALUE), MAX_LEN);
+    }
+
+    #[test]
+    fn encode_refuses_what_decode_rejects() {
+        // The 9-byte rule holds on both sides: 2^63 and above would take a
+        // tenth byte, which `decode` rejects, so `encode` writes none.
+        for v in [MAX_VALUE + 1, 1 << 63 | 12345, u64::MAX] {
+            let mut out = vec![0xAA];
+            let refused = std::panic::catch_unwind(move || {
+                encode(v, &mut out);
+                out
+            });
+            assert!(refused.is_err(), "{v} must be refused");
+        }
+        assert_eq!(decode(&encode_vec(MAX_VALUE)), Ok((MAX_VALUE, MAX_LEN)));
     }
 
     #[test]
@@ -144,5 +176,32 @@ mod tests {
     fn ignores_trailing_bytes() {
         let (v, used) = decode(&[0x05, 0xff, 0xff]).unwrap();
         assert_eq!((v, used), (5, 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..16)
+        ) {
+            // Whatever it accepts is the minimal encoding of a 63-bit value.
+            if let Ok((value, used)) = decode(&bytes) {
+                proptest::prop_assert!(value <= MAX_VALUE);
+                proptest::prop_assert_eq!(&encode_vec(value)[..], &bytes[..used]);
+            }
+        }
+
+        #[test]
+        fn encode_and_decode_agree_over_all_u64(value in proptest::any::<u64>()) {
+            // Encode refuses exactly the values decode rejects.
+            match std::panic::catch_unwind(|| encode_vec(value)) {
+                Ok(bytes) => {
+                    proptest::prop_assert_eq!(decode(&bytes), Ok((value, bytes.len())));
+                    proptest::prop_assert_eq!(bytes.len(), encoded_len(value));
+                }
+                Err(_) => proptest::prop_assert!(value > MAX_VALUE),
+            }
+        }
     }
 }

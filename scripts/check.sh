@@ -70,6 +70,20 @@ if [ "$ENV_FILES" != "crates/bench/src/runner.rs " ]; then
     exit 1
 fi
 
+gate "thread budget (four files start threads)"
+# Event handling is single-threaded (DESIGN.md §6). Threads start only in the
+# sharded engine's windows, the harness job pool, the verify-ahead worker
+# and the import's leaf hashing; a new one is added here with its reason.
+THREAD_FILES="$(grep -rlE 'thread::(spawn|scope|Builder)' crates/*/src | LC_ALL=C sort | tr '\n' ' ')"
+THREAD_ALLOWED="crates/bench/src/runner.rs crates/ipfs-core/src/netsim/verify.rs crates/merkledag/src/builder.rs crates/simnet/src/shard.rs "
+if [ "$THREAD_FILES" != "$THREAD_ALLOWED" ]; then
+    for f in $THREAD_FILES; do
+        case " $THREAD_ALLOWED" in *" $f "*) ;; *) echo "thread budget: $f starts a thread" >&2 ;; esac
+    done
+    echo "thread budget: expected threads started only in $THREAD_ALLOWED; found: $THREAD_FILES" >&2
+    exit 1
+fi
+
 gate "config-surface budget (settable library config fields)"
 # A config field exists only where a shipped caller sets a non-default
 # value; calibration values no caller varies are documented constants
